@@ -55,7 +55,6 @@ from .gelfand import (
     hat_p,
     iota_line,
     lambda_shape,
-    omega,
     tau,
     transfer_points,
 )

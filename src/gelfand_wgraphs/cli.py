@@ -6,8 +6,8 @@ transpose-comparison permutation of involutions), `graph` (build and analyse
 the two Gelfand W-graphs), `verify` (run the identity suites), and `kl`
 (export Kazhdan-Lusztig tables).
 
-Exit codes: 0 success, 1 domain-precondition failure, 2 malformed input,
-3 resource cap exceeded (raise it with --force).
+Exit codes: 0 success, 1 domain-precondition or self-check failure,
+2 malformed input, 3 resource cap exceeded (raise it with --force).
 """
 
 from __future__ import annotations
@@ -240,7 +240,9 @@ def main(argv=None) -> int:
     except ParseFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError: a canonical-basis self-check (unitriangularity or
+        # bar-invariance) failed, so the computed basis cannot be trusted
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN
 

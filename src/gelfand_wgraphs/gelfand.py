@@ -241,54 +241,44 @@ class MuTable:
     variant: str  # 'M' or 'N'
     entries: dict  # (y, z) vertex pair -> nonzero int, with l(y) < l(z)
 
-    def omega(self):
-        return omega(self)
 
-
-class Model:
+class ModuleTable:
     """
-    The whole model for one (n, variant): indexed vertices, their descent
-    classifications and conjugation tables, plus lazily computed canonical
-    basis columns, mu entries, and memoized bar expansions.  Columns are
-    plain dicts from vertex index to LaurentPoly.
+    The canonical-basis engine: a based Z[x,x^-1]-module with an action of
+    H(S_n), given by one index table, plus lazily computed canonical basis
+    columns, mu entries, and memoized bar expansions.
+
+    Basis vectors are indices into `words`, sorted by (length, word).  For a
+    generator i, `cls[i][k]` classifies i at vertex k: on ASC_LT and DES_LT
+    vertices H_{s_i} moves k to `cnj[i][k]` (DES_LT also adds (x - x^-1)
+    times k), and on ASC_EQ and DES_EQ vertices it scales k by `weak_asc`
+    or `weak_des`.  `tau[k]` is the ascent set that decides which lower
+    columns the recursion subtracts.  The Gelfand models are instances
+    (Model); so is the regular representation of H(S_n), with no weak
+    positions (hecke).  Columns are plain dicts from vertex index to
+    LaurentPoly.
     """
 
-    def __init__(self, n: int, variant: str, pick: str = "min"):
-        if variant not in ("asc", "des"):
-            raise ValueError(_VARIANT_MSG)
-        if pick not in ("min", "max"):
-            raise ValueError("pick must be 'min' or 'max'")
+    def __init__(self, n, words, classify, act, tau_of, weak=(None, None), pick="min"):
         self.n = n
-        self.variant = variant
         self.pick = pick
-        words = sorted(
-            (embed(w, variant).word for w in enumerate_involutions(n)),
-            key=lambda wd: (word_length(wd), wd),
-        )
-        self.words = words
-        self.index = {wd: k for k, wd in enumerate(words)}
-        self.length = [word_length(wd) for wd in words]
+        self.words = sorted(words, key=lambda wd: (word_length(wd), wd))
+        self.index = {wd: k for k, wd in enumerate(self.words)}
+        self.length = [word_length(wd) for wd in self.words]
         self.cls = {}   # i -> per-vertex classification
-        self.cnj = {}   # i -> per-vertex index of s_i z s_i
+        self.cnj = {}   # i -> per-vertex index of the vertex H_{s_i} moves it to
         for i in range(1, n):
-            self.cls[i] = [_classify(wd, n, i) for wd in words]
+            self.cls[i] = [classify(wd, i) for wd in self.words]
             self.cnj[i] = [
-                self.index[word_conj_s(wd, i)] if self.cls[i][k] in (ASC_LT, DES_LT) else k
-                for k, wd in enumerate(words)
+                self.index[act(wd, i)] if self.cls[i][k] in (ASC_LT, DES_LT) else k
+                for k, wd in enumerate(self.words)
             ]
         self.strict_descents = [
             [i for i in range(1, n) if self.cls[i][k] == DES_LT]
-            for k in range(len(words))
+            for k in range(len(self.words))
         ]
-        self.tau = [
-            tau(GelfandVertex(wd, n, variant, validate=False)) for wd in words
-        ]
-        # weak-position scalars: M scales weak ascents by -x^-1 and weak
-        # descents by x; N swaps the two
-        if variant == "asc":
-            self.weak_asc, self.weak_des = -X_INV, X
-        else:
-            self.weak_asc, self.weak_des = X, -X_INV
+        self.tau = [tau_of(wd) for wd in self.words]
+        self.weak_asc, self.weak_des = weak
         self._columns = None
         self._mu_by_col = None
         self._barvecs = {}
@@ -406,6 +396,33 @@ class Model:
                     f"canonical column of {self.words[z]} is not bar-invariant"
                 )
 
+
+class Model(ModuleTable):
+    """
+    The Gelfand model M (variant 'asc') or N ('des') for one n: the engine
+    over the embedded involutions, with the descent classifications of
+    _classify and the conjugation z -> s_i z s_i.
+    """
+
+    def __init__(self, n: int, variant: str, pick: str = "min"):
+        if variant not in ("asc", "des"):
+            raise ValueError(_VARIANT_MSG)
+        if pick not in ("min", "max"):
+            raise ValueError("pick must be 'min' or 'max'")
+        self.variant = variant
+        # weak-position scalars: M scales weak ascents by -x^-1 and weak
+        # descents by x; N swaps the two
+        weak = (-X_INV, X) if variant == "asc" else (X, -X_INV)
+        super().__init__(
+            n,
+            (embed(w, variant).word for w in enumerate_involutions(n)),
+            lambda wd, i: _classify(wd, n, i),
+            word_conj_s,
+            lambda wd: tau(GelfandVertex(wd, n, variant, validate=False)),
+            weak,
+            pick,
+        )
+
     # -- conversions -------------------------------------------------------------
 
     def vertex(self, k: int) -> GelfandVertex:
@@ -475,15 +492,6 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "min"):
         (m.vertex(y), m.vertex(z)): v for (y, z), v in m.mu_entries().items()
     })
     return out, mu
-
-
-def omega(mu: MuTable) -> dict:
-    """Symmetrized edge weights: omega(y, z) = mu(y, z) + mu(z, y)."""
-    out = {}
-    for (y, z), v in mu.entries.items():
-        out[(y, z)] = out.get((y, z), 0) + v
-        out[(z, y)] = out.get((z, y), 0) + v
-    return {k: v for k, v in out.items() if v}
 
 
 def hat_p(z: GelfandVertex) -> Tableau:

@@ -5,9 +5,15 @@ Standard basis {H_w}, with H_s H_w = H_{sw} when the product is longer and
 H_{sw} + (x - x^-1) H_w otherwise; the bar involution fixes each H_s up to
 the correction -(x - x^-1) and inverts x.  The Kazhdan-Lusztig basis element
 for w is the unique bar-invariant element lying in H_w plus an
-x^-1 Z[x^-1]-combination of shorter basis elements.  This module exists to
-cross-validate the canonical-basis engine and the cell machinery against
-the classical picture, so it stays deliberately small.
+x^-1 Z[x^-1]-combination of shorter basis elements.
+
+This module has no recursion of its own.  The regular representation is a
+gelfand.ModuleTable with no weak positions: words sorted by (length, word),
+each generator a strict left ascent or descent, H_s moving w to s*w, and tau
+the left ascent set.  Multiplication by H_s, the bar involution and the KL
+basis are the Gelfand engine's column action, bar recursion and
+canonical-basis recursion on that table, so the check that KL cells are RS
+fibers exercises the same engine as the Gelfand W-graphs.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations as _permutations
 
-from .laurent import ONE, X_INV, X_MINUS_XINV, LaurentPoly
-from .perm import Permutation, word_length
+from .gelfand import ASC_LT, DES_LT, ModuleTable
+from .laurent import ONE, LaurentPoly
+from .perm import Permutation
 
 DEFAULT_MAX_N = 6
 
@@ -77,21 +84,36 @@ def _left_ascent(word, i: int) -> bool:
     return word.index(i) < word.index(i + 1)
 
 
+@lru_cache(maxsize=None)
+def _regular(n: int) -> ModuleTable:
+    """The regular representation of H(S_n) as an engine table."""
+    return ModuleTable(
+        n,
+        _permutations(range(1, n + 1)),
+        lambda w, i: ASC_LT if _left_ascent(w, i) else DES_LT,
+        lambda w, i: _s_mul_word(i, w),
+        asc_left,
+    )
+
+
+def _table_column(h: HeckeElement):
+    """The regular-representation table of h's degree, and h as its column."""
+    table = _regular(len(next(iter(h.terms))))
+    return table, {table.index[w]: c for w, c in h.terms.items()}
+
+
+def _element(table: ModuleTable, col: dict) -> HeckeElement:
+    return HeckeElement({table.words[v]: c for v, c in col.items()})
+
+
 def h_s_mul(i: int, h: HeckeElement) -> HeckeElement:
     """Left multiplication by H_{s_i}."""
-    out = {}
-
-    def add(w, c):
-        out[w] = out[w] + c if w in out else c
-
-    for w, c in h.terms.items():
-        if not 1 <= i <= len(w) - 1:
-            raise ValueError(f"generator index {i} out of range for n={len(w)}")
-        sw = _s_mul_word(i, w)
-        add(sw, c)
-        if not _left_ascent(w, i):
-            add(w, c * X_MINUS_XINV)
-    return HeckeElement(out)
+    if not h.terms:
+        return HeckeElement()
+    table, col = _table_column(h)
+    if not 1 <= i <= table.n - 1:
+        raise ValueError(f"generator index {i} out of range for n={table.n}")
+    return _element(table, table.h_col(i, col))
 
 
 def reduced_word(w) -> tuple:
@@ -108,28 +130,12 @@ def reduced_word(w) -> tuple:
             return tuple(letters)
 
 
-@lru_cache(maxsize=None)
-def _bar_basis(word) -> HeckeElement:
-    """bar(H_w), as the product of (H_s - (x - x^-1)) over a reduced word of w."""
-    rw = reduced_word(word)
-    acc = HeckeElement.unit(len(word))
-    for i in reversed(rw):
-        acc = h_s_mul(i, acc) - acc.scale(X_MINUS_XINV)
-    return acc
-
-
 def h_bar(h: HeckeElement) -> HeckeElement:
     """The bar involution, extended bar-semilinearly from the basis."""
-    out = HeckeElement()
-    for w, c in h.terms.items():
-        out = out + _bar_basis(w).scale(c.bar())
-    return out
-
-
-def _sorted_perms(n: int):
-    """All of S_n as words, by (length, word); the identity comes first."""
-    return sorted((tuple(p) for p in _permutations(range(1, n + 1))),
-                  key=lambda w: (word_length(w), w))
+    if not h.terms:
+        return HeckeElement()
+    table, col = _table_column(h)
+    return _element(table, table.bar_col(col))
 
 
 def kl_table(n: int):
@@ -137,50 +143,17 @@ def kl_table(n: int):
     Kazhdan-Lusztig coefficient columns and mu values for S_n.
 
     Returns (words, columns, mu) where columns[w][y] is the coefficient of
-    H_y in the KL basis element of w and mu[y, w] is its x^-1 coefficient.
-    Each column is produced by the length recursion: peel off a left descent
-    s of w, multiply the shorter column by H_s + x^-1, and subtract mu-many
-    copies of lower columns keyed by their left descents.
+    H_y in the KL basis element of w and mu[y, w] is its x^-1 coefficient:
+    the canonical basis of the regular representation, re-keyed by words.
     """
-    words = _sorted_perms(n)
-    columns = {}
-    mu = {}
-    mu_by_col = {w: {} for w in words}
-    for w in words:
-        if word_length(w) == 0:
-            columns[w] = {w: ONE}
-            continue
-        i = next(j for j in range(1, n) if w.index(j) > w.index(j + 1))
-        v = _s_mul_word(i, w)
-        col_v = columns[v]
-        col = {}
-
-        def add(u, c):
-            col[u] = col[u] + c if u in col else c
-
-        # (H_s + x^-1) * column of v
-        for y, c in col_v.items():
-            add(_s_mul_word(i, y), c)
-            add(y, c * X_INV)
-            if not _left_ascent(y, i):
-                add(y, c * X_MINUS_XINV)
-        for y, m in mu_by_col[v].items():
-            if not _left_ascent(y, i):
-                for u, c in columns[y].items():
-                    add(u, c * (-m))
-        col = {y: c for y, c in col.items() if c}
-        if col.get(w) != ONE:
-            raise RuntimeError(f"KL column of {w} is not unitriangular")
-        lw = word_length(w)
-        for y, c in col.items():
-            if y != w and (word_length(y) >= lw or not c.in_neg_span()):
-                raise RuntimeError(f"KL column of {w} has a bad term at {y}: {c}")
-        columns[w] = col
-        ml = {y: c.coeff(-1) for y, c in col.items() if y != w and c.coeff(-1)}
-        mu_by_col[w] = ml
-        for y, m in ml.items():
-            mu[(y, w)] = m
-    return words, columns, mu
+    table = _regular(n)
+    words = table.words
+    columns = {
+        words[z]: {words[y]: c for y, c in col.items()}
+        for z, col in enumerate(table.canonical_columns())
+    }
+    mu = {(words[y], words[z]): m for (y, z), m in table.mu_entries().items()}
+    return list(words), columns, mu
 
 
 def kl_basis(n: int, max_n: int = DEFAULT_MAX_N):
@@ -208,18 +181,14 @@ def kl_wgraph(n: int, side: str, reduced: bool = True, max_n: int = DEFAULT_MAX_
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if n > max_n:
         raise ValueError(f"n={n} exceeds the bound {max_n}; pass max_n to override")
-    words, _, mu = kl_table(n)
-    index = {w: k for k, w in enumerate(words)}
-    tau_fn = asc_left if side == "left" else asc_right
-    tau = tuple(tau_fn(w) for w in words)
-    omega = symmetrize_mu({(index[y], index[w]): m for (y, w), m in mu.items()})
+    table = _regular(n)
     return WGraph(
         n=n,
         variant=f"kl_{side}",
         reduced=reduced,
-        vertices=tuple(words),
-        tau=tau,
-        omega=omega,
+        vertices=table.words,
+        tau=table.tau if side == "left" else [asc_right(w) for w in table.words],
+        omega=symmetrize_mu(table.mu_entries()),
     )
 
 

@@ -165,29 +165,3 @@ X = LaurentPoly.term(1, 1)
 X_INV = LaurentPoly.term(1, -1)
 # x - x^-1, the constant in the quadratic relation of the Hecke algebra
 X_MINUS_XINV = X - X_INV
-
-
-def arith(p: LaurentPoly, q: LaurentPoly, kind: str) -> LaurentPoly:
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def bar(p: LaurentPoly) -> LaurentPoly:
-    return p.bar()
-
-
-def coeff(p: LaurentPoly, exp: int) -> int:
-    return p.coeff(exp)
-
-
-def in_neg_span(p: LaurentPoly) -> bool:
-    return p.in_neg_span()
-
-
-def from_pairs(pairs) -> LaurentPoly:
-    return LaurentPoly.from_pairs(pairs)

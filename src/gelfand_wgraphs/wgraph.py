@@ -426,8 +426,9 @@ def classify(n: int, variant: str, reduced: bool = True) -> ClassifyReport:
     comb = combinatorial_bidirected_pairs(n, variant)
     report.edges_match = alg == comb
     if not report.edges_match:
-        extra = [p for p in alg if p not in set(comb)]
-        missing = [p for p in comb if p not in set(alg)]
+        alg_set, comb_set = set(alg), set(comb)
+        extra = [p for p in alg if p not in comb_set]
+        missing = [p for p in comb if p not in alg_set]
         report.counterexamples.append(
             f"bidirected edges disagree: {len(extra)} algebraic-only, "
             f"{len(missing)} combinatorial-only; first: {(extra + missing)[:1]}"

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from gelfand_wgraphs import gelfand, hecke
 from gelfand_wgraphs.cli import main
 
 
@@ -137,9 +139,12 @@ def test_cli_deterministic(capsys):
 
 
 def test_console_entry_point():
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(gelfand.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gelfand_wgraphs.cli", "psi", "--n", "3", "--cycles"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["longest_cycle"] == 2
@@ -153,3 +158,17 @@ def test_graph_build_tables(tmp_path, capsys):
     doc = json.loads(tables.read_text())
     assert doc["variant"] == "N" and doc["n"] == 3
     assert set(doc) == {"variant", "n", "vertices", "columns", "mu"}
+
+
+def test_self_check_failure_exits_1(monkeypatch, capsys):
+    # both the Gelfand graphs and the KL tables run the one engine recursion
+    def broken(self):
+        raise RuntimeError("column (1, 2) is not unitriangular")
+
+    monkeypatch.setattr(gelfand.ModuleTable, "_compute_columns", broken)
+    gelfand._model.cache_clear()
+    hecke._regular.cache_clear()
+    for argv in (["graph", "build", "--n", "3", "--variant", "row"], ["kl", "--n", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "not unitriangular" in err and "Traceback" not in err

@@ -1,0 +1,31 @@
+"""
+SHA-256 digests of the canonical-basis engine's output, recorded before the
+Kazhdan-Lusztig tables were moved onto the Gelfand engine: the KL export
+and the canonical-basis/mu tables of both Gelfand models must not change.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from gelfand_wgraphs.cli import main
+from gelfand_wgraphs.gelfand import tables_json
+
+
+GOLDEN = {
+    "kl 5": "a64bc44a976c4c464e5611f0156af4c05c4bfac36cee3bea66c916ab1deb1121",
+    "tables 6 M": "f9f84802efa52fa68896097425c7aa897056052a9f8525de4ae8e2dd56ca91ab",
+    "tables 6 N": "7766870318750b215f12f7c04a6fa894c06d0dcde034ca51022dd7489a921bd3",
+}
+
+
+@pytest.mark.parametrize("what", GOLDEN)
+def test_engine_output_digest(what, capsys):
+    kind, n, *variant = what.split()
+    if kind == "kl":
+        assert main(["kl", "--n", n]) == 0
+        text = capsys.readouterr().out
+    else:
+        text = json.dumps(tables_json(int(n), variant[0]), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[what]

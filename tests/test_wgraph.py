@@ -4,6 +4,8 @@ from itertools import permutations
 
 import pytest
 
+from gelfand_wgraphs import wgraph
+from gelfand_wgraphs.cli import main
 from gelfand_wgraphs.gelfand import embed
 from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions
 from gelfand_wgraphs.wgraph import (
@@ -136,6 +138,18 @@ def test_classify_small():
             assert rep.ok, (n, variant, rep.counterexamples)
     assert classify(4, "row").fiber_count == 5
     assert classify(5, "col").fiber_count == 7
+
+
+def test_classify_reports_dropped_combinatorial_pair(monkeypatch, capsys):
+    real = wgraph.combinatorial_bidirected_pairs
+    monkeypatch.setattr(wgraph, "combinatorial_bidirected_pairs",
+                        lambda n, variant: real(n, variant)[1:])
+    rep = classify(4, "row")
+    assert rep.edges_match is False and rep.ok is False
+    assert any("1 algebraic-only, 0 combinatorial-only" in line
+               for line in rep.counterexamples)
+    assert main(["graph", "classify", "--n", "4", "--variant", "row"]) == 1
+    assert "bidirected=combinatorial: FAIL" in capsys.readouterr().out
 
 
 def test_character_trace_examples():
