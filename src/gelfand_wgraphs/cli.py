@@ -106,12 +106,16 @@ def cmd_psi(args) -> int:
     return EXIT_OK
 
 
+def _over_cap(args, cap: int) -> bool:
+    """True, with the cap message on stderr, if n exceeds cap and --force is absent."""
+    if args.n <= cap or args.force:
+        return False
+    print(f"n={args.n} exceeds the default cap {cap}; rerun with --force", file=sys.stderr)
+    return True
+
+
 def cmd_graph(args) -> int:
-    if args.n > GRAPH_CAP and not args.force:
-        print(
-            f"n={args.n} exceeds the default cap {GRAPH_CAP}; rerun with --force",
-            file=sys.stderr,
-        )
+    if _over_cap(args, GRAPH_CAP):
         return EXIT_CAP
     reduced = not args.no_reduced
     if args.action == "classify":
@@ -146,17 +150,16 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the kl suite enumerates S_m up to m = n, like `gwg kl`
+    if args.suite in ("kl", "all") and _over_cap(args, hecke.DEFAULT_MAX_N):
+        return EXIT_CAP
     report = suites.run_suite(args.suite, args.n)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_DOMAIN
 
 
 def cmd_kl(args) -> int:
-    if args.n > hecke.DEFAULT_MAX_N and not args.force:
-        print(
-            f"n={args.n} exceeds the default cap {hecke.DEFAULT_MAX_N}; rerun with --force",
-            file=sys.stderr,
-        )
+    if _over_cap(args, hecke.DEFAULT_MAX_N):
         return EXIT_CAP
     words, columns, mu = hecke.kl_table(args.n)
     doc = {
@@ -218,6 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=tuple(suites.SUITES) + ("all",))
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--force", action="store_true",
+                   help=f"lift the n<={hecke.DEFAULT_MAX_N} cap of the kl suite")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

@@ -122,7 +122,15 @@ def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:
 # -- defining relations -------------------------------------------------------
 
 
-def _rho_matrix(g: WGraph, i: int):
+def _out_edges(g: WGraph):
+    """Per vertex v, the (w, omega(v, w)) pairs of its outgoing edges."""
+    out = [[] for _ in range(g.size)]
+    for (v, w), c in g.omega.items():
+        out[v].append((w, c))
+    return out
+
+
+def _rho_matrix(g: WGraph, i: int, out_edges):
     """Column v of the action of H_{s_i}: a dict u -> LaurentPoly."""
     cols = []
     for v in range(g.size):
@@ -130,9 +138,8 @@ def _rho_matrix(g: WGraph, i: int):
             cols.append({v: X})
         else:
             col = {v: -X_INV}
-            for w in range(g.size):
-                c = g.omega.get((v, w))
-                if c and i not in g.tau[w]:
+            for w, c in out_edges[v]:
+                if i not in g.tau[w]:
                     p = col.get(w)
                     cp = LaurentPoly.term(c)
                     col[w] = p + cp if p is not None else cp
@@ -193,7 +200,8 @@ def verify_axioms(g: WGraph) -> AxiomReport:
     """
     report = AxiomReport(g.n, g.variant, g.reduced)
     gens = range(1, g.n)
-    rho = {i: _rho_matrix(g, i) for i in gens}
+    out_edges = _out_edges(g)
+    rho = {i: _rho_matrix(g, i, out_edges) for i in gens}
     I = _identity(g.size)
     for i in gens:
         lhs = _mat_mul(rho[i], rho[i])
@@ -360,20 +368,35 @@ def algebraic_bidirected_pairs(g: WGraph):
 
 
 def combinatorial_bidirected_pairs(n: int, variant: str):
-    """All pairs related by the order-theoretic description, for any window i."""
+    """
+    All pairs related by the order-theoretic description, for any window i,
+    as sorted word pairs.
+
+    The description fixes the longer vertex: `_bidirected_words(a, b, i)`
+    needs b = t·a·t with t an ascent of a, which puts b exactly two lengths
+    above a (so the orientation with the longer word first never holds).
+    Testing every pair with a length gap of 2 therefore finds exactly the
+    conjugates t·a·t, t in {s_{i-1}, s_i}, that are vertices and pass the
+    comparisons; these are generated directly, O(|V| n) instead of
+    O(|V|^2).  The conjugate of a vertex need not be one, hence the lookup.
+    """
     m = _model(n, "asc" if variant == "row" else "des")
     row = variant == "row"
-    by_length = {}
-    for k, l in enumerate(m.length):
-        by_length.setdefault(l, []).append(k)
-    out = []
-    # the relation forces a length gap of exactly 2
-    for l, lower in by_length.items():
-        for a in lower:
-            wa = m.words[a]
-            for b in by_length.get(l + 2, ()):
-                if any(_bidirected_words(wa, m.words[b], i, row) for i in range(2, n)):
-                    out.append(tuple(sorted((wa, m.words[b]))))
+    out = set()
+    for a, wa in enumerate(m.words):
+        for i in range(2, n):
+            for s, t in ((i - 1, i), (i, i - 1)):
+                # the tests of _bidirected_words on the shorter vertex a
+                cs = _cc_word(wa, s)
+                if cs > 0 or (not row and cs == 0) or _cc_word(wa, t) <= 0:
+                    continue
+                wb = word_conj_s(wa, t)
+                b = m.index.get(wb)
+                if b is None or m.length[b] != m.length[a] + 2:
+                    continue
+                cb = _cc_word(wb, s)
+                if cb > 0 or (not row and cb == 0):
+                    out.add(tuple(sorted((wa, wb))))
     return sorted(out)
 
 
@@ -446,7 +469,7 @@ def classify(n: int, variant: str, reduced: bool = True) -> ClassifyReport:
 # -- character of the specialized module ---------------------------------------
 
 
-def _rho_one_matrix(g: WGraph, i: int):
+def _rho_one_matrix(g: WGraph, i: int, out_edges):
     """Integer matrix of H_{s_i} at x = 1 (columns as dense lists)."""
     size = g.size
     cols = [[0] * size for _ in range(size)]
@@ -455,9 +478,8 @@ def _rho_one_matrix(g: WGraph, i: int):
             cols[v][v] = 1
         else:
             cols[v][v] = -1
-            for w in range(size):
-                c = g.omega.get((v, w))
-                if c and i not in g.tau[w]:
+            for w, c in out_edges[v]:
+                if i not in g.tau[w]:
                     cols[v][w] += c
     return cols
 
@@ -484,9 +506,10 @@ def character_trace(g: WGraph, w: Permutation) -> int:
 
     rw = reduced_word(w)
     size = g.size
+    out_edges = _out_edges(g)
     acc = None
     for i in rw:
-        m = _rho_one_matrix(g, i)
+        m = _rho_one_matrix(g, i, out_edges)
         acc = m if acc is None else _int_mat_mul(acc, m)
     if acc is None:
         return size

@@ -1,6 +1,7 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gelfand_wgraphs.beissinger import (
     PsiStats,
@@ -203,3 +204,36 @@ def test_partner_formulas_match_search():
                 zc = simcbs_partner(y, i)
                 assert zc == partner_by_search(ct, i, y)
                 assert simcbs_partner(zc, i) == y
+
+
+# -- properties at sizes past exhaustive enumeration ---------------------------
+
+
+@st.composite
+def involutions(draw, min_n=1, max_n=25):
+    """A random involution: the first 2k points of a shuffled [n], paired off."""
+    n = draw(st.integers(min_n, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n // 2))
+    return Involution.from_cycles(n, [(order[2 * j], order[2 * j + 1]) for j in range(k)])
+
+
+@settings(max_examples=100)
+@given(involutions())
+def test_round_trips_random(y):
+    assert p_rbs_inverse(p_rbs(y)) == y
+    assert p_cbs_inverse(p_cbs(y)) == y
+
+
+@settings(max_examples=100)
+@given(involutions())
+def test_psi_preserves_fixed_point_count_random(y):
+    assert len(psi(y).fixed_points()) == len(y.fixed_points())
+
+
+@settings(max_examples=100)
+@given(involutions(min_n=3), st.data())
+def test_partners_match_dual_equiv_random(y, data):
+    i = data.draw(st.integers(2, y.n - 1), label="i")
+    assert p_rbs(simrbs_partner(y, i)) == dual_equiv(p_rbs(y), i)
+    assert p_cbs(simcbs_partner(y, i)) == dual_equiv(p_cbs(y), i)

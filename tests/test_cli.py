@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gelfand_wgraphs import gelfand, hecke
+from gelfand_wgraphs import gelfand, hecke, suites
 from gelfand_wgraphs.cli import main
 
 
@@ -120,6 +120,27 @@ def test_verify_suites(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
     code, out, _ = run(capsys, "verify", "--suite", "conjecture", "--n", "4")
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_verify_kl_cap_and_force(monkeypatch, capsys):
+    # the kl suite is capped like `gwg kl`; the refusal comes before any work
+    for suite in ("kl", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "7")
+        assert code == 3 and not out
+        assert f"exceeds the default cap {hecke.DEFAULT_MAX_N}" in err and "--force" in err
+    code, out, _ = run(capsys, "verify", "--suite", "kl", "--n", "5")
+    assert code == 0 and json.loads(out)["passed"] is True
+    # other suites are not capped
+    code, out, _ = run(capsys, "verify", "--suite", "partners", "--n", "7")
+    assert code == 0 and json.loads(out)["passed"] is True
+    # --force hands n=7 to the suites (stubbed: the real kl run takes minutes)
+    calls = []
+    monkeypatch.setattr(suites, "run_suite",
+                        lambda name, n: calls.append((name, n)) or {"passed": True})
+    for suite in ("kl", "all"):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "7", "--force")
+        assert code == 0 and json.loads(out)["passed"] is True
+    assert calls == [("kl", 7), ("all", 7)]
 
 
 def test_kl_export(capsys):

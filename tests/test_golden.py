@@ -2,6 +2,8 @@
 SHA-256 digests of the canonical-basis engine's output, recorded before the
 Kazhdan-Lusztig tables were moved onto the Gelfand engine: the KL export
 and the canonical-basis/mu tables of both Gelfand models must not change.
+The n=8 combinatorial bidirected pairs were recorded from the length-gap-2
+pair scan, before candidates were generated as conjugates.
 """
 
 import hashlib
@@ -11,12 +13,15 @@ import pytest
 
 from gelfand_wgraphs.cli import main
 from gelfand_wgraphs.gelfand import tables_json
+from gelfand_wgraphs.wgraph import combinatorial_bidirected_pairs
 
 
 GOLDEN = {
     "kl 5": "a64bc44a976c4c464e5611f0156af4c05c4bfac36cee3bea66c916ab1deb1121",
     "tables 6 M": "f9f84802efa52fa68896097425c7aa897056052a9f8525de4ae8e2dd56ca91ab",
     "tables 6 N": "7766870318750b215f12f7c04a6fa894c06d0dcde034ca51022dd7489a921bd3",
+    "pairs 8 row": "8ad0a21ee1b6a2b69abbaa0452cd0966a4e726fcd88d6ee8bbe86b7befe6f843",
+    "pairs 8 col": "6ae8e88b7fd78c75c8d886c9bcfa28b7bf23078a4e0cbae16fedda5a01254987",
 }
 
 
@@ -26,6 +31,8 @@ def test_engine_output_digest(what, capsys):
     if kind == "kl":
         assert main(["kl", "--n", n]) == 0
         text = capsys.readouterr().out
+    elif kind == "pairs":
+        text = json.dumps(combinatorial_bidirected_pairs(int(n), variant[0]))
     else:
         text = json.dumps(tables_json(int(n), variant[0]), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[what]

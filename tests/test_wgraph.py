@@ -6,10 +6,11 @@ import pytest
 
 from gelfand_wgraphs import wgraph
 from gelfand_wgraphs.cli import main
-from gelfand_wgraphs.gelfand import embed
+from gelfand_wgraphs.gelfand import _model, embed
 from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions
 from gelfand_wgraphs.wgraph import (
     WGraph,
+    _bidirected_words,
     algebraic_bidirected_pairs,
     build_gamma,
     cells,
@@ -129,6 +130,29 @@ def test_bidirected_edges_match_combinatorial():
         for variant in ("row", "col"):
             g = build_gamma(n, variant)
             assert algebraic_bidirected_pairs(g) == combinatorial_bidirected_pairs(n, variant)
+
+
+def _gap2_scan_pairs(n, variant):
+    """Reference: test every vertex pair whose lengths differ by 2, in every window."""
+    m = _model(n, "asc" if variant == "row" else "des")
+    row = variant == "row"
+    by_length = {}
+    for k, l in enumerate(m.length):
+        by_length.setdefault(l, []).append(k)
+    out = []
+    for l, lower in by_length.items():
+        for a in lower:
+            wa = m.words[a]
+            for b in by_length.get(l + 2, ()):
+                if any(_bidirected_words(wa, m.words[b], i, row) for i in range(2, n)):
+                    out.append(tuple(sorted((wa, m.words[b]))))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("variant", ["row", "col"])
+def test_conjugate_candidates_match_gap2_scan(variant):
+    for n in range(2, 8):
+        assert combinatorial_bidirected_pairs(n, variant) == _gap2_scan_pairs(n, variant), n
 
 
 def test_classify_small():
