@@ -84,7 +84,10 @@ def cmd_insert(args) -> int:
 
 def cmd_psi(args) -> int:
     if args.orbit is not None:
-        y = parse_involution(args.orbit, args.n)
+        try:
+            y = parse_involution(args.orbit, args.n)
+        except ValueError as exc:
+            raise ParseFailure(str(exc)) from exc
         doc = {
             "n": args.n,
             "orbit": [_inv_json(z) for z in beissinger.psi_orbit(y)],

@@ -441,6 +441,42 @@ def _model(n: int, variant: str) -> Model:
     return Model(n, variant)
 
 
+def relation_violations(n: int, size: int, act) -> list:
+    """
+    The defining relations of H(S_n) that an action fails, as messages.
+
+    act(i, col) applies H_{s_i} to an index-keyed column of LaurentPolys
+    over `size` basis vectors and returns it with zero entries dropped.  On
+    every basis vector this checks the quadratic relation, the braid
+    relation for adjacent generators and commutation for distant ones.
+    """
+    gens = range(1, n)
+    failed = set()  # (i, i): quadratic; (i, j), i < j: braid or commutation
+    for v in range(size):
+        e = {v: ONE}
+        h = {i: act(i, e) for i in gens}
+        hh = {(i, j): act(i, h[j]) for i in gens for j in gens}
+        for i in gens:
+            rhs = dict(e)
+            for u, c in h[i].items():
+                d = c * X_MINUS_XINV
+                rhs[u] = rhs[u] + d if u in rhs else d
+            if hh[i, i] != {u: c for u, c in rhs.items() if c}:
+                failed.add((i, i))
+            if i + 1 < n and act(i, hh[i + 1, i]) != act(i + 1, hh[i, i + 1]):
+                failed.add((i, i + 1))
+            for j in range(i + 2, n):
+                if hh[i, j] != hh[j, i]:
+                    failed.add((i, j))
+    out = [f"quadratic relation fails for s_{i}" for i in gens if (i, i) in failed]
+    for i in gens:
+        for j in range(i + 1, n):
+            if (i, j) in failed:
+                rel = "braid relation" if j == i + 1 else "commutation"
+                out.append(f"{rel} fails for s_{i}, s_{j}")
+    return out
+
+
 def _variant_of(e: ModuleElement) -> str:
     if e.variant == "M":
         return "asc"

@@ -7,7 +7,9 @@ of {1, .., n-1} and integer edge weights omega, such that the prescribed
 action of each generator on the free Z[x,x^-1]-module over the vertices
 (scale by x off tau, otherwise -x^-1 plus the weighted sum of neighbours
 whose tau misses the generator) satisfies the quadratic, braid, and
-commutation relations.
+commutation relations.  That action is applied one sparse column at a time
+(`_action`): the relation check (gelfand.relation_violations) and the x = 1
+character both go through it, and no dense matrix is formed.
 
 Weights with tau(v) contained in tau(w) never enter that action, so a graph
 and its "reduced" version (those weights dropped) define the same module.
@@ -27,8 +29,8 @@ import json
 from dataclasses import dataclass, field
 from itertools import permutations as _permutations
 
-from .gelfand import GelfandVertex, _model, lambda_shape
-from .laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
+from .gelfand import GelfandVertex, _model, lambda_shape, relation_violations
+from .laurent import ONE, X, X_INV, LaurentPoly
 from .perm import Permutation, word_conj_s
 
 
@@ -147,37 +149,26 @@ def _rho_matrix(g: WGraph, i: int, out_edges):
     return cols
 
 
-def _mat_mul(A, B):
-    """Composition: apply B first, then A (columns map v -> dict)."""
-    out = []
-    for v in range(len(B)):
-        col = {}
-        for u, c in B[v].items():
-            for t, d in A[u].items():
+def _action(g: WGraph):
+    """
+    act(i, col): H_{s_i} applied to an index-keyed column, one column of the
+    product with _rho_matrix(g, i), which is built on first use of i.
+    """
+    out_edges = _out_edges(g)
+    rho = {}
+
+    def act(i, col):
+        m = rho.get(i)
+        if m is None:
+            m = rho[i] = _rho_matrix(g, i, out_edges)
+        out = {}
+        for u, c in col.items():
+            for t, d in m[u].items():
                 e = d * c
-                col[t] = col[t] + e if t in col else e
-        out.append({t: c for t, c in col.items() if c})
-    return out
+                out[t] = out[t] + e if t in out else e
+        return {t: c for t, c in out.items() if c}
 
-
-def _mat_eq(A, B) -> bool:
-    return all(a == b for a, b in zip(A, B))
-
-
-def _identity(size):
-    return [{v: ONE} for v in range(size)]
-
-
-def _mat_add_scaled(A, B, p):
-    """A + p*B columnwise."""
-    out = []
-    for a, b in zip(A, B):
-        col = dict(a)
-        for u, c in b.items():
-            d = c * p
-            col[u] = col[u] + d if u in col else d
-        out.append({u: c for u, c in col.items() if c})
-    return out
+    return act
 
 
 @dataclass
@@ -198,29 +189,9 @@ def verify_axioms(g: WGraph) -> AxiomReport:
     relation, the braid relation for adjacent generators, and commutation
     for distant ones.  Failures are reported, not raised.
     """
-    report = AxiomReport(g.n, g.variant, g.reduced)
-    gens = range(1, g.n)
-    out_edges = _out_edges(g)
-    rho = {i: _rho_matrix(g, i, out_edges) for i in gens}
-    I = _identity(g.size)
-    for i in gens:
-        lhs = _mat_mul(rho[i], rho[i])
-        rhs = _mat_add_scaled(I, rho[i], X_MINUS_XINV)
-        if not _mat_eq(lhs, rhs):
-            report.violations.append(f"quadratic relation fails for s_{i}")
-    for i in gens:
-        for j in gens:
-            if j <= i:
-                continue
-            if j == i + 1:
-                lhs = _mat_mul(rho[i], _mat_mul(rho[j], rho[i]))
-                rhs = _mat_mul(rho[j], _mat_mul(rho[i], rho[j]))
-                if not _mat_eq(lhs, rhs):
-                    report.violations.append(f"braid relation fails for s_{i}, s_{j}")
-            else:
-                if not _mat_eq(_mat_mul(rho[i], rho[j]), _mat_mul(rho[j], rho[i])):
-                    report.violations.append(f"commutation fails for s_{i}, s_{j}")
-    return report
+    return AxiomReport(
+        g.n, g.variant, g.reduced, relation_violations(g.n, g.size, _action(g))
+    )
 
 
 # -- molecules and cells ------------------------------------------------------
@@ -469,51 +440,26 @@ def classify(n: int, variant: str, reduced: bool = True) -> ClassifyReport:
 # -- character of the specialized module ---------------------------------------
 
 
-def _rho_one_matrix(g: WGraph, i: int, out_edges):
-    """Integer matrix of H_{s_i} at x = 1 (columns as dense lists)."""
-    size = g.size
-    cols = [[0] * size for _ in range(size)]
-    for v in range(size):
-        if i not in g.tau[v]:
-            cols[v][v] = 1
-        else:
-            cols[v][v] = -1
-            for w, c in out_edges[v]:
-                if i not in g.tau[w]:
-                    cols[v][w] += c
-    return cols
-
-
-def _int_mat_mul(A, B):
-    size = len(B)
-    out = [[0] * size for _ in range(size)]
-    for v in range(size):
-        colB = B[v]
-        outv = out[v]
-        for u in range(size):
-            c = colB[u]
-            if c:
-                colA = A[u]
-                for t in range(size):
-                    if colA[t]:
-                        outv[t] += colA[t] * c
-    return out
-
-
 def character_trace(g: WGraph, w: Permutation) -> int:
-    """Trace of the graph's module action at x = 1, at the group element w."""
+    """
+    Trace of the graph's module action at x = 1, at the group element w:
+    each basis vector goes through the letters of a reduced word of w, last
+    letter first, and its own coefficient is evaluated at x = 1.
+    """
     from .hecke import reduced_word
 
-    rw = reduced_word(w)
-    size = g.size
-    out_edges = _out_edges(g)
-    acc = None
-    for i in rw:
-        m = _rho_one_matrix(g, i, out_edges)
-        acc = m if acc is None else _int_mat_mul(acc, m)
-    if acc is None:
-        return size
-    return sum(acc[v][v] for v in range(size))
+    if w.n != g.n:
+        raise ValueError(f"permutation of degree {w.n} on a W-graph for S_{g.n}")
+    rw = reduced_word(w)[::-1]
+    act = _action(g)
+    total = 0
+    for v in range(g.size):
+        col = {v: ONE}
+        for i in rw:
+            col = act(i, col)
+        if v in col:
+            total += col[v].eval_one()
+    return total
 
 
 def square_root_count(w: Permutation) -> int:

@@ -69,6 +69,13 @@ def test_psi_orbit(capsys):
     assert json.loads(out) == doc
 
 
+def test_psi_orbit_malformed_exits_2(capsys):
+    code, out, err = run(capsys, "psi", "--n", "4", "--orbit", "abc")
+    assert code == 2 and not out and err
+    code, _, _ = run(capsys, "psi", "--n", "4", "--orbit", "(1,4)")
+    assert code == 0
+
+
 def test_psi_fixed_points(capsys):
     code, out, _ = run(capsys, "psi", "--n", "1", "--fixed-points")
     doc = json.loads(out)

@@ -7,6 +7,7 @@ from gelfand_wgraphs.gelfand import (
     DescentData,
     GelfandVertex,
     ModuleElement,
+    _model,
     bar_module,
     canonical_basis,
     descent_data,
@@ -17,6 +18,7 @@ from gelfand_wgraphs.gelfand import (
     inverse_embed,
     iota_line,
     lambda_shape,
+    relation_violations,
     tables_json,
     tau,
     transfer_points,
@@ -147,6 +149,27 @@ def test_quadratic_and_braid_relations():
                             assert h_action(j, ij) == h_action(i, ji)
                         else:
                             assert ij == ji
+
+
+def test_relation_violations_of_true_action():
+    for n in (1, 2, 3, 4, 5):
+        for mode in ("asc", "des"):
+            m = _model(n, mode)
+            assert relation_violations(n, len(m.words), m.h_col) == [], (n, mode)
+
+
+def test_relation_violations_catch_doubled_generator():
+    m = _model(4, "asc")
+
+    def act(i, col):
+        out = m.h_col(i, col)
+        return {v: c + c for v, c in out.items()} if i == 2 else out
+
+    assert relation_violations(4, len(m.words), act) == [
+        "quadratic relation fails for s_2",
+        "braid relation fails for s_1, s_2",
+        "braid relation fails for s_2, s_3",
+    ]
 
 
 def test_bar_module_examples():

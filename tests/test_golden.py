@@ -3,7 +3,9 @@ SHA-256 digests of the canonical-basis engine's output, recorded before the
 Kazhdan-Lusztig tables were moved onto the Gelfand engine: the KL export
 and the canonical-basis/mu tables of both Gelfand models must not change.
 The n=8 combinatorial bidirected pairs were recorded from the length-gap-2
-pair scan, before candidates were generated as conjugates.
+pair scan, before candidates were generated as conjugates.  The n=5 report
+of every verify suite was recorded before the relation and character checks
+moved onto one sparse generator action.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ GOLDEN = {
     "tables 6 N": "7766870318750b215f12f7c04a6fa894c06d0dcde034ca51022dd7489a921bd3",
     "pairs 8 row": "8ad0a21ee1b6a2b69abbaa0452cd0966a4e726fcd88d6ee8bbe86b7befe6f843",
     "pairs 8 col": "6ae8e88b7fd78c75c8d886c9bcfa28b7bf23078a4e0cbae16fedda5a01254987",
+    "verify all 5": "ba842baf3616f8775f51c7ffd6684273d79d42894928a7b2d6622f0042384ad8",
 }
 
 
@@ -30,6 +33,10 @@ def test_engine_output_digest(what, capsys):
     kind, n, *variant = what.split()
     if kind == "kl":
         assert main(["kl", "--n", n]) == 0
+        text = capsys.readouterr().out
+    elif kind == "verify":  # "verify <suite> <n>"
+        suite, n = n, variant[0]
+        assert main(["verify", "--suite", suite, "--n", n]) == 0
         text = capsys.readouterr().out
     elif kind == "pairs":
         text = json.dumps(combinatorial_bidirected_pairs(int(n), variant[0]))

@@ -71,6 +71,20 @@ def test_verify_axioms_catches_corruption():
     assert not rep.ok and rep.violations
 
 
+def test_verify_axioms_violation_messages():
+    # recorded from the dense-matrix checker that the sparse action replaced
+    g = build_gamma(5, "row", reduced=False)
+    omega = dict(g.omega)
+    (v, w), c = sorted(omega.items())[0]
+    omega[(v, w)] = c + 1
+    bad = WGraph(g.n, g.variant, False, g.vertices, g.tau, omega, g.shapes)
+    assert verify_axioms(bad).violations == [
+        "commutation fails for s_1, s_4",
+        "commutation fails for s_2, s_4",
+        "braid relation fails for s_3, s_4",
+    ]
+
+
 def test_molecules_examples():
     assert molecules(build_gamma(2, "row")) == [[0], [1]]
     g3 = build_gamma(3, "row")
@@ -190,6 +204,15 @@ def test_character_trace_examples():
     assert character_check(build_gamma(4, "col"), four_cycle)
 
 
+def test_character_trace_rejects_other_degree():
+    g = build_gamma(3, "row")
+    for w in (Permutation([1, 2, 4, 3]), Permutation([2, 1])):
+        with pytest.raises(ValueError):
+            character_trace(g, w)
+        with pytest.raises(ValueError):
+            character_check(g, w)
+
+
 def conjugacy_representatives(n):
     seen, reps = set(), []
     for p in permutations(range(1, n + 1)):
@@ -211,7 +234,7 @@ def conjugacy_representatives(n):
 
 
 def test_character_check_all_classes():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         for variant in ("row", "col"):
             g = build_gamma(n, variant)
             for w in conjugacy_representatives(n):
