@@ -21,6 +21,7 @@ from .perm import Involution, parse_involution
 from .tableau import Tableau, rs_insert
 
 GRAPH_CAP = 8
+PSI_CAP = 10  # --cycles and --fixed-points enumerate all of I_n
 EXIT_OK, EXIT_DOMAIN, EXIT_PARSE, EXIT_CAP = 0, 1, 2, 3
 
 
@@ -93,6 +94,8 @@ def cmd_psi(args) -> int:
             "orbit": [_inv_json(z) for z in beissinger.psi_orbit(y)],
         }
     else:
+        if _over_cap(args, PSI_CAP):
+            return EXIT_CAP
         stats = beissinger.psi_cycle_stats(args.n)
         if args.fixed_points:
             doc = {
@@ -203,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--cycles", action="store_true")
     mode.add_argument("--fixed-points", action="store_true")
     mode.add_argument("--orbit", help="involution, one-line or cycle notation")
+    p.add_argument("--force", action="store_true",
+                   help=f"lift the n<={PSI_CAP} cap of --cycles and --fixed-points")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_psi)
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 from .beissinger import p_cbs, p_rbs
 from .laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
@@ -255,8 +257,15 @@ class ModuleTable:
     or `weak_des`.  `tau[k]` is the ascent set that decides which lower
     columns the recursion subtracts.  The Gelfand models are instances
     (Model); so is the regular representation of H(S_n), with no weak
-    positions (hecke).  Columns are plain dicts from vertex index to
-    LaurentPoly.
+    positions (hecke).
+
+    The canonical-basis recursion keeps its columns in an integer
+    coefficient store (`column_store`): column z is one dict from
+    (vertex index, exponent) to a nonzero int, and the mu table is read off
+    it as the columns are computed.  `canonical_columns()` is the
+    LaurentPoly view of the same columns (dicts from vertex index to
+    LaurentPoly), built from the store on first call and cached; the H_s
+    action and the bar recursion work on such LaurentPoly columns.
     """
 
     def __init__(self, n, words, classify, act, tau_of, weak=(None, None), pick="min"):
@@ -279,6 +288,7 @@ class ModuleTable:
         ]
         self.tau = [tau_of(wd) for wd in self.words]
         self.weak_asc, self.weak_des = weak
+        self._store = None
         self._columns = None
         self._mu_by_col = None
         self._barvecs = {}
@@ -305,49 +315,108 @@ class ModuleTable:
 
     # -- canonical basis -----------------------------------------------------
 
-    def canonical_columns(self, check_bar: bool = False):
-        if self._columns is None:
-            self._compute_columns()
-        if check_bar:
-            self._check_bar_invariance()
-        return self._columns
-
     def _compute_columns(self):
+        """
+        Fill the coefficient store: column z is a dict from (vertex index,
+        exponent) to a nonzero int, C_z = C_s·C_w - sum of mu(y, w)·C_y over
+        the y with s not in tau(y), where s = s_i is the picked strict descent
+        of z and w = s z s.  C_s = H_s + x^-1 sends a strict ascent k to
+        s·k + x^-1·k, a strict descent to s·k + x·k, and scales a weak
+        position by its scalar plus x^-1, so every term is an integer add at
+        a shifted exponent.
+        """
         V = len(self.words)
-        cols = [None] * V
+        weak = {
+            k: () if p is None else tuple((p + X_INV).items())
+            for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))
+        }
+        store = [None] * V
         mu_by_col = [None] * V
+        keys = {}  # one shared tuple per (vertex, exponent) across all columns
         for z in range(V):
             dlt = self.strict_descents[z]
             if not dlt:
-                col = {z: ONE}
-            else:
-                i = dlt[0] if self.pick == "min" else dlt[-1]
-                w = self.cnj[i][z]
-                col_w = cols[w]
-                col = self.h_col(i, col_w)
-                for v, c in col_w.items():
-                    d = c * X_INV
-                    col[v] = col[v] + d if v in col else d
-                for y, m in mu_by_col[w].items():
-                    if i not in self.tau[y]:
-                        for v, c in cols[y].items():
-                            d = c * (-m)
-                            col[v] = col[v] + d if v in col else d
-                col = {v: c for v, c in col.items() if c}
-            if col.get(z) != ONE:
-                raise RuntimeError(f"column {self.words[z]} is not unitriangular")
-            lz = self.length[z]
-            for y, c in col.items():
-                if y != z and (self.length[y] >= lz or not c.in_neg_span()):
-                    raise RuntimeError(
-                        f"column {self.words[z]} has a bad term at {self.words[y]}: {c}"
-                    )
-            cols[z] = col
-            mu_by_col[z] = {
-                y: c.coeff(-1) for y, c in col.items() if y != z and c.coeff(-1)
-            }
-        self._columns = cols
+                store[z], mu_by_col[z] = {(z, 0): 1}, {}
+                continue
+            i = dlt[0] if self.pick == "min" else dlt[-1]
+            cls_i, cnj_i = self.cls[i], self.cnj[i]
+            w = cnj_i[z]
+            col = {}
+            get = col.get
+            for (v, e), c in store[w].items():
+                k = cls_i[v]
+                if k == ASC_LT or k == DES_LT:
+                    key = (cnj_i[v], e)
+                    col[key] = get(key, 0) + c
+                    key = (v, e - 1 if k == ASC_LT else e + 1)
+                    col[key] = get(key, 0) + c
+                else:
+                    for d, a in weak[k]:
+                        key = (v, e + d)
+                        col[key] = get(key, 0) + a * c
+            for y, m in mu_by_col[w].items():
+                if i not in self.tau[y]:
+                    for key, c in store[y].items():
+                        col[key] = get(key, 0) - m * c
+            store[z], mu_by_col[z] = self._check_column(z, col, keys)
+        self._store = store
         self._mu_by_col = mu_by_col
+
+    def _check_column(self, z: int, col: dict, keys: dict):
+        """
+        Drop the zero terms of a computed column and run its self-checks:
+        the coefficient of z is exactly 1 and every other term has
+        l(y) < l(z) and exponent <= -1.  Returns the column, keyed by the
+        shared tuples of `keys`, and its mu entries, the x^-1 coefficients
+        off the diagonal.
+        """
+        lz, length = self.length[z], self.length
+        shared = keys.setdefault
+        diagonal = 0
+        bad = None
+        out = {}
+        mu = {}
+        for key, c in col.items():
+            if not c:
+                continue
+            out[shared(key, key)] = c
+            y, e = key
+            if y == z:
+                diagonal += 1
+            elif e == -1:
+                mu[y] = c
+                if length[y] >= lz and bad is None:
+                    bad = y
+            elif (e >= 0 or length[y] >= lz) and bad is None:
+                bad = y
+        if diagonal != 1 or out.get((z, 0)) != 1:
+            raise RuntimeError(f"column {self.words[z]} is not unitriangular")
+        if bad is not None:
+            c = LaurentPoly({e: c for (y, e), c in out.items() if y == bad})
+            raise RuntimeError(
+                f"column {self.words[z]} has a bad term at {self.words[bad]}: {c}"
+            )
+        return out, mu
+
+    def column_store(self) -> list:
+        """The canonical columns as dicts from (vertex, exponent) to nonzero int."""
+        if self._store is None:
+            self._compute_columns()
+        return self._store
+
+    def canonical_columns(self, check_bar: bool = False):
+        """The canonical columns as dicts from vertex index to LaurentPoly."""
+        if self._columns is None:
+            cols = []
+            for col in self.column_store():
+                terms = {}
+                for (v, e), c in col.items():
+                    terms.setdefault(v, {})[e] = c
+                cols.append({v: LaurentPoly(t) for v, t in terms.items()})
+            self._columns = cols
+        if check_bar:
+            self._check_bar_invariance()
+        return self._columns
 
     def mu_entries(self) -> dict:
         if self._mu_by_col is None:
@@ -590,14 +659,16 @@ def tables_json(n: int, variant: str) -> dict:
     """Canonical-basis and mu tables in the documented JSON layout."""
     key = {"M": "asc", "N": "des", "asc": "asc", "des": "des"}[variant]
     m = _model(n, key)
-    cols = m.canonical_columns()
     return {
         "variant": "M" if key == "asc" else "N",
         "n": n,
         "vertices": [list(w) for w in m.words],
         "columns": {
-            str(z): [[y, col[y].to_pairs()] for y in sorted(col)]
-            for z, col in enumerate(cols)
+            str(z): [
+                [y, [[e, col[y, e]] for _, e in keys]]
+                for y, keys in groupby(sorted(col), key=itemgetter(0))
+            ]
+            for z, col in enumerate(m.column_store())
         },
         "mu": sorted([y, z, v] for (y, z), v in m.mu_entries().items()),
     }

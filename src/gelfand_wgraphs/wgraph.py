@@ -107,7 +107,6 @@ def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:
     if variant not in ("row", "col"):
         raise ValueError(f"variant must be 'row' or 'col', got {variant!r}")
     m = _model(n, "asc" if variant == "row" else "des")
-    m.canonical_columns()
     mu = m.mu_entries()
     shapes = [lambda_shape(m.vertex(k)) for k in range(len(m.words))]
     return WGraph(

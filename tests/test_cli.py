@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gelfand_wgraphs import gelfand, hecke, suites
+from gelfand_wgraphs import beissinger, gelfand, hecke, suites
 from gelfand_wgraphs.cli import main
 
 
@@ -74,6 +74,25 @@ def test_psi_orbit_malformed_exits_2(capsys):
     assert code == 2 and not out and err
     code, _, _ = run(capsys, "psi", "--n", "4", "--orbit", "(1,4)")
     assert code == 0
+
+
+def test_psi_cap_and_force(monkeypatch, capsys):
+    # --cycles and --fixed-points enumerate I_n; the refusal comes before any work
+    for mode in ("--cycles", "--fixed-points"):
+        code, out, err = run(capsys, "psi", "--n", "11", mode)
+        assert code == 3 and not out
+        assert "exceeds the default cap 10" in err and "--force" in err
+    # --force hands n=11 to the enumeration (stubbed: the real run takes minutes)
+    calls = []
+    monkeypatch.setattr(
+        beissinger, "psi_cycle_stats",
+        lambda n: calls.append(n) or beissinger.PsiStats(1, (), (1,)))
+    code, out, _ = run(capsys, "psi", "--n", "11", "--cycles", "--force")
+    assert code == 0 and json.loads(out)["longest_cycle"] == 1
+    assert calls == [11]
+    # --orbit walks one orbit and is not capped
+    code, out, _ = run(capsys, "psi", "--n", "12", "--orbit", "(1,2)")
+    assert code == 0 and json.loads(out)["orbit"]
 
 
 def test_psi_fixed_points(capsys):

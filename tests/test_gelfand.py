@@ -6,6 +6,7 @@ from gelfand_wgraphs.beissinger import p_cbs, p_rbs
 from gelfand_wgraphs.gelfand import (
     DescentData,
     GelfandVertex,
+    Model,
     ModuleElement,
     _model,
     bar_module,
@@ -26,7 +27,7 @@ from gelfand_wgraphs.gelfand import (
 from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV
 from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions, word_conj_s
 from gelfand_wgraphs.tableau import Tableau, odd_lines, standard_tableaux
-from gelfand_wgraphs.wgraph import symmetrize_mu
+from gelfand_wgraphs.wgraph import build_gamma, symmetrize_mu
 
 
 def inv(word):
@@ -222,6 +223,33 @@ def test_canonical_basis_pivot_choice_independent():
             lo, _ = canonical_basis(n, variant, check_bar=False, pick="min")
             hi, _ = canonical_basis(n, variant, check_bar=False, pick="max")
             assert lo == hi
+
+
+def test_store_self_check_catches_swapped_weak_scalars():
+    # the unitriangularity checks run on the integer store as it is filled,
+    # before any LaurentPoly column exists
+    for n in (3, 4, 5):
+        m = Model(n, "asc")
+        m.weak_asc, m.weak_des = m.weak_des, m.weak_asc
+        with pytest.raises(RuntimeError, match="has a bad term"):
+            m.mu_entries()
+
+
+def test_graph_path_reads_the_store():
+    _model.cache_clear()
+    try:
+        g = build_gamma(5, "row", reduced=False)
+        doc = tables_json(5, "M")
+        m = _model(5, "asc")
+        assert m._columns is None  # no LaurentPoly view was built
+        assert g.omega == symmetrize_mu(m.mu_entries())
+        view = m.canonical_columns()
+        assert doc["columns"] == {
+            str(z): [[y, col[y].to_pairs()] for y in sorted(col)]
+            for z, col in enumerate(view)
+        }
+    finally:
+        _model.cache_clear()
 
 
 def test_omega_symmetric():

@@ -5,7 +5,8 @@ and the canonical-basis/mu tables of both Gelfand models must not change.
 The n=8 combinatorial bidirected pairs were recorded from the length-gap-2
 pair scan, before candidates were generated as conjugates.  The n=5 report
 of every verify suite was recorded before the relation and character checks
-moved onto one sparse generator action.
+moved onto one sparse generator action.  The n=7 canonical-basis/mu tables
+were recorded before the recursion moved onto the integer coefficient store.
 """
 
 import hashlib
@@ -22,6 +23,8 @@ GOLDEN = {
     "kl 5": "a64bc44a976c4c464e5611f0156af4c05c4bfac36cee3bea66c916ab1deb1121",
     "tables 6 M": "f9f84802efa52fa68896097425c7aa897056052a9f8525de4ae8e2dd56ca91ab",
     "tables 6 N": "7766870318750b215f12f7c04a6fa894c06d0dcde034ca51022dd7489a921bd3",
+    "tables 7 M": "82dc6d967ac11395cd75677c38f7130a2f04e99b70d3192aa23a3eda46014327",
+    "tables 7 N": "44557ff91e897dbce1f3ef323525931d9d6e431a632767f60a87ba0535eef07b",
     "pairs 8 row": "8ad0a21ee1b6a2b69abbaa0452cd0966a4e726fcd88d6ee8bbe86b7befe6f843",
     "pairs 8 col": "6ae8e88b7fd78c75c8d886c9bcfa28b7bf23078a4e0cbae16fedda5a01254987",
     "verify all 5": "ba842baf3616f8775f51c7ffd6684273d79d42894928a7b2d6622f0042384ad8",
