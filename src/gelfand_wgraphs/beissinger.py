@@ -20,68 +20,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .perm import Involution, Permutation, conj_by_s, cycles_sorted, enumerate_involutions
-from .tableau import EMPTY, Tableau, rs_insert, rs_uninsert, transpose
+from .tableau import Tableau, bump, transpose, unbump
 
 
-def _append_to_row(rows, r: int, b: int):
-    """Append b at the end of row r (1-based), creating the row if it is the next one."""
-    if r <= len(rows):
-        rows[r - 1].append(b)
-    elif r == len(rows) + 1:
-        rows.append([b])
-    else:
-        raise ValueError(f"cannot append to row {r} of a {len(rows)}-row tableau")
-
-
-def _append_to_column(rows, c: int, b: int):
-    """Append b at the end of column c (1-based)."""
-    depth = sum(1 for row in rows if len(row) >= c)
-    if depth < len(rows):
-        if len(rows[depth]) != c - 1:
-            raise ValueError(f"appending to column {c} would not give a tableau")
-        rows[depth].append(b)
-    elif c == 1:
-        rows.append([b])
-    else:
-        raise ValueError(f"appending to column {c} would not give a tableau")
-
-
-def _check_pair(T: Tableau, a: int, b: int):
-    if a > b:
-        raise ValueError(f"need a <= b, got ({a},{b})")
-    entries = T.entries()
-    if a in entries or b in entries:
-        raise ValueError(f"pair ({a},{b}) collides with existing entries")
-
-
-def rbs_insert(T: Tableau, a: int, b: int) -> Tableau:
+def _column_bump(rows, x):
     """
-    Row Beissinger insertion of the pair (a, b), a <= b.
-
-    Inserting an arbitrary pair can break the increase conditions (the
-    appended b may sit below or after a larger entry), so the result is
-    returned as a filling; along the p_rbs insertion order it is always
-    partially standard.
+    Schensted insertion by column bumping, in place on a list of rows: x
+    displaces the first entry greater than it in column 1, which bumps into
+    column 2, and so on.  Returns the (row, col) of the added box.
     """
-    _check_pair(T, a, b)
-    if a == b:
-        rows = [list(r) for r in T.rows]
-        _append_to_row(rows, 1, b)
-        return Tableau.filling(rows)
-    T1, path = rs_insert(T, a, validate=False)
-    rows = [list(r) for r in T1.rows]
-    _append_to_row(rows, path.final_row + 1, b)
-    return Tableau.filling(rows)
-
-
-def _column_insert(T: Tableau, a: int):
-    """
-    Schensted insertion by column bumping: a displaces the first entry
-    greater than it in column 1, which bumps into column 2, and so on.
-    Returns the new tableau and the (row, col) of the added box.
-    """
-    rows = [list(r) for r in T.rows]
-    x = a
     c = 1
     while True:
         col = [row[c - 1] for row in rows if len(row) >= c]
@@ -93,9 +40,54 @@ def _column_insert(T: Tableau, a: int):
                 rows[k].append(x)
             else:
                 rows.append([x])
-            return Tableau(rows, validate=False), (k + 1, c)
+            return k + 1, c
         x, rows[k][c - 1] = rows[k][c - 1], x
         c += 1
+
+
+def _insert_pair(rows, a: int, b: int, row: bool, bumper):
+    """
+    Insert the pair (a, b), a <= b, into a list of rows in place.
+
+    For a < b, a is inserted by `bumper` (bump or _column_bump) into a new
+    box (r, c); a fixed point counts as a new box at (0, 0).  Then b goes at
+    the end of row r+1 if `row`, else at the end of column c+1.
+    """
+    r, c = bumper(rows, a) if a < b else (0, 0)
+    if row:
+        target = r
+    else:
+        # the first row that does not reach column c+1 must end in column c
+        target = sum(1 for x in rows if len(x) > c)
+        if (len(rows[target]) if target < len(rows) else 0) != c:
+            raise ValueError(f"appending to column {c + 1} would not give a tableau")
+    if target < len(rows):
+        rows[target].append(b)
+    else:
+        rows.append([b])
+
+
+def _insert(T: Tableau, a: int, b: int, row: bool, bumper) -> Tableau:
+    if a > b:
+        raise ValueError(f"need a <= b, got ({a},{b})")
+    entries = T.entries()
+    if a in entries or b in entries:
+        raise ValueError(f"pair ({a},{b}) collides with existing entries")
+    rows = [list(r) for r in T.rows]
+    _insert_pair(rows, a, b, row, bumper)
+    return Tableau.filling(rows)
+
+
+def rbs_insert(T: Tableau, a: int, b: int) -> Tableau:
+    """
+    Row Beissinger insertion of the pair (a, b), a <= b.
+
+    Inserting an arbitrary pair can break the increase conditions (the
+    appended b may sit below or after a larger entry), so the result is
+    returned as a filling; along the p_rbs insertion order it is always
+    partially standard.
+    """
+    return _insert(T, a, b, True, bump)
 
 
 def cbs_insert(T: Tableau, a: int, b: int, variant: str = "standard") -> Tableau:
@@ -106,106 +98,74 @@ def cbs_insert(T: Tableau, a: int, b: int, variant: str = "standard") -> Tableau
     the transposed variant column-inserts a and appends b to the next row,
     so that it agrees with the standard variant conjugated by transpose.
     """
-    _check_pair(T, a, b)
     if variant == "standard":
-        rows = [list(r) for r in T.rows]
-        if a == b:
-            rows.append([b])
-            return Tableau.filling(rows)
-        T1, path = rs_insert(T, a, validate=False)
-        rows = [list(r) for r in T1.rows]
-        _append_to_column(rows, path.new_cell[1] + 1, b)
-        return Tableau.filling(rows)
+        return _insert(T, a, b, False, bump)
     if variant == "transposed":
-        if a == b:
-            rows = [list(r) for r in T.rows]
-            _append_to_row(rows, 1, b)
-            return Tableau.filling(rows)
-        T1, cell = _column_insert(T, a)
-        rows = [list(r) for r in T1.rows]
-        _append_to_row(rows, cell[0] + 1, b)
-        return Tableau.filling(rows)
+        return _insert(T, a, b, True, _column_bump)
     raise ValueError(f"variant must be 'standard' or 'transposed', got {variant!r}")
+
+
+def _p_map(y: Involution, row: bool) -> Tableau:
+    """
+    Insert the cycles of y by increasing larger element into one list of
+    rows.  Every step keeps the rows partially standard: each b exceeds every
+    entry already placed, so appending it at the end of a row or column
+    cannot break an increase condition, and row bumping keeps a partially
+    standard tableau partially standard.  So the finished tableau is
+    validated once, by Tableau(rows), not after every pair.
+    """
+    rows = []
+    for a, b in cycles_sorted(y):
+        _insert_pair(rows, a, b, row, bump)
+    return Tableau(rows)
 
 
 def p_rbs(y: Involution) -> Tableau:
     """Insert the cycles of y by increasing larger element, row variant."""
-    T = EMPTY
-    for a, b in cycles_sorted(y):
-        T = rbs_insert(T, a, b)
-        if not T.is_partially_standard():
-            raise ValueError(f"insertion of ({a},{b}) left the tableau non-standard")
-    return T
+    return _p_map(y, True)
 
 
 def p_cbs(y: Involution) -> Tableau:
     """Insert the cycles of y by increasing larger element, column variant."""
-    T = EMPTY
-    for a, b in cycles_sorted(y):
-        T = cbs_insert(T, a, b)
-        if not T.is_partially_standard():
-            raise ValueError(f"insertion of ({a},{b}) left the tableau non-standard")
-    return T
+    return _p_map(y, False)
+
+
+def _peel(T: Tableau, row: bool) -> Involution:
+    """
+    The unique involution y with p_rbs(y) = T (row) or p_cbs(y) = T (column),
+    for standard T.
+
+    Peel off the largest entry b, which ends a row.  In row 1 (row) or
+    column 1 (column) it records a fixed point; otherwise an inverse
+    Schensted insertion from the end of the row above it (row) or from the
+    bottom of the column to its left (column) outputs the partner of b.
+    """
+    if not T.is_standard():
+        raise ValueError("input must be a standard tableau")
+    rows = [list(r) for r in T.rows]
+    pairs = []
+    while rows:
+        r = max(range(len(rows)), key=lambda k: rows[k][-1])
+        b = rows[r].pop()
+        c = len(rows[r])
+        if not rows[r]:
+            del rows[r]
+        if (r if row else c) == 0:
+            pairs.append((b, b))
+        else:
+            start = r if row else sum(1 for x in rows if len(x) >= c)
+            pairs.append((unbump(rows, start), b))
+    return Involution.from_cycles(T.size, pairs)
 
 
 def p_cbs_inverse(T: Tableau) -> Involution:
-    """
-    The unique involution y with p_cbs(y) = T, for standard T.
-
-    Peel off the largest entry b: in column 1 it records a fixed point;
-    otherwise the entry at the bottom of the preceding column starts an
-    inverse Schensted insertion whose output is the partner of b.
-    """
-    if not T.is_standard():
-        raise ValueError("input must be a standard tableau")
-    n = T.size
-    pairs = []
-    U = T
-    while U.size:
-        b = max(U.entries())
-        r, c = U.find(b)
-        rows = [list(row) for row in U.rows]
-        del rows[r - 1][c - 1]
-        if not rows[r - 1]:
-            del rows[r - 1]
-        if c == 1:
-            pairs.append((b, b))
-            U = Tableau(rows, validate=False)
-        else:
-            col = U.column(c - 1)
-            stripped = Tableau(rows, validate=False)
-            U, a = rs_uninsert(stripped, (len(col), c - 1))
-            pairs.append((a, b))
-    return Involution.from_cycles(n, pairs)
+    """The unique involution y with p_cbs(y) = T, for standard T."""
+    return _peel(T, False)
 
 
 def p_rbs_inverse(T: Tableau) -> Involution:
-    """
-    The unique involution y with p_rbs(y) = T: the row-column mirror of
-    p_cbs_inverse (largest entry in row 1 records a fixed point; otherwise
-    uninsert from the corner ending the row above it).
-    """
-    if not T.is_standard():
-        raise ValueError("input must be a standard tableau")
-    n = T.size
-    pairs = []
-    U = T
-    while U.size:
-        b = max(U.entries())
-        r, c = U.find(b)
-        rows = [list(row) for row in U.rows]
-        del rows[r - 1][c - 1]
-        if not rows[r - 1]:
-            del rows[r - 1]
-        if r == 1:
-            pairs.append((b, b))
-            U = Tableau(rows, validate=False)
-        else:
-            above = U.rows[r - 2]
-            stripped = Tableau(rows, validate=False)
-            U, a = rs_uninsert(stripped, (r - 1, len(above)))
-            pairs.append((a, b))
-    return Involution.from_cycles(n, pairs)
+    """The unique involution y with p_rbs(y) = T, for standard T."""
+    return _peel(T, True)
 
 
 def psi(y: Involution) -> Involution:

@@ -156,8 +156,10 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the kl suite enumerates S_m up to m = n, like `gwg kl`
-    if args.suite in ("kl", "all") and _over_cap(args, hecke.DEFAULT_MAX_N):
+    # the kl suite enumerates S_m up to m = n, like `gwg kl`; the others
+    # build the Gelfand graphs or enumerate I_n, like `gwg graph`
+    cap = hecke.DEFAULT_MAX_N if args.suite in ("kl", "all") else GRAPH_CAP
+    if _over_cap(args, cap):
         return EXIT_CAP
     report = suites.run_suite(args.suite, args.n)
     _emit(report, args.out)
@@ -230,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(suites.SUITES) + ("all",))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--force", action="store_true",
-                   help=f"lift the n<={hecke.DEFAULT_MAX_N} cap of the kl suite")
+                   help=f"lift the n<={hecke.DEFAULT_MAX_N} cap of kl and all, "
+                        f"n<={GRAPH_CAP} of the other suites")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

@@ -7,7 +7,9 @@ lengths weakly decrease.  "Partially standard" means exactly that; a
 standard tableau additionally uses the entries 1..n.
 
 Rows and columns are 1-based throughout, matching one-line notation for
-permutations.
+permutations.  The Schensted kernels `bump` and `unbump` work in place on
+plain lists of rows; `rs_insert`, `rs_uninsert`, `pq_rs` and the Beissinger
+maps are built on them.
 """
 
 from __future__ import annotations
@@ -151,30 +153,57 @@ class BumpingPath:
         return self.inserted_values[j - 1]
 
 
-def rs_insert(T: Tableau, a: int, validate: bool = True):
+def bump(rows, x, path=None):
     """
-    Row-bumping insertion of a into T.  Returns the new tableau and the
-    bumping path; a must not already occur in T.
+    Row-bump x into rows, a list of lists changed in place, and return the
+    (row, col) of the new box.  x displaces the first entry of row 1 greater
+    than it, which moves on to row 2, and so on.  If path is a list, one
+    ((row, col), value) is appended to it for every row the insertion enters.
     """
-    if validate and a in T.entries():
-        raise ValueError(f"{a} already occurs in the tableau")
-    rows = [list(r) for r in T.rows]
-    cells = []
-    values = []
-    x = a
     for r, row in enumerate(rows, 1):
         j = bisect_right(row, x)
-        values.append(x)
+        if path is not None:
+            path.append(((r, j + 1), x))
         if j == len(row):
             row.append(x)
-            cells.append((r, len(row)))
-            return Tableau(rows, validate=False), BumpingPath(tuple(cells), tuple(values))
+            return r, j + 1
         x, row[j] = row[j], x
-        cells.append((r, j + 1))
     rows.append([x])
-    values.append(x)
-    cells.append((len(rows), 1))
-    return Tableau(rows, validate=False), BumpingPath(tuple(cells), tuple(values))
+    if path is not None:
+        path.append(((len(rows), 1), x))
+    return len(rows), 1
+
+
+def unbump(rows, r: int) -> int:
+    """
+    The inverse of bump: remove the last box of row r (1-based), which must
+    be a removable cell, bump its entry back up through the rows above, and
+    return the value pushed out of row 1.  rows is changed in place.
+    """
+    x = rows[r - 1].pop()
+    if not rows[r - 1]:
+        del rows[r - 1]
+    for row in reversed(rows[:r - 1]):
+        # rightmost entry smaller than the carried value gets bumped out
+        k = bisect_right(row, x) - 1
+        row[k], x = x, row[k]
+    return x
+
+
+def rs_insert(T: Tableau, a: int):
+    """
+    Row-bumping insertion of a into T.  Returns the new tableau and the
+    bumping path; a must be a positive integer not already in T.
+    """
+    if not isinstance(a, int) or a < 1:
+        raise ValueError(f"entries must be positive integers, got {a!r}")
+    if a in T.entries():
+        raise ValueError(f"{a} already occurs in the tableau")
+    rows = [list(r) for r in T.rows]
+    path = []
+    bump(rows, a, path)
+    cells, values = zip(*path)
+    return Tableau(rows, validate=False), BumpingPath(cells, values)
 
 
 def rs_uninsert(T: Tableau, corner):
@@ -182,34 +211,24 @@ def rs_uninsert(T: Tableau, corner):
     Inverse Schensted insertion from a removable cell.  Returns (U, x) with
     rs_insert(U, x) recreating T and adding its new cell at `corner`.
     """
-    r, c = corner
     if corner not in T.corners():
         raise ValueError(f"{corner} is not a removable cell of shape {T.shape}")
     rows = [list(row) for row in T.rows]
-    x = rows[r - 1].pop()
-    if not rows[r - 1]:
-        rows.pop()
-    for j in range(r - 2, -1, -1):
-        row = rows[j]
-        # rightmost entry smaller than the carried value gets bumped out
-        k = bisect_right(row, x) - 1
-        row[k], x = x, row[k]
+    x = unbump(rows, corner[0])
     return Tableau(rows, validate=False), x
 
 
 def pq_rs(w):
     """The insertion and recording tableaux of a permutation (or word)."""
     word = w.word if isinstance(w, Permutation) else tuple(w)
-    P = EMPTY
-    q_rows = []
+    p_rows, q_rows = [], []
     for i, a in enumerate(word, 1):
-        P, path = rs_insert(P, a, validate=False)
-        r, c = path.new_cell
+        r, _ = bump(p_rows, a)
         if r > len(q_rows):
             q_rows.append([i])
         else:
             q_rows[r - 1].append(i)
-    return P, Tableau(q_rows, validate=False)
+    return Tableau(p_rows, validate=False), Tableau(q_rows, validate=False)
 
 
 def reading_word(T: Tableau):

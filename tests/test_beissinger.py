@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gelfand_wgraphs import beissinger
 from gelfand_wgraphs.beissinger import (
     PsiStats,
     cbs_insert,
@@ -64,6 +65,37 @@ def test_insert_error_cases():
         cbs_insert(T([[1, 2]]), 5, 3)
     with pytest.raises(ValueError):
         cbs_insert(T([[1, 2]]), 3, 5, "sideways")
+
+
+def test_filling_input_errors():
+    # fillings on which the placement of b or the column bumping has no
+    # valid cell; the messages were recorded before the one placement step
+    F = Tableau.filling
+    with pytest.raises(ValueError, match="appending to column 4 would not give a tableau"):
+        cbs_insert(F([[5, 4], [3, 2]]), 1, 7)
+    with pytest.raises(ValueError, match="column insertion left a gap"):
+        cbs_insert(F([[2, 7, 3], [6]]), 1, 4, "transposed")
+    with pytest.raises(ValueError, match=r"row lengths must weakly decrease, got \[3, 1, 2\]"):
+        cbs_insert(F([[3, 7], [4], [1]]), 2, 5)
+
+
+def test_p_maps_reject_a_corrupted_bump(monkeypatch):
+    # the p-maps validate only the finished tableau; a kernel that appends to
+    # row 1 without bumping must still be caught, not returned
+    y = Involution.from_cycles(4, [(2, 3), (1, 4)])
+    assert p_rbs(y) == T([[1], [2], [3], [4]]) and p_cbs(y) == T([[1, 3], [2, 4]])
+
+    def misplace(rows, x):
+        if not rows:
+            rows.append([])
+        rows[0].append(x)
+        return 1, len(rows[0])
+
+    monkeypatch.setattr(beissinger, "bump", misplace)
+    with pytest.raises(ValueError):
+        p_rbs(y)
+    with pytest.raises(ValueError):
+        p_cbs(y)
 
 
 def test_transposed_variant_is_transpose_conjugate():

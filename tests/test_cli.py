@@ -45,6 +45,10 @@ def test_insert_exit_codes(capsys):
     assert code == 1 and err
     code, _, _ = run(capsys, "insert", "--algo", "rbs", "--tableau", "[[1,2]]", "--pair", "5,3")
     assert code == 1
+    # a value below 1 is not a tableau entry -> 1, like --algo rbs --pair 0,3
+    for value in ("0", "-4"):
+        code, out, err = run(capsys, "insert", "--algo", "rs", "--tableau", "[[1]]", "--value", value)
+        assert code == 1 and not out and "entries must be positive integers" in err
 
 
 def test_argparse_rejects_unknown(capsys):
@@ -156,17 +160,20 @@ def test_verify_kl_cap_and_force(monkeypatch, capsys):
         assert f"exceeds the default cap {hecke.DEFAULT_MAX_N}" in err and "--force" in err
     code, out, _ = run(capsys, "verify", "--suite", "kl", "--n", "5")
     assert code == 0 and json.loads(out)["passed"] is True
-    # other suites are not capped
+    # the other suites cap at the graph cap
     code, out, _ = run(capsys, "verify", "--suite", "partners", "--n", "7")
     assert code == 0 and json.loads(out)["passed"] is True
-    # --force hands n=7 to the suites (stubbed: the real kl run takes minutes)
+    code, out, err = run(capsys, "verify", "--suite", "partners", "--n", "9")
+    assert code == 3 and not out
+    assert "exceeds the default cap 8" in err and "--force" in err
+    # --force hands n to the suites (stubbed: the real kl run takes minutes)
     calls = []
     monkeypatch.setattr(suites, "run_suite",
                         lambda name, n: calls.append((name, n)) or {"passed": True})
-    for suite in ("kl", "all"):
-        code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "7", "--force")
+    for suite, n in (("kl", "7"), ("all", "7"), ("partners", "9")):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--n", n, "--force")
         assert code == 0 and json.loads(out)["passed"] is True
-    assert calls == [("kl", 7), ("all", 7)]
+    assert calls == [("kl", 7), ("all", 7), ("partners", 9)]
 
 
 def test_kl_export(capsys):

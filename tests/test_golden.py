@@ -7,6 +7,9 @@ pair scan, before candidates were generated as conjugates.  The n=5 report
 of every verify suite was recorded before the relation and character checks
 moved onto one sparse generator action.  The n=7 canonical-basis/mu tables
 were recorded before the recursion moved onto the integer coefficient store.
+The n=8 graph exports of both variants (which carry the restricted-tableau
+shapes) and the p_rbs, p_cbs and psi images of I_9 ("insert 9") were recorded
+before the Beissinger maps moved onto the list-level Schensted kernels.
 """
 
 import hashlib
@@ -14,9 +17,11 @@ import json
 
 import pytest
 
+from gelfand_wgraphs.beissinger import p_cbs, p_rbs, psi
 from gelfand_wgraphs.cli import main
 from gelfand_wgraphs.gelfand import tables_json
-from gelfand_wgraphs.wgraph import combinatorial_bidirected_pairs
+from gelfand_wgraphs.perm import enumerate_involutions
+from gelfand_wgraphs.wgraph import build_gamma, combinatorial_bidirected_pairs, export
 
 
 GOLDEN = {
@@ -28,6 +33,9 @@ GOLDEN = {
     "pairs 8 row": "8ad0a21ee1b6a2b69abbaa0452cd0966a4e726fcd88d6ee8bbe86b7befe6f843",
     "pairs 8 col": "6ae8e88b7fd78c75c8d886c9bcfa28b7bf23078a4e0cbae16fedda5a01254987",
     "verify all 5": "ba842baf3616f8775f51c7ffd6684273d79d42894928a7b2d6622f0042384ad8",
+    "graph 8 row": "537cda8f294df5080d38a9d106adf5248e2a70805275866338dbc8d4b1cbcc8c",
+    "graph 8 col": "83e6f4f4a4da83884c47ec29936ed2f703ccac6bb011f0044dcb881ae27b4f9a",
+    "insert 9": "22227f259749b024cf716266e7b2ca4866870cc6bd379d1ae0f653f1e8707534",
 }
 
 
@@ -43,6 +51,11 @@ def test_engine_output_digest(what, capsys):
         text = capsys.readouterr().out
     elif kind == "pairs":
         text = json.dumps(combinatorial_bidirected_pairs(int(n), variant[0]))
+    elif kind == "graph":
+        text = export(build_gamma(int(n), variant[0]), "json")
+    elif kind == "insert":
+        text = json.dumps([[[list(r) for r in p_rbs(y).rows], [list(r) for r in p_cbs(y).rows],
+                            list(psi(y).word)] for y in enumerate_involutions(int(n))])
     else:
         text = json.dumps(tables_json(int(n), variant[0]), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[what]

@@ -89,6 +89,9 @@ def test_rs_insert_examples():
     assert rs_insert(EMPTY, 5)[0] == T([[5]])
     with pytest.raises(ValueError):
         rs_insert(T([[1, 3]]), 3)
+    for bad in (0, -4, 2.5):
+        with pytest.raises(ValueError, match="entries must be positive integers"):
+            rs_insert(T([[1]]), bad)
 
 
 def test_rs_uninsert_examples():
