@@ -7,7 +7,8 @@ the two Gelfand W-graphs), `verify` (run the identity suites), and `kl`
 (export Kazhdan-Lusztig tables).
 
 Exit codes: 0 success, 1 domain-precondition or self-check failure,
-2 malformed input, 3 resource cap exceeded (raise it with --force).
+2 malformed input or an output file that cannot be written, 3 resource cap
+exceeded (raise it with --force).
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def cmd_graph(args) -> int:
     if args.action == "build":
         _emit(wgraph.export(g, "json"), args.out)
         if args.tables:
-            variant = "M" if args.variant == "row" else "N"
-            _emit(gelfand.tables_json(args.n, variant), args.tables)
+            with open(args.tables, "w") as fh:
+                gelfand.tables_json(args.n, "M" if args.variant == "row" else "N", fh)
     elif args.action in ("molecules", "cells"):
         if args.action == "molecules":
             parts = wgraph.molecules(g)
@@ -255,6 +256,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseFailure as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        # input files are read in _load_tableau, which reports its own
+        # errors, so this is an output file that could not be opened or written
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, RuntimeError) as exc:
         # RuntimeError: a canonical-basis self-check (unitriangularity or

@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 
 from .beissinger import p_cbs, p_rbs
 from .laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
 from .perm import Involution, Permutation, enumerate_involutions, word_conj_s, word_length
-from .tableau import Tableau, restrict
+from .tableau import Tableau
 
 # classification of an index i in [n-1] at a vertex z
 ASC_LT, DES_LT, ASC_EQ, DES_EQ = 0, 1, 2, 3
@@ -271,9 +269,10 @@ class ModuleTable:
     def __init__(self, n, words, classify, act, tau_of, weak=(None, None), pick="min"):
         self.n = n
         self.pick = pick
-        self.words = sorted(words, key=lambda wd: (word_length(wd), wd))
+        keyed = sorted((word_length(wd), wd) for wd in words)
+        self.words = [wd for _, wd in keyed]
+        self.length = [ln for ln, _ in keyed]
         self.index = {wd: k for k, wd in enumerate(self.words)}
-        self.length = [word_length(wd) for wd in self.words]
         self.cls = {}   # i -> per-vertex classification
         self.cnj = {}   # i -> per-vertex index of the vertex H_{s_i} moves it to
         for i in range(1, n):
@@ -600,10 +599,18 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "min"):
 
 
 def hat_p(z: GelfandVertex) -> Tableau:
-    """The insertion tableau of the vertex, restricted to entries <= n."""
-    inv = z.involution
-    full = p_rbs(inv) if z.variant == "asc" else p_cbs(inv)
-    return restrict(full, range(1, z.n + 1))
+    """
+    The insertion tableau of the vertex, restricted to entries <= n.
+
+    The p-map has already validated the full tableau, and in a standard
+    tableau the cells holding 1..n form a down-set: a prefix of each row and
+    of each column.  So they form a standard tableau themselves and need no
+    second check (`restrict` checks, because it takes an arbitrary set).
+    """
+    n = z.n
+    full = p_rbs(z.involution) if z.variant == "asc" else p_cbs(z.involution)
+    rows = ([v for v in row if v <= n] for row in full.rows)
+    return Tableau([row for row in rows if row], validate=False)
 
 
 def lambda_shape(z: GelfandVertex):
@@ -655,20 +662,49 @@ def iota_line(T: Tableau, direction: str) -> Tableau:
     raise ValueError(f"direction must be 'row' or 'col', got {direction!r}")
 
 
-def tables_json(n: int, variant: str) -> dict:
-    """Canonical-basis and mu tables in the documented JSON layout."""
+def tables_json(n: int, variant: str, fh) -> None:
+    """
+    Write the canonical-basis and mu tables of model M or N to the text file
+    `fh` as one JSON document and a newline:
+
+        {"variant": "M"|"N", "n": n,
+         "vertices": [word, ...],
+         "columns": {"z": [[y, [[e, c], ...]], ...], ...},
+         "mu": [[y, z, mu(y, z)], ...]}
+
+    Vertices are indices into the vertex list (sorted by length, then
+    word); column z lists its vertices y in increasing order, each with its
+    nonzero coefficients c of x^e in increasing e; mu is sorted.  The text is
+    what `json.dumps` gives for that document, but it is written
+    incrementally, one column at a time, straight from the integer store, so
+    the whole document never exists in memory.  The store and mu table are
+    computed before the first write, so a failed self-check writes nothing.
+    """
     key = {"M": "asc", "N": "des", "asc": "asc", "des": "des"}[variant]
     m = _model(n, key)
-    return {
-        "variant": "M" if key == "asc" else "N",
-        "n": n,
-        "vertices": [list(w) for w in m.words],
-        "columns": {
-            str(z): [
-                [y, [[e, col[y, e]] for _, e in keys]]
-                for y, keys in groupby(sorted(col), key=itemgetter(0))
-            ]
-            for z, col in enumerate(m.column_store())
-        },
-        "mu": sorted([y, z, v] for (y, z), v in m.mu_entries().items()),
-    }
+    store = m.column_store()
+    mu = sorted((y, z, v) for (y, z), v in m.mu_entries().items())
+    fh.write('{"variant": %s, "n": %d, "vertices": %s, "columns": {' % (
+        '"M"' if key == "asc" else '"N"', n, _int_lists(m.words)))
+    for z, col in enumerate(store):
+        text = []
+        last = None
+        for term in sorted(col):
+            y, e = term
+            if y == last:
+                text.append(", [%d, %d]" % (e, col[term]))
+            else:  # close the previous vertex's pairs and open y's
+                text.append("%s[%d, [[%d, %d]" % ("]], " if text else "", y, e, col[term]))
+                last = y
+        # a column is never empty: it holds its diagonal term
+        fh.write('%s"%d": [%s]]]' % (", " if z else "", z, "".join(text)))
+    fh.write('}, "mu": %s}\n' % _int_lists(mu))
+
+
+def _int_lists(rows) -> str:
+    """
+    Rows of ints as `json.dumps` writes a list of lists.  `json.dumps` itself
+    holds one string per number and separator until it joins them, about 25
+    bytes of memory per byte of text.
+    """
+    return "[%s]" % ", ".join(["[%s]" % ", ".join(map(str, row)) for row in rows])

@@ -64,17 +64,6 @@ class Tableau:
     def entry(self, r: int, c: int) -> int:
         return self.rows[r - 1][c - 1]
 
-    def find(self, value: int):
-        """The (row, col) of a value."""
-        for r, row in enumerate(self.rows, 1):
-            for c, v in enumerate(row, 1):
-                if v == value:
-                    return (r, c)
-        raise ValueError(f"{value} does not occur in the tableau")
-
-    def column(self, c: int):
-        return tuple(row[c - 1] for row in self.rows if len(row) >= c)
-
     def is_standard(self) -> bool:
         return self.entries() == set(range(1, self.size + 1))
 

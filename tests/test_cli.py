@@ -214,6 +214,19 @@ def test_graph_build_tables(tmp_path, capsys):
     assert set(doc) == {"variant", "n", "vertices", "columns", "mu"}
 
 
+@pytest.mark.parametrize("option", ["--out", "--dot", "--tables"])
+def test_unwritable_output_exits_2(tmp_path, capsys, option):
+    paths = {"--out": tmp_path / "g.json", "--dot": tmp_path / "g.dot",
+             "--tables": tmp_path / "t.json"}
+    paths[option] = tmp_path / "missing" / "x.json"  # no such directory
+    argv = ["graph", "build", "--n", "3", "--variant", "row"]
+    for opt, path in paths.items():
+        argv += [opt, str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot write output" in err and "missing" in err and "Traceback" not in err
+
+
 def test_self_check_failure_exits_1(monkeypatch, capsys):
     # both the Gelfand graphs and the KL tables run the one engine recursion
     def broken(self):

@@ -1,7 +1,12 @@
-from itertools import permutations
+import io
+import json
+import tracemalloc
+from itertools import groupby, permutations
+from operator import itemgetter
 
 import pytest
 
+from gelfand_wgraphs import tableau
 from gelfand_wgraphs.beissinger import p_cbs, p_rbs
 from gelfand_wgraphs.gelfand import (
     DescentData,
@@ -27,7 +32,7 @@ from gelfand_wgraphs.gelfand import (
 from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV
 from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions, word_conj_s
 from gelfand_wgraphs.tableau import Tableau, odd_lines, standard_tableaux
-from gelfand_wgraphs.wgraph import build_gamma, symmetrize_mu
+from gelfand_wgraphs.wgraph import build_gamma, classify, symmetrize_mu
 
 
 def inv(word):
@@ -36,6 +41,34 @@ def inv(word):
 
 def T(rows):
     return Tableau(rows)
+
+
+def tables_text(n, variant):
+    """What tables_json writes, as one string."""
+    fh = io.StringIO()
+    tables_json(n, variant, fh)
+    return fh.getvalue()
+
+
+def tables_reference(n, variant):
+    """
+    The tables document built whole as nested lists from the integer store:
+    the layout tables_json wrote through json.dumps before it streamed.
+    """
+    m = _model(n, "asc" if variant == "M" else "des")
+    return {
+        "variant": variant,
+        "n": n,
+        "vertices": [list(w) for w in m.words],
+        "columns": {
+            str(z): [
+                [y, [[e, col[y, e]] for _, e in keys]]
+                for y, keys in groupby(sorted(col), key=itemgetter(0))
+            ]
+            for z, col in enumerate(m.column_store())
+        },
+        "mu": sorted([y, z, v] for (y, z), v in m.mu_entries().items()),
+    }
 
 
 def fpf_words(m):
@@ -239,7 +272,7 @@ def test_graph_path_reads_the_store():
     _model.cache_clear()
     try:
         g = build_gamma(5, "row", reduced=False)
-        doc = tables_json(5, "M")
+        doc = json.loads(tables_text(5, "M"))
         m = _model(5, "asc")
         assert m._columns is None  # no LaurentPoly view was built
         assert g.omega == symmetrize_mu(m.mu_entries())
@@ -361,7 +394,7 @@ def test_embedding_length_and_descent_identities():
 
 
 def test_tables_json_schema():
-    doc = tables_json(3, "M")
+    doc = json.loads(tables_text(3, "M"))
     assert doc["variant"] == "M" and doc["n"] == 3
     assert len(doc["vertices"]) == 4
     assert set(doc["columns"]) == {"0", "1", "2", "3"}
@@ -369,3 +402,49 @@ def test_tables_json_schema():
         assert any(y == int(z) and pairs == [[0, 1]] for y, pairs in col)
     for y, z, m in doc["mu"]:
         assert isinstance(m, int) and m != 0 and y < z
+
+
+@pytest.mark.parametrize("variant", ["M", "N"])
+def test_tables_json_streams_the_reference_text(variant):
+    for n in range(1, 7):
+        assert tables_text(n, variant) == json.dumps(tables_reference(n, variant)) + "\n"
+
+
+class CountingSink:
+    """A text file that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("variant", ["M", "N"])
+def test_tables_json_memory_stays_below_text_size(variant):
+    # with the model built first, writing the tables holds at most a column
+    # and the small vertex and mu lists (building the document whole as
+    # lists and dumping it peaks at 28-29 times the text at n=7)
+    _model(7, "asc" if variant == "M" else "des").mu_entries()
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        tables_json(7, variant, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == len(tables_text(7, variant))
+    assert peak < 5 * sink.chars
+
+
+def test_classify_validates_each_shape_tableau_once(monkeypatch):
+    # the p-map validates its tableau; hat_p restricts it without a second check
+    calls = []
+    validate = tableau._validate
+    monkeypatch.setattr(tableau, "_validate", lambda *a, **k: calls.append(1) or validate(*a, **k))
+    try:
+        report = classify(9, "row")
+    finally:
+        _model.cache_clear()  # release the n=9 models
+    assert report.ok
+    assert len(calls) == 2620  # |I_9|: one per vertex

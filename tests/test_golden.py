@@ -10,9 +10,13 @@ were recorded before the recursion moved onto the integer coefficient store.
 The n=8 graph exports of both variants (which carry the restricted-tableau
 shapes) and the p_rbs, p_cbs and psi images of I_9 ("insert 9") were recorded
 before the Beissinger maps moved onto the list-level Schensted kernels.
+The n=7 tables files ("tables 7 M bytes", "tables 7 N bytes": the exact
+bytes that `gwg graph build --n 7 --tables` writes for row and col) were
+recorded before tables_json streamed its text column by column.
 """
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -30,6 +34,8 @@ GOLDEN = {
     "tables 6 N": "7766870318750b215f12f7c04a6fa894c06d0dcde034ca51022dd7489a921bd3",
     "tables 7 M": "82dc6d967ac11395cd75677c38f7130a2f04e99b70d3192aa23a3eda46014327",
     "tables 7 N": "44557ff91e897dbce1f3ef323525931d9d6e431a632767f60a87ba0535eef07b",
+    "tables 7 M bytes": "761c7c3886d3c63707fac70e6b2f34df451417fbdb74a9ef52ad3d1a351fae31",
+    "tables 7 N bytes": "8aed3ff500c7950355e7453369ebadbd96e1d0495bfab7fbd9048a2370859e0a",
     "pairs 8 row": "8ad0a21ee1b6a2b69abbaa0452cd0966a4e726fcd88d6ee8bbe86b7befe6f843",
     "pairs 8 col": "6ae8e88b7fd78c75c8d886c9bcfa28b7bf23078a4e0cbae16fedda5a01254987",
     "verify all 5": "ba842baf3616f8775f51c7ffd6684273d79d42894928a7b2d6622f0042384ad8",
@@ -40,7 +46,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("what", GOLDEN)
-def test_engine_output_digest(what, capsys):
+def test_engine_output_digest(what, capsys, tmp_path):
     kind, n, *variant = what.split()
     if kind == "kl":
         assert main(["kl", "--n", n]) == 0
@@ -56,6 +62,14 @@ def test_engine_output_digest(what, capsys):
     elif kind == "insert":
         text = json.dumps([[[list(r) for r in p_rbs(y).rows], [list(r) for r in p_cbs(y).rows],
                             list(psi(y).word)] for y in enumerate_involutions(int(n))])
-    else:
-        text = json.dumps(tables_json(int(n), variant[0]), sort_keys=True)
+    elif variant[1:] == ["bytes"]:  # "tables <n> <M|N> bytes": the file gwg writes
+        path = tmp_path / "tables.json"
+        argv = ["graph", "build", "--n", n, "--variant", "row" if variant[0] == "M" else "col",
+                "--out", str(tmp_path / "graph.json"), "--tables", str(path)]
+        assert main(argv) == 0
+        text = path.read_bytes().decode()
+    else:  # the streamed text, parsed and dumped with sorted keys as recorded
+        fh = io.StringIO()
+        tables_json(int(n), variant[0], fh)
+        text = json.dumps(json.loads(fh.getvalue()), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[what]
