@@ -7,8 +7,8 @@ the two Gelfand W-graphs), `verify` (run the identity suites), and `kl`
 (export Kazhdan-Lusztig tables).
 
 Exit codes: 0 success, 1 domain-precondition or self-check failure,
-2 malformed input or an output file that cannot be written, 3 resource cap
-exceeded (raise it with --force).
+2 malformed input, an output option the action does not use, or an output
+file that cannot be written, 3 resource cap exceeded (raise it with --force).
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .perm import Involution, parse_involution
 from .tableau import Tableau, rs_insert
 
 GRAPH_CAP = 8
+# the output files each `graph` action writes; giving it any other is an error
+GRAPH_OUTPUTS = {"build": ("out", "dot", "tables"), "molecules": ("out", "dot"),
+                 "cells": ("out", "dot"), "classify": ()}
 PSI_CAP = 10  # --cycles and --fixed-points enumerate all of I_n
 EXIT_OK, EXIT_DOMAIN, EXIT_PARSE, EXIT_CAP = 0, 1, 2, 3
 
@@ -122,6 +125,9 @@ def _over_cap(args, cap: int) -> bool:
 
 
 def cmd_graph(args) -> int:
+    for opt in ("out", "dot", "tables"):
+        if getattr(args, opt) is not None and opt not in GRAPH_OUTPUTS[args.action]:
+            raise ParseFailure(f"--{opt} is not used by graph {args.action}")
     if _over_cap(args, GRAPH_CAP):
         return EXIT_CAP
     reduced = not args.no_reduced
@@ -220,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("row", "col"), required=True)
     p.add_argument("--no-reduced", action="store_true",
                    help="keep weights with tau(v) contained in tau(w)")
-    p.add_argument("--out")
-    p.add_argument("--dot")
+    p.add_argument("--out", help="write the JSON output here (build, molecules, cells)")
+    p.add_argument("--dot", help="also write the graph as DOT (build, molecules, cells)")
     p.add_argument("--tables",
                    help="also write the canonical-basis/mu tables (build only)")
     p.add_argument("--force", action="store_true",

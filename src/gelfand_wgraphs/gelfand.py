@@ -21,6 +21,7 @@ Indices i always range over [n-1] here even though vertex words live on
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -242,6 +243,60 @@ class MuTable:
     entries: dict  # (y, z) vertex pair -> nonzero int, with l(y) < l(z)
 
 
+class ColumnStore:
+    """
+    The finished canonical-basis columns of a ModuleTable, packed into flat
+    arrays.
+
+    Column z is the slice ends[z-1]:ends[z] (0:ends[0] for z = 0) of `keys`
+    and `coefs`, its terms in the order the recursion produced them.  A key
+    packs a vertex index y and an exponent e <= 0 into one int,
+    y << shift | (mask + e) with mask = 2**shift - 1, so sorting a column's
+    keys sorts its terms by (y, e).  Field 0 (e = -mask) is never stored:
+    x^-1 times a stored term then stays inside its field.  `coefs` holds the
+    nonzero integer coefficients in the narrowest of `coef_codes` that has
+    held every column so far.
+    """
+
+    __slots__ = ("shift", "mask", "keys", "coefs", "ends")
+    coef_codes = "bhiq"  # coefficient typecodes, narrowest first
+
+    def __init__(self, size: int, shift: int):
+        self.shift, self.mask = shift, (1 << shift) - 1
+        self.keys = array("i" if size << shift < 1 << 31 else "q")
+        self.coefs = array(self.coef_codes[0])
+        self.ends = array("q")
+
+    def column(self, z: int):
+        """Column z's keys and coefficients, as two array slices."""
+        a, b = self.ends[z - 1] if z else 0, self.ends[z]
+        return self.keys[a:b], self.coefs[a:b]
+
+    def terms(self, z: int):
+        """Column z as (vertex, exponent, coefficient) triples, in stored order."""
+        shift, mask = self.shift, self.mask
+        return [(k >> shift, (k & mask) - mask, c) for k, c in zip(*self.column(z))]
+
+    def append(self, keys: list, coefs: list) -> None:
+        """
+        Append one column.  The coefficient array widens to the next of
+        `coef_codes` while a coefficient does not fit, and OverflowError
+        leaves the store unchanged if none of them holds it.
+        """
+        codes = self.coef_codes
+        while True:
+            try:
+                self.coefs.fromlist(coefs)  # on failure it keeps its old length
+                break
+            except OverflowError:
+                k = codes.index(self.coefs.typecode) + 1
+                if k == len(codes):
+                    raise
+                self.coefs = array(codes[k], self.coefs)
+        self.keys.fromlist(keys)  # the typecode holds every key below size << shift
+        self.ends.append(len(self.keys))
+
+
 class ModuleTable:
     """
     The canonical-basis engine: a based Z[x,x^-1]-module with an action of
@@ -257,14 +312,17 @@ class ModuleTable:
     (Model); so is the regular representation of H(S_n), with no weak
     positions (hecke).
 
-    The canonical-basis recursion keeps its columns in an integer
-    coefficient store (`column_store`): column z is one dict from
-    (vertex index, exponent) to a nonzero int, and the mu table is read off
-    it as the columns are computed.  `canonical_columns()` is the
-    LaurentPoly view of the same columns (dicts from vertex index to
-    LaurentPoly), built from the store on first call and cached; the H_s
-    action and the bar recursion work on such LaurentPoly columns.
+    The canonical-basis recursion keeps each finished column in a packed
+    ColumnStore (`column_store`): integer coefficients under packed
+    (vertex index, exponent) keys, a few bytes per term, with an exponent
+    field `exp_bits` wide.  The mu table is read off the columns as they
+    are computed.  `canonical_columns()` is the LaurentPoly view of the same
+    columns (dicts from vertex index to LaurentPoly), built from the store
+    on first call and cached; the H_s action and the bar recursion work on
+    such LaurentPoly columns.
     """
+
+    exp_bits = 8  # exponents down to -(2**exp_bits - 2) fit a packed key
 
     def __init__(self, n, words, classify, act, tau_of, weak=(None, None), pick="min"):
         self.n = n
@@ -316,89 +374,113 @@ class ModuleTable:
 
     def _compute_columns(self):
         """
-        Fill the coefficient store: column z is a dict from (vertex index,
-        exponent) to a nonzero int, C_z = C_s·C_w - sum of mu(y, w)·C_y over
-        the y with s not in tau(y), where s = s_i is the picked strict descent
-        of z and w = s z s.  C_s = H_s + x^-1 sends a strict ascent k to
+        Fill the column store.  C_z = C_s·C_w - sum of mu(y, w)·C_y over the
+        y with s not in tau(y), where s = s_i is the picked strict descent of
+        z and w = s z s.  C_s = H_s + x^-1 sends a strict ascent k to
         s·k + x^-1·k, a strict descent to s·k + x·k, and scales a weak
-        position by its scalar plus x^-1, so every term is an integer add at
-        a shifted exponent.
+        position by its scalar plus x^-1, so every term is an integer add
+        under a packed key: the vertex bits move to s·k, or the exponent
+        field moves by one.  The column being computed is a dict from packed
+        key to int; _check_column packs it into the store.
         """
         V = len(self.words)
+        store = ColumnStore(V, self.exp_bits)
+        shift, mask = store.shift, store.mask
         weak = {
             k: () if p is None else tuple((p + X_INV).items())
             for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))
         }
-        store = [None] * V
         mu_by_col = [None] * V
-        keys = {}  # one shared tuple per (vertex, exponent) across all columns
         for z in range(V):
             dlt = self.strict_descents[z]
             if not dlt:
-                store[z], mu_by_col[z] = {(z, 0): 1}, {}
+                store.append([z << shift | mask], [1])
+                mu_by_col[z] = {}
                 continue
             i = dlt[0] if self.pick == "min" else dlt[-1]
             cls_i, cnj_i = self.cls[i], self.cnj[i]
             w = cnj_i[z]
             col = {}
             get = col.get
-            for (v, e), c in store[w].items():
+            # x·(term), formed at strict descents and at weak positions with
+            # scalar x, never leaves the exponent field: every term of C_w but
+            # its diagonal has exponent <= -1 (_check_column checked C_w), and
+            # the diagonal, at exponent 0, sits at w = s z s, where s_i is a
+            # strict ascent because it is a strict descent of z, so it only
+            # takes x^-1
+            for key, c in zip(*store.column(w)):
+                v = key >> shift
                 k = cls_i[v]
                 if k == ASC_LT or k == DES_LT:
-                    key = (cnj_i[v], e)
-                    col[key] = get(key, 0) + c
-                    key = (v, e - 1 if k == ASC_LT else e + 1)
+                    moved = cnj_i[v] << shift | key & mask
+                    col[moved] = get(moved, 0) + c
+                    key += -1 if k == ASC_LT else 1
                     col[key] = get(key, 0) + c
                 else:
                     for d, a in weak[k]:
-                        key = (v, e + d)
-                        col[key] = get(key, 0) + a * c
+                        col[key + d] = get(key + d, 0) + a * c
             for y, m in mu_by_col[w].items():
                 if i not in self.tau[y]:
-                    for key, c in store[y].items():
+                    for key, c in zip(*store.column(y)):
                         col[key] = get(key, 0) - m * c
-            store[z], mu_by_col[z] = self._check_column(z, col, keys)
+            mu_by_col[z] = self._check_column(z, col, store)
         self._store = store
         self._mu_by_col = mu_by_col
 
-    def _check_column(self, z: int, col: dict, keys: dict):
+    def _check_column(self, z: int, col: dict, store: ColumnStore) -> dict:
         """
-        Drop the zero terms of a computed column and run its self-checks:
-        the coefficient of z is exactly 1 and every other term has
-        l(y) < l(z) and exponent <= -1.  Returns the column, keyed by the
-        shared tuples of `keys`, and its mu entries, the x^-1 coefficients
-        off the diagonal.
+        Drop the zero terms of a computed column, run its self-checks and
+        append it to the store: the coefficient of z is exactly 1, every
+        other term has l(y) < l(z) and exponent <= -1, every exponent fits
+        the key field and every coefficient fits 64 bits.  Returns the
+        column's mu entries, the x^-1 coefficients off the diagonal.
         """
         lz, length = self.length[z], self.length
-        shared = keys.setdefault
+        shift, mask = store.shift, store.mask
         diagonal = 0
-        bad = None
-        out = {}
+        bad = deep = None
+        keys, coefs = [], []
         mu = {}
         for key, c in col.items():
             if not c:
                 continue
-            out[shared(key, key)] = c
-            y, e = key
+            keys.append(key)
+            coefs.append(c)
+            y, f = key >> shift, key & mask
             if y == z:
                 diagonal += 1
-            elif e == -1:
+            elif f == mask - 1:
                 mu[y] = c
                 if length[y] >= lz and bad is None:
                     bad = y
-            elif (e >= 0 or length[y] >= lz) and bad is None:
+            elif f == 0:
+                deep = y
+            elif (f == mask or length[y] >= lz) and bad is None:
                 bad = y
-        if diagonal != 1 or out.get((z, 0)) != 1:
+        if diagonal != 1 or col.get(z << shift | mask) != 1:
             raise RuntimeError(f"column {self.words[z]} is not unitriangular")
+        if deep is not None:
+            raise RuntimeError(
+                f"column {self.words[z]} has a term at {self.words[deep]} with exponent "
+                f"{-mask}, below the {shift}-bit key field"
+            )
         if bad is not None:
-            c = LaurentPoly({e: c for (y, e), c in out.items() if y == bad})
+            c = LaurentPoly({
+                (k & mask) - mask: c for k, c in zip(keys, coefs) if k >> shift == bad
+            })
             raise RuntimeError(
                 f"column {self.words[z]} has a bad term at {self.words[bad]}: {c}"
             )
-        return out, mu
+        try:
+            store.append(keys, coefs)
+        except OverflowError:
+            raise RuntimeError(
+                f"column {self.words[z]} has a coefficient beyond 64 bits"
+            ) from None
+        return mu
 
-    def column_store(self) -> list:
-        """The canonical columns as dicts from (vertex, exponent) to nonzero int."""
+    def column_store(self) -> ColumnStore:
+        """The canonical columns, packed (see ColumnStore)."""
         if self._store is None:
             self._compute_columns()
         return self._store
@@ -406,10 +488,11 @@ class ModuleTable:
     def canonical_columns(self, check_bar: bool = False):
         """The canonical columns as dicts from vertex index to LaurentPoly."""
         if self._columns is None:
+            store = self.column_store()
             cols = []
-            for col in self.column_store():
+            for z in range(len(self.words)):
                 terms = {}
-                for (v, e), c in col.items():
+                for v, e, c in store.terms(z):
                     terms.setdefault(v, {})[e] = c
                 cols.append({v: LaurentPoly(t) for v, t in terms.items()})
             self._columns = cols
@@ -676,25 +759,27 @@ def tables_json(n: int, variant: str, fh) -> None:
     word); column z lists its vertices y in increasing order, each with its
     nonzero coefficients c of x^e in increasing e; mu is sorted.  The text is
     what `json.dumps` gives for that document, but it is written
-    incrementally, one column at a time, straight from the integer store, so
-    the whole document never exists in memory.  The store and mu table are
-    computed before the first write, so a failed self-check writes nothing.
+    incrementally, one column at a time, straight from the packed column
+    store (whose sorted keys give that order), so the whole document never
+    exists in memory.  The store and mu table are computed before the first
+    write, so a failed self-check writes nothing.
     """
     key = {"M": "asc", "N": "des", "asc": "asc", "des": "des"}[variant]
     m = _model(n, key)
     store = m.column_store()
+    shift, mask = store.shift, store.mask
     mu = sorted((y, z, v) for (y, z), v in m.mu_entries().items())
     fh.write('{"variant": %s, "n": %d, "vertices": %s, "columns": {' % (
         '"M"' if key == "asc" else '"N"', n, _int_lists(m.words)))
-    for z, col in enumerate(store):
+    for z in range(len(m.words)):
         text = []
         last = None
-        for term in sorted(col):
-            y, e = term
+        for term, c in sorted(zip(*store.column(z))):
+            y, e = term >> shift, (term & mask) - mask
             if y == last:
-                text.append(", [%d, %d]" % (e, col[term]))
+                text.append(", [%d, %d]" % (e, c))
             else:  # close the previous vertex's pairs and open y's
-                text.append("%s[%d, [[%d, %d]" % ("]], " if text else "", y, e, col[term]))
+                text.append("%s[%d, [[%d, %d]" % ("]], " if text else "", y, e, c))
                 last = y
         # a column is never empty: it holds its diagonal term
         fh.write('%s"%d": [%s]]]' % (", " if z else "", z, "".join(text)))

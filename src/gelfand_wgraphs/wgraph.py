@@ -482,17 +482,20 @@ def character_check(g: WGraph, w: Permutation) -> bool:
 
 def export(g: WGraph, fmt: str) -> str:
     if fmt == "json":
-        doc = {
-            "n": g.n,
-            "variant": g.variant,
-            "reduced": g.reduced,
-            "vertices": [list(v) for v in g.vertices],
-            "tau": [sorted(t) for t in g.tau],
-            "edges": [[v, w, c] for v, w, c in g.edges()],
-        }
+        # the text json.dumps(doc, indent=1) gives for the document, built
+        # from one string per vertex and per edge: the pure-Python encoder
+        # that indent selects holds one string per token until it joins them
+        fields = [
+            ("n", str(g.n)),
+            ("variant", json.dumps(g.variant)),
+            ("reduced", json.dumps(g.reduced)),
+            ("vertices", _indent1_rows(g.vertices)),
+            ("tau", _indent1_rows(sorted(t) for t in g.tau)),
+            ("edges", _indent1_rows(g.edges())),
+        ]
         if g.shapes is not None:
-            doc["shapes"] = [list(s) for s in g.shapes]
-        return json.dumps(doc, indent=1)
+            fields.append(("shapes", _indent1_rows(g.shapes)))
+        return "{\n%s\n}" % ",\n".join(' "%s": %s' % kv for kv in fields)
     if fmt == "dot":
         lines = [f'digraph "{g.variant}_{g.n}" {{']
         for k, v in enumerate(g.vertices):
@@ -509,6 +512,14 @@ def export(g: WGraph, fmt: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unsupported format {fmt!r}")
+
+
+def _indent1_rows(rows) -> str:
+    """Rows of ints as json.dumps(..., indent=1) writes a list of lists one level deep."""
+    body = ",\n".join(
+        "  [\n   %s\n  ]" % ",\n   ".join(map(str, row)) if row else "  []" for row in rows
+    )
+    return "[\n%s\n ]" % body if body else "[]"
 
 
 def parse_wgraph(text: str) -> WGraph:

@@ -227,6 +227,19 @@ def test_unwritable_output_exits_2(tmp_path, capsys, option):
     assert "cannot write output" in err and "missing" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("action, option", [
+    ("classify", "--out"), ("classify", "--dot"), ("classify", "--tables"),
+    ("molecules", "--tables"), ("cells", "--tables"),
+])
+def test_unused_output_option_exits_2(tmp_path, capsys, action, option):
+    path = tmp_path / "t.json"
+    code, out, err = run(capsys, "graph", action, "--n", "3", "--variant", "row",
+                         option, str(path))
+    assert code == 2 and not out
+    assert err.strip() == f"{option} is not used by graph {action}"
+    assert not path.exists()
+
+
 def test_self_check_failure_exits_1(monkeypatch, capsys):
     # both the Gelfand graphs and the KL tables run the one engine recursion
     def broken(self):

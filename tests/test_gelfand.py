@@ -1,14 +1,16 @@
 import io
 import json
+import sys
 import tracemalloc
-from itertools import groupby, permutations
-from operator import itemgetter
+from array import array
+from itertools import permutations
 
 import pytest
 
-from gelfand_wgraphs import tableau
+from gelfand_wgraphs import gelfand, tableau
 from gelfand_wgraphs.beissinger import p_cbs, p_rbs
 from gelfand_wgraphs.gelfand import (
+    ColumnStore,
     DescentData,
     GelfandVertex,
     Model,
@@ -52,8 +54,8 @@ def tables_text(n, variant):
 
 def tables_reference(n, variant):
     """
-    The tables document built whole as nested lists from the integer store:
-    the layout tables_json wrote through json.dumps before it streamed.
+    The tables document built whole as nested lists from the canonical_columns
+    view: the layout tables_json wrote through json.dumps before it streamed.
     """
     m = _model(n, "asc" if variant == "M" else "des")
     return {
@@ -61,11 +63,8 @@ def tables_reference(n, variant):
         "n": n,
         "vertices": [list(w) for w in m.words],
         "columns": {
-            str(z): [
-                [y, [[e, col[y, e]] for _, e in keys]]
-                for y, keys in groupby(sorted(col), key=itemgetter(0))
-            ]
-            for z, col in enumerate(m.column_store())
+            str(z): [[y, col[y].to_pairs()] for y in sorted(col)]
+            for z, col in enumerate(m.canonical_columns())
         },
         "mu": sorted([y, z, v] for (y, z), v in m.mu_entries().items()),
     }
@@ -266,6 +265,56 @@ def test_store_self_check_catches_swapped_weak_scalars():
         m.weak_asc, m.weak_des = m.weak_des, m.weak_asc
         with pytest.raises(RuntimeError, match="has a bad term"):
             m.mu_entries()
+
+
+class UnitArray(array):
+    """An array whose typecode "b" holds only -1, 0 and 1."""
+
+    def fromlist(self, values):
+        if self.typecode == "b" and any(abs(c) > 1 for c in values):
+            raise OverflowError("forced narrow coefficient type")
+        super().fromlist(values)
+
+
+@pytest.mark.parametrize("variant", ["M", "N"])
+def test_store_widens_a_narrow_coefficient_type(monkeypatch, variant):
+    # n=7 has coefficients 2 and 3 (M) or 2 (N): past the forced range of "b"
+    text, mu = tables_text(7, variant), _model(7, "asc" if variant == "M" else "des").mu_entries()
+    _model.cache_clear()
+    monkeypatch.setattr(gelfand, "array", UnitArray)
+    try:
+        assert tables_text(7, variant) == text
+        m = _model(7, "asc" if variant == "M" else "des")
+        assert m.mu_entries() == mu and list(m.mu_entries()) == list(mu)
+        assert m.column_store().coefs.typecode == "h"
+    finally:
+        _model.cache_clear()
+
+
+def test_store_raises_when_no_coefficient_type_fits(monkeypatch):
+    monkeypatch.setattr(gelfand, "array", UnitArray)
+    monkeypatch.setattr(ColumnStore, "coef_codes", "b")
+    with pytest.raises(RuntimeError, match=r"column \(.*\) has a coefficient beyond 64 bits"):
+        Model(7, "asc").mu_entries()
+
+
+def test_store_exponent_field_bounds():
+    # n=5 M reaches x^-6: a 3-bit field holds exponents down to -6, 2 bits only to -2
+    m = Model(5, "asc")
+    m.exp_bits = 3
+    assert m.mu_entries() == _model(5, "asc").mu_entries()
+    assert m.canonical_columns() == _model(5, "asc").canonical_columns()
+    m = Model(5, "asc")
+    m.exp_bits = 2
+    with pytest.raises(RuntimeError, match=r"column \(.*\) has a term at .* below the 2-bit key field"):
+        m.mu_entries()
+
+
+@pytest.mark.parametrize("variant", ["asc", "des"])
+def test_store_takes_at_most_8_bytes_per_term(variant):
+    store = _model(7, variant).column_store()
+    size = sum(sys.getsizeof(a) for a in (store.keys, store.coefs, store.ends))
+    assert size <= 8 * len(store.keys)
 
 
 def test_graph_path_reads_the_store():

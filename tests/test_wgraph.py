@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -253,6 +254,45 @@ def test_export_json_golden():
     got = export(g, "json")
     with open(os.path.join(DATA, "gamma_row_2.json")) as fh:
         assert got == fh.read().rstrip("\n")
+
+
+def export_reference(g):
+    """The graph document dumped whole by json.dumps, as export wrote it before."""
+    doc = {
+        "n": g.n,
+        "variant": g.variant,
+        "reduced": g.reduced,
+        "vertices": [list(v) for v in g.vertices],
+        "tau": [sorted(t) for t in g.tau],
+        "edges": [[v, w, c] for v, w, c in g.edges()],
+    }
+    if g.shapes is not None:
+        doc["shapes"] = [list(s) for s in g.shapes]
+    return json.dumps(doc, indent=1)
+
+
+def test_export_json_matches_json_dumps():
+    for n in range(1, 7):
+        for variant in ("row", "col"):
+            for reduced in (True, False):
+                g = build_gamma(n, variant, reduced=reduced)
+                assert export(g, "json") == export_reference(g)
+                g.shapes = None
+                assert export(g, "json") == export_reference(g)
+    empty = WGraph(n=0, variant="row", reduced=True, vertices=[], tau=[], omega={})
+    assert export(empty, "json") == export_reference(empty)
+
+
+def test_export_json_memory():
+    # json.dumps(doc, indent=1) peaks at about 14 times the text it returns
+    g = build_gamma(7, "row")
+    tracemalloc.start()
+    try:
+        text = export(g, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
 
 
 def test_export_dot_golden():
