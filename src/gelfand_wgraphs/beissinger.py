@@ -52,13 +52,23 @@ def _insert_pair(rows, a: int, b: int, row: bool, bumper):
     For a < b, a is inserted by `bumper` (bump or _column_bump) into a new
     box (r, c); a fixed point counts as a new box at (0, 0).  Then b goes at
     the end of row r+1 if `row`, else at the end of column c+1.
+
+    The column target is the first row that does not reach column c+1, and
+    it is found by a scan up from row r.  The input rows have a partition
+    shape (the p-maps keep one; `Tableau.filling` checks one) and the bump
+    only lengthened row r, to c.  So the rows longer than c are a prefix of
+    the rows above r, and every row from the end of that prefix down to r
+    has length <= c.  The scan must accept every length <= c: on a filling,
+    the row above the new box can be shorter than c.  For a fixed point the
+    target is past the last row.
     """
     r, c = bumper(rows, a) if a < b else (0, 0)
     if row:
         target = r
     else:
-        # the first row that does not reach column c+1 must end in column c
-        target = sum(1 for x in rows if len(x) > c)
+        target = r - 1 if r else len(rows)
+        while target and len(rows[target - 1]) <= c:
+            target -= 1
         if (len(rows[target]) if target < len(rows) else 0) != c:
             raise ValueError(f"appending to column {c + 1} would not give a tableau")
     if target < len(rows):
@@ -112,7 +122,9 @@ def _p_map(y: Involution, row: bool) -> Tableau:
     entry already placed, so appending it at the end of a row or column
     cannot break an increase condition, and row bumping keeps a partially
     standard tableau partially standard.  So the finished tableau is
-    validated once, by Tableau(rows), not after every pair.
+    validated once, by Tableau(rows), not after every pair.  The rows keep a
+    partition shape throughout, so each pair's column target is found by the
+    local scan of _insert_pair, not by a count over all rows.
     """
     rows = []
     for a, b in cycles_sorted(y):
@@ -130,47 +142,66 @@ def p_cbs(y: Involution) -> Tableau:
     return _p_map(y, False)
 
 
-def _peel(T: Tableau, row: bool) -> Involution:
+def _peel(rows, row: bool) -> Involution:
     """
     The unique involution y with p_rbs(y) = T (row) or p_cbs(y) = T (column),
-    for standard T.
+    given the rows of a standard tableau T as lists, which it consumes.
 
-    Peel off the largest entry b, which ends a row.  In row 1 (row) or
-    column 1 (column) it records a fixed point; otherwise an inverse
-    Schensted insertion from the end of the row above it (row) or from the
-    bottom of the column to its left (column) outputs the partner of b.
+    Peel off b = n, n-1, ..., 1 in turn, skipping the partners already
+    unbumped.  Each b is the largest entry left in a partially standard
+    tableau, so it sits at a corner: it ends its row, found among the row
+    ends, and no row below reaches its column.  In row 1 (row) or column 1
+    (column) it records a fixed point; otherwise an inverse Schensted
+    insertion from the end of the row above it (row) or from the bottom of
+    the column to its left (column) outputs the partner of b.  That column,
+    column c, ends in the last of the rows of length c that follow b's row:
+    the rows above are longer and the rows past them shorter.
     """
+    n = sum(map(len, rows))
+    word = list(range(1, n + 1))
+    for b in range(n, 0, -1):
+        if word[b - 1] != b:  # b was unbumped as the partner of a larger entry
+            continue
+        r = [x[-1] for x in rows].index(b)
+        rows[r].pop()
+        c = len(rows[r])
+        if not c:
+            del rows[r]
+        if (r if row else c) == 0:  # a fixed point
+            continue
+        start = r
+        if not row:
+            start += 1
+            while start < len(rows) and len(rows[start]) == c:
+                start += 1
+        a = unbump(rows, start)
+        word[a - 1], word[b - 1] = b, a
+    return Involution(word)
+
+
+def _standard_rows(T: Tableau):
     if not T.is_standard():
         raise ValueError("input must be a standard tableau")
-    rows = [list(r) for r in T.rows]
-    pairs = []
-    while rows:
-        r = max(range(len(rows)), key=lambda k: rows[k][-1])
-        b = rows[r].pop()
-        c = len(rows[r])
-        if not rows[r]:
-            del rows[r]
-        if (r if row else c) == 0:
-            pairs.append((b, b))
-        else:
-            start = r if row else sum(1 for x in rows if len(x) >= c)
-            pairs.append((unbump(rows, start), b))
-    return Involution.from_cycles(T.size, pairs)
+    return [list(r) for r in T.rows]
 
 
 def p_cbs_inverse(T: Tableau) -> Involution:
     """The unique involution y with p_cbs(y) = T, for standard T."""
-    return _peel(T, False)
+    return _peel(_standard_rows(T), False)
 
 
 def p_rbs_inverse(T: Tableau) -> Involution:
     """The unique involution y with p_rbs(y) = T, for standard T."""
-    return _peel(T, True)
+    return _peel(_standard_rows(T), True)
 
 
 def psi(y: Involution) -> Involution:
-    """The involution z with p_rbs(y) equal to the transpose of p_cbs(z)."""
-    return p_cbs_inverse(transpose(p_rbs(y)))
+    """
+    The involution z with p_rbs(y) equal to the transpose of p_cbs(z).  p_rbs
+    has validated its tableau, and a transpose of a standard tableau is
+    standard, so the peel needs no second check.
+    """
+    return _peel([list(r) for r in transpose(p_rbs(y)).rows], False)
 
 
 def psi_orbit(y: Involution):

@@ -163,7 +163,7 @@ def conj_by_s(w, i: int):
 
 def cycles_sorted(y: Involution):
     """All pairs (a, b) with a <= b = y(a), sorted by increasing b; fixed points as (a, a)."""
-    return [(y(b) if y(b) <= b else b, b) for b in range(1, y.n + 1) if y(b) <= b]
+    return [(a, b) for b, a in enumerate(y.word, 1) if a <= b]
 
 
 def _knuth_window(word, i: int):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -22,11 +23,13 @@ from gelfand_wgraphs.perm import Involution, cycles_sorted, enumerate_involution
 from gelfand_wgraphs.tableau import (
     EMPTY,
     Tableau,
+    bump,
     dual_equiv,
     odd_lines,
     pq_rs,
     standard_tableaux,
     transpose,
+    unbump,
 )
 
 
@@ -137,6 +140,16 @@ def test_p_rbs_inverse_examples():
     assert p_rbs_inverse(T([[1, 2], [3, 4]])) == inv([3, 4, 1, 2])
     with pytest.raises(ValueError):
         p_rbs_inverse(T([[2, 3], [4]]))
+
+
+def test_inverses_reject_a_non_increasing_filling():
+    # entries 1..n in a partition shape are not enough: peeling such a
+    # filling gives an involution whose p-map is another tableau (the
+    # identity for [[2, 1]], whose p_rbs is [[1, 2]])
+    for rows in ([[2, 1]], [[1, 2], [4, 3]], [[2], [1]], [[1, 3], [4], [2]]):
+        for inverse in (p_rbs_inverse, p_cbs_inverse):
+            with pytest.raises(ValueError, match="input must be a standard tableau"):
+                inverse(Tableau.filling(rows))
 
 
 def test_p_rbs_equals_rs_tableau():
@@ -269,3 +282,94 @@ def test_partners_match_dual_equiv_random(y, data):
     i = data.draw(st.integers(2, y.n - 1), label="i")
     assert p_rbs(simrbs_partner(y, i)) == dual_equiv(p_rbs(y), i)
     assert p_cbs(simcbs_partner(y, i)) == dual_equiv(p_cbs(y), i)
+
+
+# -- the kernels at the sizes of the benchmark --------------------------------
+
+
+def peel_reference(T, row):
+    """
+    The inverse p-maps by the direct method, as a reference: each step takes
+    the largest row end by a keyed max and counts the rows that reach column c.
+    """
+    if not T.is_standard():
+        raise ValueError("input must be a standard tableau")
+    rows = [list(r) for r in T.rows]
+    pairs = []
+    while rows:
+        r = max(range(len(rows)), key=lambda k: rows[k][-1])
+        b = rows[r].pop()
+        c = len(rows[r])
+        if not rows[r]:
+            del rows[r]
+        if (r if row else c) == 0:
+            pairs.append((b, b))
+        else:
+            start = r if row else sum(1 for x in rows if len(x) >= c)
+            pairs.append((unbump(rows, start), b))
+    return Involution.from_cycles(T.size, pairs)
+
+
+def seeded_involutions(seed, sizes):
+    """One involution per size: a shuffled [n] whose first 2k points pair off."""
+    rng = random.Random(seed)
+    for n in sizes:
+        points = list(range(1, n + 1))
+        rng.shuffle(points)
+        k = rng.randint(0, n // 2)
+        yield Involution.from_cycles(n, [(points[2 * j], points[2 * j + 1]) for j in range(k)])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernels_at_benchmark_sizes(seed):
+    for y in seeded_involutions(seed, range(20, 81)):
+        P, Q = p_rbs(y), p_cbs(y)
+        assert P == pq_rs(y.perm)[0]
+        assert p_rbs_inverse(P) == y == peel_reference(P, True)
+        assert p_cbs_inverse(Q) == y == peel_reference(Q, False)
+        z = psi(y)
+        assert z == peel_reference(transpose(P), False)
+        assert p_cbs(z) == transpose(P)
+        assert len(z.fixed_points()) == len(y.fixed_points())
+        # the peels also agree on tableaux that neither p-map produced for y
+        for U in (transpose(P), transpose(Q)):
+            assert p_rbs_inverse(U) == peel_reference(U, True)
+            assert p_cbs_inverse(U) == peel_reference(U, False)
+
+
+def insert_by_counting(T, a, b):
+    """cbs_insert with the column target found by counting the rows longer than c."""
+    rows = [list(r) for r in T.rows]
+    r, c = bump(rows, a) if a < b else (0, 0)
+    target = sum(1 for x in rows if len(x) > c)
+    if (len(rows[target]) if target < len(rows) else 0) != c:
+        raise ValueError(f"appending to column {c + 1} would not give a tableau")
+    if target < len(rows):
+        rows[target].append(b)
+    else:
+        rows.append([b])
+    return Tableau.filling(rows)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args).rows
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cbs_insert_on_random_fillings_matches_counting_target():
+    # on a filling the bump can end below a row shorter than its new box, so
+    # the scan for the column target must pass rows of any length <= c
+    rng = random.Random(9)
+    kinds = set()
+    for _ in range(3000):
+        shape = sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 5))), reverse=True)
+        values = rng.sample(range(1, 2 * sum(shape) + 3), sum(shape) + 2)
+        a, b = sorted(values[-2:]) if rng.random() < 0.8 else (values[-1], values[-1])
+        rest = iter(values[:-2])
+        F = Tableau.filling([[next(rest) for _ in range(m)] for m in shape])
+        want = outcome(insert_by_counting, F, a, b)
+        assert outcome(cbs_insert, F, a, b) == want, (F, a, b)
+        kinds.add(want if isinstance(want, str) else "filling")
+    assert "filling" in kinds and len(kinds) >= 3

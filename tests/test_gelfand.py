@@ -399,6 +399,11 @@ def test_iota_line_examples():
         iota_line(T([[2]]), "row")
     with pytest.raises(ValueError):
         iota_line(T([[1]]), "diag")
+    # entries 1..n in a partition shape whose rows or columns do not increase
+    for rows in ([[2, 1]], [[1, 2], [4, 3]], [[2], [1]]):
+        for direction in ("row", "col"):
+            with pytest.raises(ValueError, match="input must be a standard tableau"):
+                iota_line(Tableau.filling(rows), direction)
 
 
 def test_iota_line_parity_postconditions():

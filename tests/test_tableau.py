@@ -78,6 +78,15 @@ def test_validation():
         Tableau([[1], []])
     assert Tableau.filling([[2, 1]]).rows == ((2, 1),)
     assert not Tableau.filling([[2, 1]]).is_partially_standard()
+    F = Tableau.filling
+    assert T([[1, 2], [3, 4]]).is_standard() and F([[1, 2], [3, 4]]).is_standard()
+    assert EMPTY.is_standard()
+    assert not F([[1, 3]]).is_standard()  # entries not 1..n
+    # entries 1..n in a partition shape, but a row or a column decreases
+    for bad in ([[2, 1]], [[1, 2], [4, 3]], [[1, 4], [3, 2]],
+                [[2], [1]], [[1, 3, 4], [2], [6], [5]]):
+        assert not F(bad).is_standard()
+        assert not transpose(F(bad)).is_standard()
 
 
 def test_rs_insert_examples():
