@@ -19,7 +19,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .perm import Involution, Permutation, conj_by_s, cycles_sorted, enumerate_involutions
+from .perm import (
+    Involution,
+    Permutation,
+    conj_by_s,
+    cycles_sorted,
+    enumerate_involutions,
+    involution_count,
+)
 from .tableau import Tableau, bump, transpose, unbump
 
 
@@ -205,10 +212,19 @@ def psi(y: Involution) -> Involution:
 
 
 def psi_orbit(y: Involution):
-    """The forward psi-orbit of y, starting at y, as a list."""
+    """
+    The forward psi-orbit of y, starting at y, as a list.  psi permutes I_n,
+    so the orbit returns to y within |I_n| steps; a RuntimeError after that
+    many reports a faulty kernel instead of looping forever.
+    """
+    bound = involution_count(y.n)
     orbit = [y]
     z = psi(y)
     while z != y:
+        if len(orbit) == bound:
+            raise RuntimeError(
+                f"psi orbit of {list(y.word)} does not return within |I_{y.n}| = {bound} steps"
+            )
         orbit.append(z)
         z = psi(z)
     return orbit

@@ -269,8 +269,9 @@ def main(argv=None) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, RuntimeError) as exc:
-        # RuntimeError: a canonical-basis self-check (unitriangularity or
-        # bar-invariance) failed, so the computed basis cannot be trusted
+        # RuntimeError: a self-check failed, so the result cannot be trusted:
+        # a canonical-basis check (unitriangularity or the W-graph
+        # certificate) or the bound on a psi orbit
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -222,6 +222,14 @@ def _involution_words(n: int):
     yield from rec()
 
 
+def involution_count(n: int) -> int:
+    """|I_n|, by the recurrence |I_n| = |I_{n-1}| + (n-1)·|I_{n-2}|."""
+    a, b = 1, 1  # |I_0|, |I_1|
+    for k in range(2, n + 1):
+        a, b = b, b + (k - 1) * a
+    return b
+
+
 def enumerate_involutions(n: int):
     """Yield every element of I_n exactly once, lexicographically by one-line word."""
     if n < 0:

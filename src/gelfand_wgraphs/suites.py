@@ -139,7 +139,7 @@ def suite_gelfand(n: int) -> dict:
             _check(checks, f"bar operator involutive and compatible at n={m}", ok_bar)
         try:
             for variant in ("M", "N"):
-                gelfand.canonical_basis(m, variant, check_bar=(m <= 6))
+                gelfand.canonical_basis(m, variant, check_bar=True)
             _check(checks, f"canonical bases verified at n={m}", True)
         except RuntimeError as exc:
             _check(checks, f"canonical bases verified at n={m}", False, str(exc))
@@ -211,16 +211,15 @@ def suite_kl(n: int) -> dict:
     """KL basis sanity and cells-versus-RS-fibers cross-validation."""
     checks = []
     for m in range(1, n + 1):
-        kb = hecke.kl_basis(m, max_n=max(m, hecke.DEFAULT_MAX_N))
-        ok_bar = all(hecke.h_bar(el) == el for el in kb.values())
-        _check(checks, f"KL basis bar-invariant at n={m}", ok_bar)
-        ok_pos = all(
-            c >= 0
-            for el in kb.values()
-            for p in el.terms.values()
-            for _, c in p.items()
-        )
-        _check(checks, f"KL coefficients nonnegative at n={m}", ok_pos)
+        table = hecke._regular(m)
+        coefs = table.column_store().coefs  # every nonzero KL coefficient
+        try:
+            table.check_intertwining()
+            ok, detail = True, ""
+        except RuntimeError as exc:
+            ok, detail = False, str(exc)
+        _check(checks, f"KL basis bar-invariant at n={m}", ok, detail)
+        _check(checks, f"KL coefficients nonnegative at n={m}", min(coefs) >= 0)
         for side, which in (("left", 1), ("right", 0)):
             fibers = {}
             for p in _permutations(range(1, m + 1)):

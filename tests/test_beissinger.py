@@ -190,6 +190,15 @@ def test_psi_examples():
     assert [z.cycle_string() for z in orbit2] == ["(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]
 
 
+def test_psi_orbit_is_bounded(monkeypatch):
+    # a psi that never returns to y (here it sends everything to the
+    # identity) stops after |I_4| = 10 steps instead of growing the orbit
+    monkeypatch.setattr(beissinger, "psi", lambda z: Involution.identity(4))
+    with pytest.raises(RuntimeError, match=r"does not return within \|I_4\| = 10 steps"):
+        psi_orbit(Involution.from_cycles(4, [(1, 4)]))
+    assert psi_orbit(Involution.identity(4)) == [Involution.identity(4)]
+
+
 def test_psi_cycle_stats_examples():
     st = psi_cycle_stats(5)
     assert st.longest_cycle == 12

@@ -7,6 +7,7 @@ import pytest
 
 from gelfand_wgraphs import beissinger, gelfand, hecke, suites
 from gelfand_wgraphs.cli import main
+from gelfand_wgraphs.perm import Involution
 
 
 def run(capsys, *argv):
@@ -78,6 +79,13 @@ def test_psi_orbit_malformed_exits_2(capsys):
     assert code == 2 and not out and err
     code, _, _ = run(capsys, "psi", "--n", "4", "--orbit", "(1,4)")
     assert code == 0
+
+
+def test_psi_orbit_of_a_faulty_psi_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(beissinger, "psi", lambda z: Involution.identity(4))
+    code, out, err = run(capsys, "psi", "--n", "4", "--orbit", "(1,4)")
+    assert code == 1 and not out
+    assert err.count("\n") == 1 and "does not return within |I_4| = 10 steps" in err
 
 
 def test_psi_cap_and_force(monkeypatch, capsys):

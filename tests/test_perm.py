@@ -7,6 +7,7 @@ from gelfand_wgraphs.perm import (
     conj_compare,
     cycles_sorted,
     enumerate_involutions,
+    involution_count,
     knuth_move,
     length,
     parse_involution,
@@ -94,6 +95,7 @@ def test_enumerate_involutions_counts():
         assert counts[n] == counts[n - 1] + (n - 1) * counts[n - 2]
     assert counts[4] == 10
     assert counts[10] == 9496
+    assert [involution_count(n) for n in range(11)] == counts
 
 
 def test_enumerate_involutions_lex_and_distinct():
