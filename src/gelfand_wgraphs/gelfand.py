@@ -25,8 +25,9 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .action import PackedAction
 from .beissinger import p_cbs, p_rbs
-from .laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
+from .laurent import ONE, X, X_INV, LaurentPoly
 from .perm import Involution, Permutation, enumerate_involutions, word_conj_s, word_length
 from .tableau import Tableau
 
@@ -312,20 +313,29 @@ class ModuleTable:
     (Model); so is the regular representation of H(S_n), with no weak
     positions (hecke).
 
+    The H_s action is one PackedAction built from those tables (`action`):
+    integer coefficients under packed (vertex index, exponent) keys.  The
+    relation check and the bar recursion run on it; `h_col` and `bar_col`,
+    which the module and Hecke element APIs use, take and return columns of
+    LaurentPolys and convert them at the boundary.
+
     The canonical-basis recursion keeps each finished column in a packed
     ColumnStore (`column_store`): integer coefficients under packed
     (vertex index, exponent) keys, a few bytes per term, with an exponent
     field `exp_bits` wide.  The mu table is read off the columns as they
     are computed.  `canonical_columns()` is the LaurentPoly view of the same
     columns (dicts from vertex index to LaurentPoly), built from the store
-    on first call and cached; the H_s action and the bar recursion work on
-    such LaurentPoly columns.  `check_intertwining()` certifies the store's
-    bar-invariance without that view.
+    on first call and cached.  `check_intertwining()` certifies the store's
+    bar-invariance without that view.  `pick` chooses the strict descent
+    the recursion expands a column by (see _compute_columns).
     """
 
     exp_bits = 8  # exponents down to -(2**exp_bits - 2) fit a packed key
+    picks = ("cost", "min", "max")
 
-    def __init__(self, n, words, classify, act, tau_of, weak=(None, None), pick="min"):
+    def __init__(self, n, words, classify, act, tau_of, weak=(None, None), pick="cost"):
+        if pick not in self.picks:
+            raise ValueError(f"pick must be one of {self.picks}, got {pick!r}")
         self.n = n
         self.pick = pick
         keyed = sorted((word_length(wd), wd) for wd in words)
@@ -350,26 +360,61 @@ class ModuleTable:
         self._columns = None
         self._mu_by_col = None
         self._barvecs = {}
+        self._terms = None
+        self._actions = {}  # key-field shift -> PackedAction
+        self.term_reads = None  # store terms the recursion read, once computed
 
-    # -- raw H_{s_i} action on an index-keyed column ------------------------
+    # -- the H_{s_i} action ----------------------------------------------------
+
+    def action_terms(self) -> dict:
+        """
+        Per generator i and vertex v, the (u, d, a) terms a·x^d·T_u of
+        H_{s_i}·T_v (PackedAction's `terms`): s·v at a strict ascent, s·v
+        plus (x - x^-1)·v at a strict descent, the weak scalar times v at a
+        weak position.
+        """
+        if self._terms is None:
+            weak = {
+                k: () if p is None else tuple(p.items())
+                for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))
+            }
+            terms = {}
+            for i in range(1, self.n):
+                cls_i, cnj_i = self.cls[i], self.cnj[i]
+                ti = []
+                for v, k in enumerate(cls_i):
+                    if k == ASC_LT:
+                        ti.append(((cnj_i[v], 0, 1),))
+                    elif k == DES_LT:
+                        ti.append(((cnj_i[v], 0, 1), (v, 1, 1), (v, -1, -1)))
+                    else:
+                        ti.append(tuple((v, e, c) for e, c in weak[k]))
+                terms[i] = ti
+            self._terms = terms
+        return self._terms
+
+    def action(self, span: int = 3) -> PackedAction:
+        """
+        The H_{s_i} action as a PackedAction whose key field holds every
+        |e| <= span; span=3 suits relation_violations.  Cached per field width.
+        """
+        shift = span.bit_length() + 1
+        act = self._actions.get(shift)
+        if act is None:
+            act = self._actions[shift] = PackedAction(
+                self.n, len(self.words), self.action_terms(), span
+            )
+        return act
 
     def h_col(self, i: int, col: dict) -> dict:
-        out = {}
-        cls_i, cnj_i = self.cls[i], self.cnj[i]
-        for v, c in col.items():
-            k = cls_i[v]
-            if k == ASC_LT:
-                w = cnj_i[v]
-                out[w] = out[w] + c if w in out else c
-            elif k == DES_LT:
-                w = cnj_i[v]
-                out[w] = out[w] + c if w in out else c
-                d = c * X_MINUS_XINV
-                out[v] = out[v] + d if v in out else d
-            else:
-                d = c * (self.weak_asc if k == ASC_EQ else self.weak_des)
-                out[v] = out[v] + d if v in out else d
-        return {v: c for v, c in out.items() if c}
+        """
+        H_{s_i} on a column of LaurentPolys under vertex indices: packed,
+        applied by `action` with a key field wide enough for its exponents,
+        and unpacked.
+        """
+        top = max((abs(e) for p in col.values() for e, _ in p.items()), default=0)
+        act = self.action(top + self.action().reach)
+        return act.unpack(act.apply(i, act.pack(col)))
 
     # -- canonical basis -----------------------------------------------------
 
@@ -383,6 +428,13 @@ class ModuleTable:
         under a packed key: the vertex bits move to s·k, or the exponent
         field moves by one.  The column being computed is a dict from packed
         key to int; _check_column packs it into the store.
+
+        Every strict descent gives the same column; they differ in how many
+        stored terms the step reads, |C_w| plus the |C_y| it subtracts, all
+        known when z is reached.  pick="cost" takes the i that reads fewest
+        (the least such i on a tie); "min" and "max" take the least and the
+        greatest strict descent, and serve as oracles.  `term_reads` is the
+        total over all columns.
         """
         V = len(self.words)
         store = ColumnStore(V, self.exp_bits)
@@ -391,15 +443,25 @@ class ModuleTable:
             k: () if p is None else tuple((p + X_INV).items())
             for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))
         }
+        tau, cnj, pick = self.tau, self.cnj, self.pick
+        sizes = []  # terms per finished column
+        reads = 0
         mu_by_col = [None] * V
         for z in range(V):
             dlt = self.strict_descents[z]
             if not dlt:
                 store.append([z << shift | mask], [1])
+                sizes.append(1)
                 mu_by_col[z] = {}
                 continue
-            i = dlt[0] if self.pick == "min" else dlt[-1]
-            cls_i, cnj_i = self.cls[i], self.cnj[i]
+            cost = None
+            for j in dlt if pick == "cost" else (dlt[-1] if pick == "max" else dlt[0],):
+                wj = cnj[j][z]
+                cj = sizes[wj] + sum(sizes[y] for y in mu_by_col[wj] if j not in tau[y])
+                if cost is None or cj < cost:
+                    i, cost = j, cj
+            reads += cost
+            cls_i, cnj_i = self.cls[i], cnj[i]
             w = cnj_i[z]
             col = {}
             get = col.get
@@ -421,12 +483,14 @@ class ModuleTable:
                     for d, a in weak[k]:
                         col[key + d] = get(key + d, 0) + a * c
             for y, m in mu_by_col[w].items():
-                if i not in self.tau[y]:
+                if i not in tau[y]:
                     for key, c in zip(*store.column(y)):
                         col[key] = get(key, 0) - m * c
             mu_by_col[z] = self._check_column(z, col, store)
+            sizes.append(store.ends[z] - (store.ends[z - 1] if z else 0))
         self._store = store
         self._mu_by_col = mu_by_col
+        self.term_reads = reads
 
     def _check_column(self, z: int, col: dict, store: ColumnStore) -> dict:
         """
@@ -499,7 +563,7 @@ class ModuleTable:
                 terms = {}
                 for v, e, c in store.terms(z):
                     terms.setdefault(v, {})[e] = c
-                cols.append({v: LaurentPoly(t) for v, t in terms.items()})
+                cols.append({v: LaurentPoly.from_nonzero(t) for v, t in terms.items()})
             self._columns = cols
         if check_bar:
             self.check_intertwining()
@@ -529,7 +593,7 @@ class ModuleTable:
             Math. 53 (1979), section 1): x·C_v if i is not in tau(v), else
             -x^-1·C_v plus omega(u, v)·C_u summed over the u with i not in
             tau(u), where omega is the symmetrized mu.  This is
-            wgraph._rho_matrix's rule for the graph build_gamma makes.
+            wgraph.action_terms's rule for the graph build_gamma makes.
 
         Proof that (a), (b) and unitriangularity (_check_column) give
         bar-invariance.  Let D_v = bar(C_v).
@@ -632,34 +696,48 @@ class ModuleTable:
 
     # -- bar operator ----------------------------------------------------------
 
-    def barvec(self, v: int) -> dict:
-        """Expansion of bar(basis vector v) over the standard basis, memoized."""
-        got = self._barvecs.get(v)
-        if got is not None:
-            return got
-        dlt = self.strict_descents[v]
-        if not dlt:
-            out = {v: ONE}
-        else:
-            i = dlt[0]
-            w = self.cnj[i][v]
-            bw = self.barvec(w)
-            out = self.h_col(i, bw)
-            for u, c in bw.items():
-                d = c * X_MINUS_XINV
-                out[u] = out[u] - d if u in out else -d
-            out = {u: c for u, c in out.items() if c}
-        self._barvecs[v] = out
-        return out
+    def barvec(self, v: int, act: PackedAction) -> dict:
+        """
+        bar(T_v) over the standard basis as a packed column of `act`,
+        memoized per key field: T_v if v has no strict descent, else
+        (H_s - (x - x^-1))·bar(T_w) at its least strict descent s, with
+        w = s·v·s.  Each step lowers the length and moves an exponent by at
+        most max(reach, 1), so every |e| stays within l(v)·max(reach, 1).
+        """
+        memo = self._barvecs.setdefault(act.shift, {})
+        got = memo.get(v)
+        if got is None:
+            dlt = self.strict_descents[v]
+            if not dlt:
+                got = {v << act.shift | act.bias: 1}
+            else:
+                bw = self.barvec(self.cnj[dlt[0]][v], act)
+                out = act.apply(dlt[0], bw)
+                get = out.get
+                for key, c in bw.items():
+                    out[key + 1] = get(key + 1, 0) - c
+                    out[key - 1] = get(key - 1, 0) + c
+                got = {k: c for k, c in out.items() if c}
+            memo[v] = got
+        return got
 
     def bar_col(self, col: dict) -> dict:
+        """
+        bar of a column of LaurentPolys, bar(c(x)·T_v) = c(x^-1)·bar(T_v), on
+        packed keys: the field holds the column's exponents plus barvec's
+        bound at the longest vertex.
+        """
+        top = max((abs(e) for p in col.values() for e, _ in p.items()), default=0)
+        act = self.action(top + self.length[-1] * max(self.action().reach, 1))
         out = {}
-        for v, c in col.items():
-            cb = c.bar()
-            for u, d in self.barvec(v).items():
-                e = d * cb
-                out[u] = out[u] + e if u in out else e
-        return {u: c for u, c in out.items() if c}
+        get = out.get
+        for v, p in col.items():
+            bv = self.barvec(v, act).items()
+            for e, c in p.items():
+                for key, d in bv:
+                    key -= e
+                    out[key] = get(key, 0) + c * d
+        return act.unpack({k: c for k, c in out.items() if c})
 
 
 class Model(ModuleTable):
@@ -669,11 +747,9 @@ class Model(ModuleTable):
     _classify and the conjugation z -> s_i z s_i.
     """
 
-    def __init__(self, n: int, variant: str, pick: str = "min"):
+    def __init__(self, n: int, variant: str, pick: str = "cost"):
         if variant not in ("asc", "des"):
             raise ValueError(_VARIANT_MSG)
-        if pick not in ("min", "max"):
-            raise ValueError("pick must be 'min' or 'max'")
         self.variant = variant
         # weak-position scalars: M scales weak ascents by -x^-1 and weak
         # descents by x; N swaps the two
@@ -706,42 +782,6 @@ def _model(n: int, variant: str) -> Model:
     return Model(n, variant)
 
 
-def relation_violations(n: int, size: int, act) -> list:
-    """
-    The defining relations of H(S_n) that an action fails, as messages.
-
-    act(i, col) applies H_{s_i} to an index-keyed column of LaurentPolys
-    over `size` basis vectors and returns it with zero entries dropped.  On
-    every basis vector this checks the quadratic relation, the braid
-    relation for adjacent generators and commutation for distant ones.
-    """
-    gens = range(1, n)
-    failed = set()  # (i, i): quadratic; (i, j), i < j: braid or commutation
-    for v in range(size):
-        e = {v: ONE}
-        h = {i: act(i, e) for i in gens}
-        hh = {(i, j): act(i, h[j]) for i in gens for j in gens}
-        for i in gens:
-            rhs = dict(e)
-            for u, c in h[i].items():
-                d = c * X_MINUS_XINV
-                rhs[u] = rhs[u] + d if u in rhs else d
-            if hh[i, i] != {u: c for u, c in rhs.items() if c}:
-                failed.add((i, i))
-            if i + 1 < n and act(i, hh[i + 1, i]) != act(i + 1, hh[i, i + 1]):
-                failed.add((i, i + 1))
-            for j in range(i + 2, n):
-                if hh[i, j] != hh[j, i]:
-                    failed.add((i, j))
-    out = [f"quadratic relation fails for s_{i}" for i in gens if (i, i) in failed]
-    for i in gens:
-        for j in range(i + 1, n):
-            if (i, j) in failed:
-                rel = "braid relation" if j == i + 1 else "commutation"
-                out.append(f"{rel} fails for s_{i}, s_{j}")
-    return out
-
-
 def _variant_of(e: ModuleElement) -> str:
     if e.variant == "M":
         return "asc"
@@ -770,7 +810,7 @@ def bar_module(e: ModuleElement) -> ModuleElement:
     return m.element(m.bar_col(m.column_of(e)))
 
 
-def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "min"):
+def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
     """
     The canonical basis of model M (variant 'M'/'asc') or N ('N'/'des').
 
@@ -780,13 +820,15 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "min"):
     certifies bar-invariance by ModuleTable.check_intertwining, at a cost
     linear in the column terms (about 0.04 s at n=7 and 0.4 s at n=8 for M,
     several times the recursion itself).  check_bar=None runs it for n <= 6.
+    pick is the recursion's pivot rule (ModuleTable.picks); the basis does
+    not depend on it.
     """
     key = {"M": "asc", "N": "des", "asc": "asc", "des": "des"}.get(variant)
     if key is None:
         raise ValueError(f"variant must be 'M' or 'N', got {variant!r}")
     if check_bar is None:
         check_bar = n <= 6
-    m = Model(n, key, pick=pick) if pick != "min" else _model(n, key)
+    m = Model(n, key, pick=pick) if pick != "cost" else _model(n, key)
     cols = m.canonical_columns(check_bar=check_bar)
     sym = "M" if key == "asc" else "N"
     out = {m.vertex(z): m.element(col) for z, col in enumerate(cols)}

@@ -20,12 +20,21 @@ class LaurentPoly:
         self._hash = None
 
     @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        """Monomial coeff * x**exp."""
+    def from_nonzero(cls, terms: dict) -> "LaurentPoly":
+        """
+        The polynomial on `terms`, a dict from exponent to coefficient whose
+        coefficients are all nonzero: the dict is taken over, not copied or
+        checked.
+        """
         p = cls.__new__(cls)
-        p._t = {exp: coeff} if coeff != 0 else {}
+        p._t = terms
         p._hash = None
         return p
+
+    @classmethod
+    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
+        """Monomial coeff * x**exp."""
+        return cls.from_nonzero({exp: coeff} if coeff != 0 else {})
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
@@ -49,10 +58,7 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The involution x -> x**-1, i.e. negate every exponent."""
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._t = {-e: c for e, c in self._t.items()}
-        p._hash = None
-        return p
+        return LaurentPoly.from_nonzero({-e: c for e, c in self._t.items()})
 
     def eval_one(self) -> int:
         """Evaluate at x = 1 (a ring homomorphism to the integers)."""
@@ -68,16 +74,10 @@ class LaurentPoly:
                 t[e] = v
             elif e in t:
                 del t[e]
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._t = t
-        p._hash = None
-        return p
+        return LaurentPoly.from_nonzero(t)
 
     def __neg__(self):
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._t = {e: -c for e, c in self._t.items()}
-        p._hash = None
-        return p
+        return LaurentPoly.from_nonzero({e: -c for e, c in self._t.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -89,19 +89,13 @@ class LaurentPoly:
                 t[e] = v
             elif e in t:
                 del t[e]
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._t = t
-        p._hash = None
-        return p
+        return LaurentPoly.from_nonzero(t)
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
                 return ZERO
-            p = LaurentPoly.__new__(LaurentPoly)
-            p._t = {e: c * other for e, c in self._t.items()}
-            p._hash = None
-            return p
+            return LaurentPoly.from_nonzero({e: c * other for e, c in self._t.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         t = {}
@@ -113,10 +107,7 @@ class LaurentPoly:
                     t[e] = v
                 elif e in t:
                     del t[e]
-        p = LaurentPoly.__new__(LaurentPoly)
-        p._t = t
-        p._hash = None
-        return p
+        return LaurentPoly.from_nonzero(t)
 
     __rmul__ = __mul__
 

@@ -7,9 +7,12 @@ of {1, .., n-1} and integer edge weights omega, such that the prescribed
 action of each generator on the free Z[x,x^-1]-module over the vertices
 (scale by x off tau, otherwise -x^-1 plus the weighted sum of neighbours
 whose tau misses the generator) satisfies the quadratic, braid, and
-commutation relations.  That action is applied one sparse column at a time
-(`_action`): the relation check (gelfand.relation_violations) and the x = 1
-character both go through it, and no dense matrix is formed.
+commutation relations.  That action is given once per graph as its terms
+(`action_terms`) and applied one sparse integer column at a time, with no
+dense matrix and no LaurentPoly arithmetic: the relation check
+(action.relation_violations) runs it on packed (vertex, exponent) keys
+(`graph_action`, an action.PackedAction), and the x = 1 character on
+columns keyed by vertex alone, where x is gone.
 
 Weights with tau(v) contained in tau(w) never enter that action, so a graph
 and its "reduced" version (those weights dropped) define the same module.
@@ -27,10 +30,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations as _permutations
+from math import comb, prod
 
-from .gelfand import GelfandVertex, _model, lambda_shape, relation_violations
-from .laurent import ONE, X, X_INV, LaurentPoly
+from .action import PackedAction, relation_violations
+from .gelfand import GelfandVertex, _model, lambda_shape
 from .perm import Permutation, word_conj_s
 
 
@@ -65,6 +68,8 @@ class WGraph:
             }
         self.omega = omega
         self.shapes = tuple(tuple(s) for s in shapes) if shapes is not None else None
+        self._terms = None  # action_terms, built on first use
+        self._at_one = None  # the same at x = 1, for character_trace
 
     @property
     def size(self) -> int:
@@ -123,51 +128,31 @@ def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:
 # -- defining relations -------------------------------------------------------
 
 
-def _out_edges(g: WGraph):
-    """Per vertex v, the (w, omega(v, w)) pairs of its outgoing edges."""
-    out = [[] for _ in range(g.size)]
-    for (v, w), c in g.omega.items():
-        out[v].append((w, c))
-    return out
-
-
-def _rho_matrix(g: WGraph, i: int, out_edges):
-    """Column v of the action of H_{s_i}: a dict u -> LaurentPoly."""
-    cols = []
-    for v in range(g.size):
-        if i not in g.tau[v]:
-            cols.append({v: X})
-        else:
-            col = {v: -X_INV}
-            for w, c in out_edges[v]:
-                if i not in g.tau[w]:
-                    p = col.get(w)
-                    cp = LaurentPoly.term(c)
-                    col[w] = p + cp if p is not None else cp
-            cols.append({u: c for u, c in col.items() if c})
-    return cols
-
-
-def _action(g: WGraph):
+def action_terms(g: WGraph) -> dict:
     """
-    act(i, col): H_{s_i} applied to an index-keyed column, one column of the
-    product with _rho_matrix(g, i), which is built on first use of i.
+    Per generator i and vertex v, the (u, d, a) terms a·x^d·T_u of
+    H_{s_i}·T_v (action.PackedAction's `terms`): x·T_v if i is not in
+    tau(v), else -x^-1·T_v plus omega(v, w)·T_w over the w with i not in
+    tau(w).  Built once per graph.
     """
-    out_edges = _out_edges(g)
-    rho = {}
+    if g._terms is None:
+        out = [[] for _ in range(g.size)]
+        for (v, w), c in g.omega.items():
+            out[v].append((w, c))
+        g._terms = {
+            i: [
+                ((v, 1, 1),) if i not in t
+                else ((v, -1, -1),) + tuple((w, 0, c) for w, c in out[v] if i not in g.tau[w])
+                for v, t in enumerate(g.tau)
+            ]
+            for i in range(1, g.n)
+        }
+    return g._terms
 
-    def act(i, col):
-        m = rho.get(i)
-        if m is None:
-            m = rho[i] = _rho_matrix(g, i, out_edges)
-        out = {}
-        for u, c in col.items():
-            for t, d in m[u].items():
-                e = d * c
-                out[t] = out[t] + e if t in out else e
-        return {t: c for t, c in out.items() if c}
 
-    return act
+def graph_action(g: WGraph) -> PackedAction:
+    """The graph's module action on packed keys, with room for relation_violations."""
+    return PackedAction(g.n, g.size, action_terms(g), 3)
 
 
 @dataclass
@@ -189,7 +174,7 @@ def verify_axioms(g: WGraph) -> AxiomReport:
     for distant ones.  Failures are reported, not raised.
     """
     return AxiomReport(
-        g.n, g.variant, g.reduced, relation_violations(g.n, g.size, _action(g))
+        g.n, g.variant, g.reduced, relation_violations(graph_action(g))
     )
 
 
@@ -443,32 +428,71 @@ def character_trace(g: WGraph, w: Permutation) -> int:
     """
     Trace of the graph's module action at x = 1, at the group element w:
     each basis vector goes through the letters of a reduced word of w, last
-    letter first, and its own coefficient is evaluated at x = 1.
+    letter first, as an integer column keyed by vertex, and its own
+    coefficient is summed.  At x = 1 a generator's terms at one vertex merge
+    into one integer per target vertex; those tables come from
+    action_terms, so they are built once per graph.
     """
     from .hecke import reduced_word
 
     if w.n != g.n:
         raise ValueError(f"permutation of degree {w.n} on a W-graph for S_{g.n}")
-    rw = reduced_word(w)[::-1]
-    act = _action(g)
+    if g._at_one is None:
+        g._at_one = {}
+        for i, ti in action_terms(g).items():
+            table = g._at_one[i] = []
+            for tv in ti:
+                at1 = {}
+                for u, _, a in tv:
+                    at1[u] = at1.get(u, 0) + a
+                table.append(tuple((u, a) for u, a in at1.items() if a))
+    tables = [g._at_one[i] for i in reduced_word(w)[::-1]]
     total = 0
     for v in range(g.size):
-        col = {v: ONE}
-        for i in rw:
-            col = act(i, col)
-        if v in col:
-            total += col[v].eval_one()
+        col = {v: 1}
+        for table in tables:
+            out = {}
+            get = out.get
+            for u, c in col.items():
+                for t, a in table[u]:
+                    out[t] = get(t, 0) + a * c
+            col = {t: c for t, c in out.items() if c}
+        total += col.get(v, 0)
     return total
 
 
 def square_root_count(w: Permutation) -> int:
-    """#{g in S_n : g*g = w}, by brute force."""
-    n = w.n
-    target = w.word
-    count = 0
-    for p in _permutations(range(1, n + 1)):
-        if tuple(p[p[i] - 1] for i in range(n)) == target:
-            count += 1
+    """
+    #{g in S_n : g·g = w}, from the cycle type of w.  Squaring a cycle of
+    odd length k gives one k-cycle, and a cycle of length 2k gives two
+    k-cycles.  So a square root covers the m cycles of w of length k by
+    pairs, each glued into a 2k-cycle in k ways, and, for odd k only, by
+    single cycles, each in one way.  With (2p-1)!! matchings of 2p cycles,
+    the count is the product over the lengths k of
+
+        odd k:  sum over p of C(m, 2p)·(2p-1)!!·k^p,
+        even k: (m-1)!!·k^(m/2) if m is even, else 0.
+    """
+    word = w.word
+    seen = [False] * len(word)
+    mult = {}  # cycle length -> number of cycles
+    for start in range(len(word)):
+        size, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = word[j] - 1
+            size += 1
+        if size:
+            mult[size] = mult.get(size, 0) + 1
+    count = 1
+    for k, m in mult.items():
+        if k % 2:
+            count *= sum(comb(m, 2 * p) * prod(range(2 * p - 1, 0, -2)) * k**p
+                         for p in range(m // 2 + 1))
+        elif m % 2:
+            return 0
+        else:
+            count *= prod(range(m - 1, 0, -2)) * k ** (m // 2)
     return count
 
 

@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 
 from gelfand_wgraphs import gelfand, tableau
+from gelfand_wgraphs.action import PackedAction, relation_violations
 from gelfand_wgraphs.beissinger import p_cbs, p_rbs
 from gelfand_wgraphs.gelfand import (
     ColumnStore,
@@ -26,12 +27,11 @@ from gelfand_wgraphs.gelfand import (
     inverse_embed,
     iota_line,
     lambda_shape,
-    relation_violations,
     tables_json,
     tau,
     transfer_points,
 )
-from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV
+from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
 from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions, word_conj_s
 from gelfand_wgraphs.tableau import Tableau, odd_lines, standard_tableaux
 from gelfand_wgraphs.wgraph import build_gamma, classify, symmetrize_mu
@@ -188,21 +188,51 @@ def test_relation_violations_of_true_action():
     for n in (1, 2, 3, 4, 5):
         for mode in ("asc", "des"):
             m = _model(n, mode)
-            assert relation_violations(n, len(m.words), m.h_col) == [], (n, mode)
+            assert relation_violations(m.action()) == [], (n, mode)
+
+
+def doubled_at(terms, i):
+    """The action terms with H_{s_i} doubled."""
+    terms = dict(terms)
+    terms[i] = [tuple((u, d, 2 * a) for u, d, a in tv) for tv in terms[i]]
+    return terms
 
 
 def test_relation_violations_catch_doubled_generator():
     m = _model(4, "asc")
-
-    def act(i, col):
-        out = m.h_col(i, col)
-        return {v: c + c for v, c in out.items()} if i == 2 else out
-
-    assert relation_violations(4, len(m.words), act) == [
+    act = PackedAction(4, len(m.words), doubled_at(m.action_terms(), 2), 3)
+    assert relation_violations(act) == [
         "quadratic relation fails for s_2",
         "braid relation fails for s_1, s_2",
         "braid relation fails for s_2, s_3",
     ]
+
+
+def test_packed_key_field_bound():
+    m = _model(4, "asc")
+    act = m.action()  # reach 1, room for three generators: shift 3, bias 4
+    assert (act.shift, act.bias, act.reach) == (3, 4, 1)
+    v = len(m.words) // 2
+    room = act.bias - 1 - act.reach
+    assert act.unpack(act.pack({v: LaurentPoly.term(5, room)})) == {v: LaurentPoly.term(5, room)}
+    # keys move by addition, so x^bias·T_v would take the key of x^-bias·T_{v+1}
+    assert (v << act.shift) + act.bias + act.bias == (v + 1) << act.shift
+    for e in (room + 1, -room - 1, act.bias):
+        with pytest.raises(ValueError, match="outside the 3-bit key field"):
+            act.pack({v: LaurentPoly.term(1, e)})
+    # a field too narrow for three generators is refused, not checked wrongly
+    with pytest.raises(ValueError, match="cannot hold three generators"):
+        relation_violations(m.action(1))
+    # h_col widens the field to the column's exponents
+    for i in (1, 2, 3):
+        for e in (40, -40, 1000):
+            col = {v: LaurentPoly.term(3, e)}
+            want = {u: c * LaurentPoly.term(1, e) for u, c in m.h_col(i, {v: ONE}).items()}
+            assert m.h_col(i, col) == {u: c * 3 for u, c in want.items()}
+    # and so does bar_col: bar(x^e·T_v) = x^-e·bar(T_v)
+    for e in (40, -1000):
+        want = {u: c * LaurentPoly.term(1, -e) for u, c in m.bar_col({v: ONE}).items()}
+        assert m.bar_col({v: LaurentPoly.term(1, e)}) == want
 
 
 def test_bar_module_examples():
@@ -255,6 +285,28 @@ def test_canonical_basis_pivot_choice_independent():
             lo, _ = canonical_basis(n, variant, check_bar=False, pick="min")
             hi, _ = canonical_basis(n, variant, check_bar=False, pick="max")
             assert lo == hi
+    # every rule stores the same terms in each column and finds the same mu
+    for n in range(1, 7):
+        for variant in ("asc", "des"):
+            runs = {}
+            for pick in ("cost", "min", "max"):
+                m = Model(n, variant, pick=pick)
+                store = m.column_store()
+                cols = [sorted(zip(*store.column(z))) for z in range(len(m.words))]
+                runs[pick] = (cols, m.mu_entries())
+            assert runs["cost"] == runs["min"] == runs["max"], (n, variant)
+    with pytest.raises(ValueError, match="pick must be one of"):
+        Model(3, "asc", pick="first")
+
+
+def test_cost_pivot_reads_fewer_terms():
+    for variant in ("asc", "des"):
+        reads = {}
+        for pick in ("cost", "min"):
+            m = Model(8, variant, pick=pick)
+            m.column_store()
+            reads[pick] = m.term_reads
+        assert reads["cost"] < reads["min"], (variant, reads)
 
 
 def test_store_self_check_catches_swapped_weak_scalars():

@@ -30,15 +30,17 @@ def test_unknown_suite():
 
 
 def test_gelfand_suite_reports_broken_action(monkeypatch):
-    # H_{s_2} doubled: the relations fail, and the canonical-basis recursion
-    # built on the same action fails its self-check; both are reported
-    true_h_col = gelfand.ModuleTable.h_col
+    # H_{s_2} doubled in the packed module action: the relations fail, and
+    # so do the bar checks, which run on the same action; both are reported
+    true_terms = gelfand.ModuleTable.action_terms
 
-    def doubled(self, i, col):
-        out = true_h_col(self, i, col)
-        return {v: c + c for v, c in out.items()} if i == 2 else out
+    def doubled(self):
+        terms = dict(true_terms(self))
+        if 2 in terms:
+            terms[2] = [tuple((u, d, 2 * a) for u, d, a in tv) for tv in terms[2]]
+        return terms
 
-    monkeypatch.setattr(gelfand.ModuleTable, "h_col", doubled)
+    monkeypatch.setattr(gelfand.ModuleTable, "action_terms", doubled)
     gelfand._model.cache_clear()
     try:
         report = run_suite("gelfand", 3)

@@ -8,6 +8,8 @@ import pytest
 from gelfand_wgraphs import wgraph
 from gelfand_wgraphs.cli import main
 from gelfand_wgraphs.gelfand import _model, embed
+from gelfand_wgraphs.hecke import reduced_word
+from gelfand_wgraphs.laurent import ONE, X, X_INV, LaurentPoly
 from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions
 from gelfand_wgraphs.wgraph import (
     WGraph,
@@ -21,6 +23,7 @@ from gelfand_wgraphs.wgraph import (
     combinatorial_bidirected,
     combinatorial_bidirected_pairs,
     export,
+    graph_action,
     molecules,
     parse_wgraph,
     square_root_count,
@@ -84,6 +87,94 @@ def test_verify_axioms_violation_messages():
         "commutation fails for s_2, s_4",
         "braid relation fails for s_3, s_4",
     ]
+
+
+# -- the LaurentPoly action the packed one replaced, kept as its oracle --------
+
+
+def _out_edges(g):
+    out = [[] for _ in range(g.size)]
+    for (v, w), c in g.omega.items():
+        out[v].append((w, c))
+    return out
+
+
+def _rho_matrix(g, i, out_edges):
+    """Column v of the action of H_{s_i}: a dict u -> LaurentPoly."""
+    cols = []
+    for v in range(g.size):
+        if i not in g.tau[v]:
+            cols.append({v: X})
+        else:
+            col = {v: -X_INV}
+            for w, c in out_edges[v]:
+                if i not in g.tau[w]:
+                    p = col.get(w)
+                    cp = LaurentPoly.term(c)
+                    col[w] = p + cp if p is not None else cp
+            cols.append({u: c for u, c in col.items() if c})
+    return cols
+
+
+def _action(g):
+    out_edges = _out_edges(g)
+    rho = {}
+
+    def act(i, col):
+        m = rho.get(i)
+        if m is None:
+            m = rho[i] = _rho_matrix(g, i, out_edges)
+        out = {}
+        for u, c in col.items():
+            for t, d in m[u].items():
+                e = d * c
+                out[t] = out[t] + e if t in out else e
+        return {t: c for t, c in out.items() if c}
+
+    return act
+
+
+def _laurent_trace(g, w):
+    """The module trace at w over LaurentPoly columns, evaluated at x = 1."""
+    act = _action(g)
+    total = 0
+    for v in range(g.size):
+        col = {v: ONE}
+        for i in reduced_word(w)[::-1]:
+            col = act(i, col)
+        if v in col:
+            total += col[v].eval_one()
+    return total
+
+
+def test_packed_graph_action_matches_laurent_oracle():
+    for n in range(1, 6):
+        for variant in ("row", "col"):
+            for reduced in (True, False):
+                g = build_gamma(n, variant, reduced)
+                packed, oracle = graph_action(g), _action(g)
+                for i in range(1, n):
+                    for v in range(g.size):
+                        got = packed.unpack(packed.apply(i, packed.pack({v: ONE})))
+                        assert got == oracle(i, {v: ONE}), (n, variant, reduced, i, v)
+
+
+def test_integer_character_matches_laurent_trace():
+    for n in range(1, 7):
+        for variant in ("row", "col"):
+            g = build_gamma(n, variant)
+            for w in conjugacy_representatives(n):
+                assert character_trace(g, w) == _laurent_trace(g, w), (n, variant, w.word)
+
+
+def test_square_root_count_matches_brute_force():
+    for n in range(1, 8):
+        roots = {}
+        for p in permutations(range(1, n + 1)):
+            sq = tuple(p[p[i] - 1] for i in range(n))
+            roots[sq] = roots.get(sq, 0) + 1
+        for p in permutations(range(1, n + 1)):
+            assert square_root_count(Permutation(p)) == roots.get(p, 0), p
 
 
 def test_molecules_examples():
