@@ -28,7 +28,7 @@ from functools import lru_cache
 from .action import PackedAction
 from .beissinger import p_cbs, p_rbs
 from .laurent import ONE, X, X_INV, LaurentPoly
-from .perm import Involution, Permutation, enumerate_involutions, word_conj_s, word_length
+from .perm import Involution, Permutation, involution_words, word_conj_s, word_length
 from .tableau import Tableau
 
 # classification of an index i in [n-1] at a vertex z
@@ -88,28 +88,27 @@ class GelfandVertex:
 
 
 def embed(w: Involution, mode: str) -> GelfandVertex:
+    """The vertex embed_word makes of an involution of [n]."""
+    return GelfandVertex(embed_word(w.word, mode), w.n, mode, validate=False)
+
+
+def embed_word(word, mode: str) -> tuple:
     """
-    Extend an involution of [n] to a fixed-point-free involution of [2n]:
-    2-cycles are kept, the q fixed points c_1 < ... < c_q are matched into
-    the block n+1..n+q (in order for mode 'asc', reversed for 'des'), and
-    the remaining tail is paired off consecutively.
+    Extend the one-line word of an involution of [n] to a fixed-point-free
+    involution of [2n]: 2-cycles are kept, the q fixed points c_1 < ... < c_q
+    are matched into the block n+1..n+q (in order for mode 'asc', reversed
+    for 'des'), and the remaining tail is paired off consecutively.
     """
     if mode not in ("asc", "des"):
         raise ValueError(_VARIANT_MSG)
-    n = w.n
-    word = list(range(1, 2 * n + 1))
-    for i in range(1, n + 1):
-        if w(i) != i:
-            word[i - 1] = w(i)
-    fixed = w.fixed_points()
+    n = len(word)
+    out = list(word) + [one_fpf(i) for i in range(n + 1, 2 * n + 1)]
+    fixed = [i for i, v in enumerate(word, 1) if v == i]
     q = len(fixed)
     for k, c in enumerate(fixed, 1):
         partner = n + k if mode == "asc" else n + q + 1 - k
-        word[c - 1] = partner
-        word[partner - 1] = c
-    for i in range(n + q + 1, 2 * n + 1):
-        word[i - 1] = one_fpf(i)
-    return GelfandVertex(word, n, mode, validate=False)
+        out[c - 1], out[partner - 1] = partner, c
+    return tuple(out)
 
 
 def inverse_embed(word, n: int) -> Involution:
@@ -165,13 +164,17 @@ def descent_data(z: GelfandVertex) -> DescentData:
 
 
 def tau(z: GelfandVertex) -> frozenset:
+    """The ascent set of the vertex (tau_word)."""
+    return tau_word(z.word, z.n, z.variant)
+
+
+def tau_word(word, n: int, variant: str) -> frozenset:
     """
     The ascent set feeding the W-graph: for the ascending variant the i with
     z(i) < z(i+1); the descending variant also counts weak descents, i.e.
     the i with l(s_i z s_i) >= l(z).
     """
-    word, n = z.word, z.n
-    if z.variant == "asc":
+    if variant == "asc":
         return frozenset(i for i in range(1, n) if word[i - 1] < word[i])
     return frozenset(
         i for i in range(1, n) if word[i - 1] < word[i] or word[i - 1] == i + 1
@@ -744,7 +747,9 @@ class Model(ModuleTable):
     """
     The Gelfand model M (variant 'asc') or N ('des') for one n: the engine
     over the embedded involutions, with the descent classifications of
-    _classify and the conjugation z -> s_i z s_i.
+    _classify and the conjugation z -> s_i z s_i.  The index table is built
+    on bare words (involution_words, embed_word, tau_word), with no
+    Involution or GelfandVertex object per vertex.
     """
 
     def __init__(self, n: int, variant: str, pick: str = "cost"):
@@ -756,10 +761,10 @@ class Model(ModuleTable):
         weak = (-X_INV, X) if variant == "asc" else (X, -X_INV)
         super().__init__(
             n,
-            (embed(w, variant).word for w in enumerate_involutions(n)),
+            (embed_word(w, variant) for w in involution_words(n)),
             lambda wd, i: _classify(wd, n, i),
             word_conj_s,
-            lambda wd: tau(GelfandVertex(wd, n, variant, validate=False)),
+            lambda wd: tau_word(wd, n, variant),
             weak,
             pick,
         )
@@ -839,16 +844,19 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
 
 
 def hat_p(z: GelfandVertex) -> Tableau:
-    """
-    The insertion tableau of the vertex, restricted to entries <= n.
-
-    The p-map has already validated the full tableau, and in a standard
-    tableau the cells holding 1..n form a down-set: a prefix of each row and
-    of each column.  So they form a standard tableau themselves and need no
-    second check (`restrict` checks, because it takes an arbitrary set).
-    """
-    n = z.n
+    """The insertion tableau of the vertex, restricted to entries <= n."""
     full = p_rbs(z.involution) if z.variant == "asc" else p_cbs(z.involution)
+    return entries_up_to(full, z.n)
+
+
+def entries_up_to(full: Tableau, n: int) -> Tableau:
+    """
+    The cells of a p-map tableau that hold 1..n.  The p-map has already
+    validated `full`, and in a standard tableau the cells holding 1..n form
+    a down-set: a prefix of each row and of each column.  So they form a
+    standard tableau themselves and need no second check (`restrict`
+    checks, because it takes an arbitrary set).
+    """
     rows = ([v for v in row if v <= n] for row in full.rows)
     return Tableau([row for row in rows if row], validate=False)
 
@@ -917,8 +925,11 @@ def tables_json(n: int, variant: str, fh) -> None:
     nonzero coefficients c of x^e in increasing e; mu is sorted.  The text is
     what `json.dumps` gives for that document, but it is written
     incrementally, one column at a time, straight from the packed column
-    store (whose sorted keys give that order), so the whole document never
-    exists in memory.  The store and mu table are computed before the first
+    store, so the whole document never exists in memory.  A column's packed
+    keys, sorted as plain ints, give that order; each vertex's "]], [y, [["
+    opener comes from a list built once, and each "e, c]" text from a dict
+    that formats a (key field, coefficient) pair on first use (n = 9 has
+    128 of them in M and 44 in N).  The store and mu table are computed before the first
     write, so a failed self-check writes nothing.
     """
     key = {"M": "asc", "N": "des", "asc": "asc", "des": "des"}[variant]
@@ -928,17 +939,26 @@ def tables_json(n: int, variant: str, fh) -> None:
     mu = sorted((y, z, v) for (y, z), v in m.mu_entries().items())
     fh.write('{"variant": %s, "n": %d, "vertices": %s, "columns": {' % (
         '"M"' if key == "asc" else '"N"', n, _int_lists(m.words)))
+    pair = {}  # (key field, coefficient) -> "e, c]"
+    opener = ["]], [%d, [[" % y for y in range(len(m.words))]
     for z in range(len(m.words)):
+        coef = dict(zip(*store.column(z)))
         text = []
-        last = None
-        for term, c in sorted(zip(*store.column(z))):
-            y, e = term >> shift, (term & mask) - mask
+        last = -1
+        for term in sorted(coef):
+            y = term >> shift
             if y == last:
-                text.append(", [%d, %d]" % (e, c))
+                text.append(", [")
             else:  # close the previous vertex's pairs and open y's
-                text.append("%s[%d, [[%d, %d]" % ("]], " if text else "", y, e, c))
+                text.append(opener[y])
                 last = y
+            fc = term & mask, coef[term]
+            try:
+                text.append(pair[fc])
+            except KeyError:
+                text.append(pair.setdefault(fc, "%d, %d]" % (fc[0] - mask, fc[1])))
         # a column is never empty: it holds its diagonal term
+        text[0] = text[0][4:]  # the first vertex closes no previous one
         fh.write('%s"%d": [%s]]]' % (", " if z else "", z, "".join(text)))
     fh.write('}, "mu": %s}\n' % _int_lists(mu))
 
@@ -949,4 +969,17 @@ def _int_lists(rows) -> str:
     holds one string per number and separator until it joins them, about 25
     bytes of memory per byte of text.
     """
-    return "[%s]" % ", ".join(["[%s]" % ", ".join(map(str, row)) for row in rows])
+    return "[%s]" % ", ".join(format_rows(rows, lambda w: "[%s]" % ", ".join(["%d"] * w)))
+
+
+def format_rows(rows, template) -> list:
+    """Each row of ints through one % format, template(width), made once per width."""
+    made = {}
+    text = []
+    for row in rows:
+        row = tuple(row)
+        fmt = made.get(len(row))
+        if fmt is None:
+            fmt = made[len(row)] = template(len(row))
+        text.append(fmt % row)
+    return text

@@ -13,8 +13,7 @@ from functools import total_ordering
 
 def word_length(word) -> int:
     """Number of inversions of a one-line word."""
-    n = len(word)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
+    return sum([1 for i, a in enumerate(word) for b in word[i + 1:] if a > b])
 
 
 def word_inverse(word):
@@ -193,7 +192,7 @@ def knuth_move(v: Permutation, i: int, dual: bool = False) -> Permutation:
     return Permutation(_knuth_window(v.word, i))
 
 
-def _involution_words(n: int):
+def involution_words(n: int):
     """Yield one-line words of I_n in lexicographic order."""
     word = [0] * n
     free = list(range(1, n + 1))
@@ -234,7 +233,7 @@ def enumerate_involutions(n: int):
     """Yield every element of I_n exactly once, lexicographically by one-line word."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for w in _involution_words(n):
+    for w in involution_words(n):
         yield Involution(Permutation(w))
 
 

@@ -102,19 +102,18 @@ def suite_gelfand(n: int) -> dict:
         _check(checks, f"ascending image = visible-descent criterion at n={m}",
                all((wd in asc_words) == gelfand.in_asc_image(wd, m)
                    for wd in universe))
+        # each vertex's p-map tableau and its entries <= m, computed once
+        full = [(beissinger.p_rbs(za.involution), beissinger.p_cbs(zd.involution))
+                for za, zd in pairs]
+        hats = [(gelfand.entries_up_to(fa, m), gelfand.entries_up_to(fd, m)) for fa, fd in full]
         _check(checks, f"reconstruction from restricted tableaux at n={m}",
-               all(gelfand.iota_line(gelfand.hat_p(za), "row") == beissinger.p_rbs(za.involution)
-                   and gelfand.iota_line(gelfand.hat_p(zd), "col") == beissinger.p_cbs(zd.involution)
-                   for za, zd in pairs))
-        hat_asc = {gelfand.hat_p(za).rows for za, _ in pairs}
-        hat_des = {gelfand.hat_p(zd).rows for _, zd in pairs}
+               all(gelfand.iota_line(ha, "row") == fa and gelfand.iota_line(hd, "col") == fd
+                   for (fa, fd), (ha, hd) in zip(full, hats)))
         _check(checks, f"hat-P bijective with transfer-point refinement at n={m}",
-               len(hat_asc) == len(hat_des) == len(invs)
-               and all(tableau.odd_lines(gelfand.hat_p(za), "columns")
-                       == len(gelfand.transfer_points(za))
-                       and tableau.odd_lines(gelfand.hat_p(zd), "rows")
-                       == len(gelfand.transfer_points(zd))
-                       for za, zd in pairs))
+               len({ha.rows for ha, _ in hats}) == len({hd.rows for _, hd in hats}) == len(invs)
+               and all(tableau.odd_lines(ha, "columns") == len(gelfand.transfer_points(za))
+                       and tableau.odd_lines(hd, "rows") == len(gelfand.transfer_points(zd))
+                       for (za, zd), (ha, hd) in zip(pairs, hats)))
         if m >= 2 and m <= 5:
             bad = [
                 f"{sym}: {msg}"
@@ -234,10 +233,8 @@ def suite_conjecture(n: int) -> dict:
     checks = []
     for m in range(1, n + 1):
         for variant in ("row", "col"):
-            g = wgraph.build_gamma(m, variant)
-            parts, _ = wgraph.cells(g)
             _check(checks, f"cells = molecules ({variant}, n={m})",
-                   parts == wgraph.molecules(g))
+                   wgraph.classify(m, variant).cells_match_molecules)
     return _wrap("conjecture", n, checks)
 
 

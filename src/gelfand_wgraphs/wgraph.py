@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from math import comb, prod
 
 from .action import PackedAction, relation_violations
-from .gelfand import GelfandVertex, _model, lambda_shape
+from .gelfand import GelfandVertex, _model, format_rows, lambda_shape
 from .perm import Permutation, word_conj_s
 
 
@@ -539,11 +539,14 @@ def export(g: WGraph, fmt: str) -> str:
 
 
 def _indent1_rows(rows) -> str:
-    """Rows of ints as json.dumps(..., indent=1) writes a list of lists one level deep."""
-    body = ",\n".join(
-        "  [\n   %s\n  ]" % ",\n   ".join(map(str, row)) if row else "  []" for row in rows
+    """
+    Rows of ints as json.dumps(..., indent=1) writes a list of lists one level
+    deep, each row one % format of a template made once for its width.
+    """
+    text = format_rows(
+        rows, lambda w: "  [\n   %s\n  ]" % ",\n   ".join(["%d"] * w) if w else "  []"
     )
-    return "[\n%s\n ]" % body if body else "[]"
+    return "[\n%s\n ]" % ",\n".join(text) if text else "[]"
 
 
 def parse_wgraph(text: str) -> WGraph:

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import sys
 import tracemalloc
 from array import array
@@ -554,3 +555,120 @@ def test_classify_validates_each_shape_tableau_once(monkeypatch):
         _model.cache_clear()  # release the n=9 models
     assert report.ok
     assert len(calls) == 2620  # |I_9|: one per vertex
+
+
+def tables_store_reference(m):
+    """The tables document of a model, built whole from its store's terms."""
+    store = m.column_store()
+    columns = {}
+    for z in range(len(m.words)):
+        by_vertex = {}
+        for y, e, c in store.terms(z):
+            by_vertex.setdefault(y, []).append([e, c])
+        columns[str(z)] = [[y, sorted(by_vertex[y])] for y in sorted(by_vertex)]
+    return {
+        "variant": "M" if m.variant == "asc" else "N",
+        "n": m.n,
+        "vertices": [list(w) for w in m.words],
+        "columns": columns,
+        "mu": sorted([y, z, v] for (y, z), v in m.mu_entries().items()),
+    }
+
+
+def test_tables_json_on_a_hand_made_store(monkeypatch):
+    # terms no canonical basis at n <= 6 has: coefficients below -1 and
+    # above 127 (the array widens to "h"), exponents from -1 down to -254
+    # (the deepest a key field of exp_bits = 8 stores), a vertex with many
+    # exponents in one column, and terms appended out of order
+    import random
+
+    rng = random.Random(12)
+    m = Model(4, "asc")
+    V = len(m.words)
+    store = ColumnStore(V, m.exp_bits)
+    shift, mask = store.shift, store.mask
+    mu_by_col = []
+    for z in range(V):
+        terms = {(z, 0): 1}
+        for y in range(z):
+            for e in rng.sample(range(-254, 0), rng.choice((1, 1, 2, 5))):
+                terms[y, e] = rng.choice((-1, 1, 2, -3, 127, -128, 128, -300, 1000))
+        if z == V - 1:
+            terms.update({(0, e): -e - 128 for e in range(-254, 0)})
+            terms.pop((0, -128))  # coefficient 0 is never stored
+        items = list(terms.items())
+        rng.shuffle(items)
+        store.append([y << shift | mask + e for (y, e), _ in items], [c for _, c in items])
+        mu_by_col.append({y: c for (y, e), c in terms.items() if e == -1})
+    assert store.coefs.typecode == "h" and min(store.coefs) == -300
+    assert min(k & mask for k in store.keys) == 1  # exponent -254
+    m._store, m._mu_by_col = store, mu_by_col
+    monkeypatch.setattr(gelfand, "_model", lambda n, variant: m)
+    fh = io.StringIO()
+    tables_json(4, "M", fh)
+    assert fh.getvalue() == json.dumps(tables_store_reference(m)) + "\n"
+
+
+def vertex_index_table(n, variant):
+    """
+    The index table of Model(n, variant) built as it was before Model
+    worked on bare words: a GelfandVertex per embedded involution, with its
+    descent data, conjugates and ascent set.  The embedding, the length and
+    the ascent set (by the length characterization) are spelled out here
+    rather than taken from the model's word-level functions.
+    """
+    from gelfand_wgraphs.perm import conj_compare
+
+    up = ("higher",) if variant == "asc" else ("higher", "equal")
+    verts = []
+    for w in enumerate_involutions(n):
+        word = list(range(1, 2 * n + 1))
+        for i in range(1, n + 1):
+            if w(i) != i:
+                word[i - 1] = w(i)
+        fixed = w.fixed_points()
+        q = len(fixed)
+        for k, c in enumerate(fixed, 1):
+            partner = n + k if variant == "asc" else n + q + 1 - k
+            word[c - 1], word[partner - 1] = partner, c
+        for i in range(n + q + 1, 2 * n + 1):
+            word[i - 1] = i + 1 if i % 2 else i - 1
+        verts.append(GelfandVertex(word, n, variant))  # validated
+    keyed = sorted(
+        (sum(1 for i in range(2 * n) for j in range(i + 1, 2 * n) if z.word[i] > z.word[j]),
+         z.word, z)
+        for z in verts
+    )
+    words = [wd for _, wd, _ in keyed]
+    index = {wd: k for k, wd in enumerate(words)}
+    cls, cnj = {}, {}
+    data = [descent_data(z) for _, _, z in keyed]
+    for i in range(1, n):
+        cls[i] = [
+            gelfand.DES_EQ if i in d.des_eq else gelfand.ASC_EQ if i in d.asc_eq
+            else gelfand.DES_LT if i in d.des_lt else gelfand.ASC_LT
+            for d in data
+        ]
+        cnj[i] = [
+            index[word_conj_s(z.word, i)] if i in d.des_lt | d.asc_lt else k
+            for k, ((_, _, z), d) in enumerate(zip(keyed, data))
+        ]
+    return {
+        "words": words,
+        "length": [ln for ln, _, _ in keyed],
+        "cls": cls,
+        "cnj": cnj,
+        "strict_descents": [sorted(d.des_lt) for d in data],
+        "tau": [
+            frozenset(i for i in range(1, n) if conj_compare(z.involution, i) in up)
+            for _, _, z in keyed
+        ],
+    }
+
+
+@pytest.mark.parametrize("variant", ["asc", "des"])
+def test_word_index_table_matches_vertex_construction(variant):
+    for n in range(1, 8):
+        m = Model(n, variant)
+        want = vertex_index_table(n, variant)
+        assert {k: getattr(m, k) for k in want} == want
