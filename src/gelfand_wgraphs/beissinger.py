@@ -23,7 +23,6 @@ from .perm import (
     Involution,
     Permutation,
     conj_by_s,
-    cycles_sorted,
     enumerate_involutions,
     involution_count,
 )
@@ -122,31 +121,33 @@ def cbs_insert(T: Tableau, a: int, b: int, variant: str = "standard") -> Tableau
     raise ValueError(f"variant must be 'standard' or 'transposed', got {variant!r}")
 
 
-def _p_map(y: Involution, row: bool) -> Tableau:
+def _p_map(word, row: bool) -> Tableau:
     """
-    Insert the cycles of y by increasing larger element into one list of
-    rows.  Every step keeps the rows partially standard: each b exceeds every
-    entry already placed, so appending it at the end of a row or column
-    cannot break an increase condition, and row bumping keeps a partially
-    standard tableau partially standard.  So the finished tableau is
-    validated once, by Tableau(rows), not after every pair.  The rows keep a
-    partition shape throughout, so each pair's column target is found by the
-    local scan of _insert_pair, not by a count over all rows.
+    Insert the cycles (a, b), a <= b, of the involution with one-line word
+    `word` by increasing larger element b into one list of rows.  Every step
+    keeps the rows partially standard: each b exceeds every entry already
+    placed, so appending it at the end of a row or column cannot break an
+    increase condition, and row bumping keeps a partially standard tableau
+    partially standard.  So the finished tableau is validated once, by
+    Tableau(rows), not after every pair.  The rows keep a partition shape
+    throughout, so each pair's column target is found by the local scan of
+    _insert_pair, not by a count over all rows.
     """
     rows = []
-    for a, b in cycles_sorted(y):
-        _insert_pair(rows, a, b, row, bump)
+    for b, a in enumerate(word, 1):
+        if a <= b:
+            _insert_pair(rows, a, b, row, bump)
     return Tableau(rows)
 
 
 def p_rbs(y: Involution) -> Tableau:
     """Insert the cycles of y by increasing larger element, row variant."""
-    return _p_map(y, True)
+    return _p_map(y.word, True)
 
 
 def p_cbs(y: Involution) -> Tableau:
     """Insert the cycles of y by increasing larger element, column variant."""
-    return _p_map(y, False)
+    return _p_map(y.word, False)
 
 
 def _peel(rows, row: bool) -> Involution:

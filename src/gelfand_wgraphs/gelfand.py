@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .action import PackedAction
-from .beissinger import p_cbs, p_rbs
+from .beissinger import _p_map
 from .laurent import ONE, X, X_INV, LaurentPoly
 from .perm import Involution, Permutation, involution_words, word_conj_s, word_length
 from .tableau import Tableau
@@ -254,22 +254,28 @@ class ColumnStore:
 
     Column z is the slice ends[z-1]:ends[z] (0:ends[0] for z = 0) of `keys`
     and `coefs`, its terms in the order the recursion produced them.  A key
-    packs a vertex index y and an exponent e <= 0 into one int,
-    y << shift | (mask + e) with mask = 2**shift - 1, so sorting a column's
-    keys sorts its terms by (y, e).  Field 0 (e = -mask) is never stored:
-    x^-1 times a stored term then stays inside its field.  `coefs` holds the
-    nonzero integer coefficients in the narrowest of `coef_codes` that has
-    held every column so far.
+    packs a vertex index v and an exponent e into one int, PackedAction's
+    layout: key(v, e) = v << shift | (bias + e) with bias = 2**exp_bits and
+    shift = exp_bits + 1, so sorting a column's keys sorts its terms by
+    (v, e).  The recursion stores exponents -(bias - 2) .. 0, so one step
+    H_s + x^-1 or H_s - x from a stored term, to exponents -(bias - 1) .. 1,
+    stays inside its vertex's field.  `coefs` holds the nonzero integer
+    coefficients in the narrowest of `coef_codes` that has held every column
+    so far.
     """
 
-    __slots__ = ("shift", "mask", "keys", "coefs", "ends")
+    __slots__ = ("shift", "bias", "keys", "coefs", "ends")
     coef_codes = "bhiq"  # coefficient typecodes, narrowest first
 
-    def __init__(self, size: int, shift: int):
-        self.shift, self.mask = shift, (1 << shift) - 1
-        self.keys = array("i" if size << shift < 1 << 31 else "q")
+    def __init__(self, size: int, exp_bits: int):
+        self.shift, self.bias = exp_bits + 1, 1 << exp_bits
+        self.keys = array("i" if size << self.shift < 1 << 31 else "q")
         self.coefs = array(self.coef_codes[0])
         self.ends = array("q")
+
+    def key(self, v: int, e: int) -> int:
+        """The packed key of x^e·T_v."""
+        return v << self.shift | self.bias + e
 
     def column(self, z: int):
         """Column z's keys and coefficients, as two array slices."""
@@ -278,8 +284,9 @@ class ColumnStore:
 
     def terms(self, z: int):
         """Column z as (vertex, exponent, coefficient) triples, in stored order."""
-        shift, mask = self.shift, self.mask
-        return [(k >> shift, (k & mask) - mask, c) for k, c in zip(*self.column(z))]
+        shift, bias = self.shift, self.bias
+        field = (1 << shift) - 1  # key(v, e) & field == bias + e
+        return [(k >> shift, (k & field) - bias, c) for k, c in zip(*self.column(z))]
 
     def append(self, keys: list, coefs: list) -> None:
         """
@@ -323,14 +330,16 @@ class ModuleTable:
     LaurentPolys and convert them at the boundary.
 
     The canonical-basis recursion keeps each finished column in a packed
-    ColumnStore (`column_store`): integer coefficients under packed
-    (vertex index, exponent) keys, a few bytes per term, with an exponent
-    field `exp_bits` wide.  The mu table is read off the columns as they
-    are computed.  `canonical_columns()` is the LaurentPoly view of the same
-    columns (dicts from vertex index to LaurentPoly), built from the store
-    on first call and cached.  `check_intertwining()` certifies the store's
-    bar-invariance without that view.  `pick` chooses the strict descent
-    the recursion expands a column by (see _compute_columns).
+    ColumnStore (`column_store`): integer coefficients under PackedAction's
+    key layout, a few bytes per term, with exponents down to
+    -(2**exp_bits - 2).  The mu table is read off the columns as they are
+    computed.  The recursion and `check_intertwining()`, which certifies the
+    store's bar-invariance, apply H_s + x^-1 and H_s - x to stored columns
+    through one step kernel (_stepper).  `canonical_columns()` is the
+    LaurentPoly view of the same columns (dicts from vertex index to
+    LaurentPoly), built from the store on first call and cached; the
+    certificate does not need it.  `pick` chooses the strict descent the
+    recursion expands a column by (see _compute_columns).
     """
 
     exp_bits = 8  # exponents down to -(2**exp_bits - 2) fit a packed key
@@ -421,16 +430,57 @@ class ModuleTable:
 
     # -- canonical basis -----------------------------------------------------
 
+    def _stepper(self, store: ColumnStore):
+        """
+        The one column step that the recursion and the certificate share, on
+        the store's keys.  step(i, sign, v, lower) returns, as a dict from
+        packed key to int with zeros kept, C·C_v minus m·C_y summed over the
+        (y, m) in `lower` with i not in tau(y), C_v and C_y read from the
+        store as they are: C = H_s + x^-1 for sign 1 and H_s - x for sign -1,
+        s = s_i.  C sends T_y at a strict position to T_{s·y} plus
+        sign·x^(±1)·T_y (x^-sign at an ascent, x^sign at a descent), and
+        scales it at a weak position by its scalar plus x^-1 or minus x.  So
+        every term is an integer add under a packed key: the vertex bits move
+        to s·y, or the exponent field moves by one.
+        """
+        shift, tau, cls, cnj = store.shift, self.tau, self.cls, self.cnj
+        weak = {
+            sign: {
+                k: () if p is None else tuple((p + by).items())
+                for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))
+            }
+            for sign, by in ((1, X_INV), (-1, -X))
+        }
+
+        def step(i: int, sign: int, v: int, lower=()) -> dict:
+            cls_i, cnj_i, weak_s = cls[i], cnj[i], weak[sign]
+            out = {}
+            get = out.get
+            for key, c in zip(*store.column(v)):
+                y = key >> shift
+                k = cls_i[y]
+                if k == ASC_LT or k == DES_LT:
+                    moved = key + ((cnj_i[y] - y) << shift)
+                    out[moved] = get(moved, 0) + c
+                    key += sign if k == DES_LT else -sign
+                    out[key] = get(key, 0) + sign * c
+                else:
+                    for d, a in weak_s[k]:
+                        out[key + d] = get(key + d, 0) + a * c
+            for y, m in lower:
+                if i not in tau[y]:
+                    for key, c in zip(*store.column(y)):
+                        out[key] = get(key, 0) - m * c
+            return out
+
+        return step
+
     def _compute_columns(self):
         """
         Fill the column store.  C_z = C_s·C_w - sum of mu(y, w)·C_y over the
         y with s not in tau(y), where s = s_i is the picked strict descent of
-        z and w = s z s.  C_s = H_s + x^-1 sends a strict ascent k to
-        s·k + x^-1·k, a strict descent to s·k + x·k, and scales a weak
-        position by its scalar plus x^-1, so every term is an integer add
-        under a packed key: the vertex bits move to s·k, or the exponent
-        field moves by one.  The column being computed is a dict from packed
-        key to int; _check_column packs it into the store.
+        z, w = s z s and C_s = H_s + x^-1: one _stepper step with sign 1.
+        _check_column packs C_z into the store.
 
         Every strict descent gives the same column; they differ in how many
         stored terms the step reads, |C_w| plus the |C_y| it subtracts, all
@@ -441,11 +491,7 @@ class ModuleTable:
         """
         V = len(self.words)
         store = ColumnStore(V, self.exp_bits)
-        shift, mask = store.shift, store.mask
-        weak = {
-            k: () if p is None else tuple((p + X_INV).items())
-            for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))
-        }
+        step = self._stepper(store)
         tau, cnj, pick = self.tau, self.cnj, self.pick
         sizes = []  # terms per finished column
         reads = 0
@@ -453,7 +499,7 @@ class ModuleTable:
         for z in range(V):
             dlt = self.strict_descents[z]
             if not dlt:
-                store.append([z << shift | mask], [1])
+                store.append([store.key(z, 0)], [1])
                 sizes.append(1)
                 mu_by_col[z] = {}
                 continue
@@ -464,32 +510,8 @@ class ModuleTable:
                 if cost is None or cj < cost:
                     i, cost = j, cj
             reads += cost
-            cls_i, cnj_i = self.cls[i], cnj[i]
-            w = cnj_i[z]
-            col = {}
-            get = col.get
-            # x·(term), formed at strict descents and at weak positions with
-            # scalar x, never leaves the exponent field: every term of C_w but
-            # its diagonal has exponent <= -1 (_check_column checked C_w), and
-            # the diagonal, at exponent 0, sits at w = s z s, where s_i is a
-            # strict ascent because it is a strict descent of z, so it only
-            # takes x^-1
-            for key, c in zip(*store.column(w)):
-                v = key >> shift
-                k = cls_i[v]
-                if k == ASC_LT or k == DES_LT:
-                    moved = cnj_i[v] << shift | key & mask
-                    col[moved] = get(moved, 0) + c
-                    key += -1 if k == ASC_LT else 1
-                    col[key] = get(key, 0) + c
-                else:
-                    for d, a in weak[k]:
-                        col[key + d] = get(key + d, 0) + a * c
-            for y, m in mu_by_col[w].items():
-                if i not in tau[y]:
-                    for key, c in zip(*store.column(y)):
-                        col[key] = get(key, 0) - m * c
-            mu_by_col[z] = self._check_column(z, col, store)
+            w = cnj[i][z]
+            mu_by_col[z] = self._check_column(z, step(i, 1, w, mu_by_col[w].items()), store)
             sizes.append(store.ends[z] - (store.ends[z - 1] if z else 0))
         self._store = store
         self._mu_by_col = mu_by_col
@@ -499,12 +521,13 @@ class ModuleTable:
         """
         Drop the zero terms of a computed column, run its self-checks and
         append it to the store: the coefficient of z is exactly 1, every
-        other term has l(y) < l(z) and exponent <= -1, every exponent fits
-        the key field and every coefficient fits 64 bits.  Returns the
-        column's mu entries, the x^-1 coefficients off the diagonal.
+        other term has l(y) < l(z) and exponent <= -1, every exponent is at
+        least -(2**exp_bits - 2) and every coefficient fits 64 bits.  Returns
+        the column's mu entries, the x^-1 coefficients off the diagonal.
         """
         lz, length = self.length[z], self.length
-        shift, mask = store.shift, store.mask
+        shift, bias = store.shift, store.bias
+        field = (1 << shift) - 1
         diagonal = 0
         bad = deep = None
         keys, coefs = [], []
@@ -514,27 +537,27 @@ class ModuleTable:
                 continue
             keys.append(key)
             coefs.append(c)
-            y, f = key >> shift, key & mask
+            y, f = key >> shift, key & field  # f = bias + e
             if y == z:
                 diagonal += 1
-            elif f == mask - 1:
+            elif f == bias - 1:
                 mu[y] = c
                 if length[y] >= lz and bad is None:
                     bad = y
-            elif f == 0:
-                deep = y
-            elif (f == mask or length[y] >= lz) and bad is None:
+            elif f < 2:
+                deep = y, f - bias
+            elif (f >= bias or length[y] >= lz) and bad is None:
                 bad = y
-        if diagonal != 1 or col.get(z << shift | mask) != 1:
+        if diagonal != 1 or col.get(store.key(z, 0)) != 1:
             raise RuntimeError(f"column {self.words[z]} is not unitriangular")
         if deep is not None:
             raise RuntimeError(
-                f"column {self.words[z]} has a term at {self.words[deep]} with exponent "
-                f"{-mask}, below the {shift}-bit key field"
+                f"column {self.words[z]} has a term at {self.words[deep[0]]} with exponent "
+                f"{deep[1]}, below the {self.exp_bits}-bit key field"
             )
         if bad is not None:
             c = LaurentPoly({
-                (k & mask) - mask: c for k, c in zip(keys, coefs) if k >> shift == bad
+                k - store.key(bad, 0): c for k, c in zip(keys, coefs) if k >> shift == bad
             })
             raise RuntimeError(
                 f"column {self.words[z]} has a bad term at {self.words[bad]}: {c}"
@@ -621,78 +644,33 @@ class ModuleTable:
         not only the one the recursion picked, against the graph built from
         mu and tau.
 
-        (b) is checked with both sides moved to one: (H_s - x)·C_v = 0 for i
-        not in tau(v), and (H_s + x^-1)·C_v minus the omega terms = 0 for i
-        in tau(v).  Every step is an integer add on a packed key, as in
-        _compute_columns, but in a key space one bit wider than the store's:
-        a key there is y << (shift + 1) | (mask + e), so x·(diagonal term)
-        at exponent +1 and x^-1 times the deepest storable term both stay
-        inside their vertex's field.
+        (b) is checked with both sides moved to one, by the recursion's own
+        step (_stepper) on the stored columns: (H_s - x)·C_v = 0 for i not
+        in tau(v) (sign -1), and (H_s + x^-1)·C_v minus the omega terms = 0
+        for i in tau(v) (sign 1).
         """
         from .wgraph import symmetrize_mu  # wgraph imports this module
 
         store = self.column_store()
         mu_by_col, tau, words = self._mu_by_col, self.tau, self.words
-        shift, mask = store.shift, store.mask
-        wmask = (1 << shift + 1) - 1
-        coefs, ends = store.coefs, store.ends
-        # the store's keys in the wider key space, a column at a time: add the
-        # vertex bits once more
-        wide = array("q")
-        for z in range(len(words)):
-            wide.fromlist([k + (k >> shift << shift) for k in store.column(z)[0]])
         V = len(words)
+        for v in range(V):
+            terms = store.terms(v)
+            if not self.strict_descents[v] and terms != [(v, 0, 1)]:
+                raise RuntimeError(f"column {words[v]} is not its standard basis vector")
+            if {y: c for y, e, c in terms if e == -1} != mu_by_col[v]:
+                raise RuntimeError(f"column {words[v]} disagrees with its mu entries")
         omega = [[] for _ in range(V)]  # per v, the (u, omega(u, v)) pairs
         for (u, v), m in symmetrize_mu(self.mu_entries()).items():
             omega[v].append((u, m))
-        # (H_s - x)·T_y at a descent i of v, (H_s + x^-1)·T_y at an ascent:
-        # strict positions move to s·y and add sign·x^(±1)·T_y, weak ones scale
-        weak = {
-            (sign, k): () if p is None else tuple((p + shift_by).items())
-            for sign, shift_by in ((-1, -X), (1, X_INV))
-            for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))
-        }
-
-        def column(v):
-            a, b = ends[v - 1] if v else 0, ends[v]
-            return zip(wide[a:b], coefs[a:b])
-
-        for v in range(V):
-            keys, cs = store.column(v)
-            if not self.strict_descents[v] and (
-                    len(keys) != 1 or keys[0] != v << shift | mask or cs[0] != 1):
-                raise RuntimeError(f"column {words[v]} is not its standard basis vector")
-            mu = {k >> shift: c for k, c in zip(keys, cs) if k & mask == mask - 1}
-            if mu != mu_by_col[v]:
-                raise RuntimeError(f"column {words[v]} disagrees with its mu entries")
+        step = self._stepper(store)
         # the descent identities read only C_v, so they run first: a corrupted
         # column is then named by its own identity before a neighbour's reads it
         for sign in (-1, 1):
             for v in range(V):
-                col = list(column(v))
+                lower = omega[v] if sign == 1 else ()
                 for i in range(1, self.n):
-                    if (i in tau[v]) != (sign == 1):
-                        continue
-                    cls_i, cnj_i = self.cls[i], self.cnj[i]
-                    out = {}
-                    get = out.get
-                    for key, c in col:
-                        y = key >> shift + 1
-                        k = cls_i[y]
-                        if k == ASC_LT or k == DES_LT:
-                            moved = cnj_i[y] << shift + 1 | key & wmask
-                            out[moved] = get(moved, 0) + c
-                            key += sign if k == DES_LT else -sign
-                            out[key] = get(key, 0) + sign * c
-                        else:
-                            for d, a in weak[sign, k]:
-                                out[key + d] = get(key + d, 0) + a * c
-                    if sign == 1:  # minus the omega(u, v)·C_u
-                        for u, m in omega[v]:
-                            if i not in tau[u]:
-                                for key, c in column(u):
-                                    out[key] = get(key, 0) - m * c
-                    if any(out.values()):
+                    if (i in tau[v]) == (sign == 1) and any(step(i, sign, v, lower).values()):
                         raise RuntimeError(
                             f"column {words[v]} fails the W-graph action of s_{i}"
                         )
@@ -844,9 +822,12 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
 
 
 def hat_p(z: GelfandVertex) -> Tableau:
-    """The insertion tableau of the vertex, restricted to entries <= n."""
-    full = p_rbs(z.involution) if z.variant == "asc" else p_cbs(z.involution)
-    return entries_up_to(full, z.n)
+    """
+    The insertion tableau of the vertex (p_rbs for 'asc', p_cbs for 'des'),
+    restricted to entries <= n.  The p-map reads the vertex word as it is,
+    with no Involution built from it.
+    """
+    return entries_up_to(_p_map(z.word, z.variant == "asc"), z.n)
 
 
 def entries_up_to(full: Tableau, n: int) -> Tableau:
@@ -935,28 +916,33 @@ def tables_json(n: int, variant: str, fh) -> None:
     key = {"M": "asc", "N": "des", "asc": "asc", "des": "des"}[variant]
     m = _model(n, key)
     store = m.column_store()
-    shift, mask = store.shift, store.mask
+    shift = store.shift
     mu = sorted((y, z, v) for (y, z), v in m.mu_entries().items())
     fh.write('{"variant": %s, "n": %d, "vertices": %s, "columns": {' % (
         '"M"' if key == "asc" else '"N"', n, _int_lists(m.words)))
-    pair = {}  # (key field, coefficient) -> "e, c]"
+    # (bias + e, coefficient) -> "e, c]": bias + e lies in 2..bias, which for
+    # the default 8 bits are CPython's cached small ints, so no int is made
+    # per term (e itself goes down to -254)
+    bias = store.bias
+    pair = {}
     opener = ["]], [%d, [[" % y for y in range(len(m.words))]
+    base = [store.key(y, -bias) for y in range(len(m.words))]  # key(y, e) = base[y] + bias + e
     for z in range(len(m.words)):
         coef = dict(zip(*store.column(z)))
         text = []
-        last = -1
+        last = start = -1
         for term in sorted(coef):
             y = term >> shift
             if y == last:
                 text.append(", [")
             else:  # close the previous vertex's pairs and open y's
                 text.append(opener[y])
-                last = y
-            fc = term & mask, coef[term]
+                last, start = y, base[y]
+            fc = term - start, coef[term]
             try:
                 text.append(pair[fc])
             except KeyError:
-                text.append(pair.setdefault(fc, "%d, %d]" % (fc[0] - mask, fc[1])))
+                text.append(pair.setdefault(fc, "%d, %d]" % (fc[0] - bias, fc[1])))
         # a column is never empty: it holds its diagonal term
         text[0] = text[0][4:]  # the first vertex closes no previous one
         fh.write('%s"%d": [%s]]]' % (", " if z else "", z, "".join(text)))

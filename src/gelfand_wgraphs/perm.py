@@ -35,6 +35,21 @@ def word_conj_s(word, i: int):
     return tuple(w)
 
 
+def cycle_type(word) -> list:
+    """The cycle lengths of a one-line word, in order of their least elements."""
+    seen = [False] * len(word)
+    out = []
+    for start in range(len(word)):
+        size, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = word[j] - 1
+            size += 1
+        if size:
+            out.append(size)
+    return out
+
+
 @total_ordering
 class Permutation:
     """A permutation of [n], stored as a tuple in one-line notation."""

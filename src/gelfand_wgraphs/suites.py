@@ -12,7 +12,7 @@ from itertools import permutations as _permutations
 
 from . import action, beissinger, gelfand, hecke, tableau, wgraph
 from .laurent import X_MINUS_XINV
-from .perm import Permutation, enumerate_involutions
+from .perm import Permutation, cycle_type, enumerate_involutions
 
 
 def _check(checks, name, ok, detail=""):
@@ -158,27 +158,11 @@ def _conjugacy_representatives(n: int):
     seen = set()
     reps = []
     for p in _permutations(range(1, n + 1)):
-        key = tuple(sorted(_cycle_type(p)))
+        key = tuple(sorted(cycle_type(p)))
         if key not in seen:
             seen.add(key)
             reps.append(Permutation(p))
     return reps
-
-
-def _cycle_type(word):
-    n = len(word)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if not seen[i]:
-            size = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = word[j] - 1
-                size += 1
-            out.append(size)
-    return out
 
 
 def suite_wgraph(n: int) -> dict:
@@ -187,8 +171,10 @@ def suite_wgraph(n: int) -> dict:
     for m in range(1, n + 1):
         for variant in ("row", "col"):
             if m <= 5:
-                for reduced in (True, False):
-                    rep = wgraph.verify_axioms(wgraph.build_gamma(m, variant, reduced))
+                graphs = {reduced: wgraph.build_gamma(m, variant, reduced)
+                          for reduced in (True, False)}
+                for reduced, g in graphs.items():
+                    rep = wgraph.verify_axioms(g)
                     _check(checks, f"axioms {variant} n={m} reduced={reduced}",
                            rep.ok, "; ".join(rep.violations))
             r = wgraph.classify(m, variant)
@@ -197,10 +183,8 @@ def suite_wgraph(n: int) -> dict:
             if m <= 5:
                 _check(checks, f"bidirected edges combinatorial ({variant}, n={m})",
                        r.edges_match, "; ".join(r.counterexamples))
-            if m <= 5:
-                g = wgraph.build_gamma(m, variant)
                 _check(checks, f"character identity ({variant}, n={m})",
-                       all(wgraph.character_check(g, w)
+                       all(wgraph.character_check(graphs[True], w)
                            for w in _conjugacy_representatives(m)))
     return _wrap("wgraph", n, checks)
 

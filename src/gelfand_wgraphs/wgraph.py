@@ -29,12 +29,13 @@ literature; the descending set is the one matching the module it encodes).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, prod
 
 from .action import PackedAction, relation_violations
 from .gelfand import GelfandVertex, _model, format_rows, lambda_shape
-from .perm import Permutation, word_conj_s
+from .perm import Permutation, cycle_type, word_conj_s
 
 
 def symmetrize_mu(mu: dict) -> dict:
@@ -473,17 +474,7 @@ def square_root_count(w: Permutation) -> int:
         odd k:  sum over p of C(m, 2p)·(2p-1)!!·k^p,
         even k: (m-1)!!·k^(m/2) if m is even, else 0.
     """
-    word = w.word
-    seen = [False] * len(word)
-    mult = {}  # cycle length -> number of cycles
-    for start in range(len(word)):
-        size, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = word[j] - 1
-            size += 1
-        if size:
-            mult[size] = mult.get(size, 0) + 1
+    mult = Counter(cycle_type(w.word))  # cycle length -> number of cycles
     count = 1
     for k, m in mult.items():
         if k % 2:

@@ -30,13 +30,12 @@ def corrupted(table, z, y, e, delta):
     stay its mu entries.  The table itself is left as it is.
     """
     store = table.column_store()
-    shift, mask = store.shift, store.mask
-    new = ColumnStore(len(table.words), shift)
+    new = ColumnStore(len(table.words), table.exp_bits)
     for v in range(len(table.words)):
         terms = {(u, f): c for u, f, c in store.terms(v)}
         if v == z:
             terms[y, e] = terms.get((y, e), 0) + delta
-        items = [(u << shift | mask + f, c) for (u, f), c in terms.items() if c]
+        items = [(new.key(u, f), c) for (u, f), c in terms.items() if c]
         new.append([k for k, _ in items], [c for _, c in items])
     t = copy.copy(table)
     t._store, t._columns = new, None

@@ -351,6 +351,26 @@ def test_store_raises_when_no_coefficient_type_fits(monkeypatch):
         Model(7, "asc").mu_entries()
 
 
+@pytest.mark.parametrize("bits", [2, 3, 8])
+def test_store_key_layout(bits):
+    # PackedAction's layout, with room for one step H_s + x^-1 or H_s - x
+    # (an exponent moves by one) from the deepest storable term and from
+    # the diagonal; key order is (vertex, exponent) order
+    store = ColumnStore(6, bits)
+    act = PackedAction(1, 6, {}, 2**bits - 1)
+    assert (store.shift, store.bias) == (act.shift, act.bias)
+    low = -(2**bits - 2)
+    for v in range(6):
+        for e in (low, 0):
+            key = store.key(v, e)
+            assert (key - 1) >> store.shift == v == (key + 1) >> store.shift
+    terms = [(v, e) for v in range(6) for e in range(low, 1)]
+    shuffled = random.Random(bits).sample(terms, len(terms))
+    assert sorted(shuffled, key=lambda t: store.key(*t)) == terms
+    store.append([store.key(v, e) for v, e in shuffled], [1] * len(terms))
+    assert store.terms(0) == [(v, e, 1) for v, e in shuffled]
+
+
 def test_store_exponent_field_bounds():
     # n=5 M reaches x^-6: a 3-bit field holds exponents down to -6, 2 bits only to -2
     m = Model(5, "asc")
@@ -586,7 +606,6 @@ def test_tables_json_on_a_hand_made_store(monkeypatch):
     m = Model(4, "asc")
     V = len(m.words)
     store = ColumnStore(V, m.exp_bits)
-    shift, mask = store.shift, store.mask
     mu_by_col = []
     for z in range(V):
         terms = {(z, 0): 1}
@@ -598,10 +617,10 @@ def test_tables_json_on_a_hand_made_store(monkeypatch):
             terms.pop((0, -128))  # coefficient 0 is never stored
         items = list(terms.items())
         rng.shuffle(items)
-        store.append([y << shift | mask + e for (y, e), _ in items], [c for _, c in items])
+        store.append([store.key(y, e) for (y, e), _ in items], [c for _, c in items])
         mu_by_col.append({y: c for (y, e), c in terms.items() if e == -1})
     assert store.coefs.typecode == "h" and min(store.coefs) == -300
-    assert min(k & mask for k in store.keys) == 1  # exponent -254
+    assert min(e for z in range(V) for _, e, _ in store.terms(z)) == -254
     m._store, m._mu_by_col = store, mu_by_col
     monkeypatch.setattr(gelfand, "_model", lambda n, variant: m)
     fh = io.StringIO()

@@ -5,6 +5,7 @@ from gelfand_wgraphs.perm import (
     Permutation,
     conj_by_s,
     conj_compare,
+    cycle_type,
     cycles_sorted,
     enumerate_involutions,
     involution_count,
@@ -51,6 +52,12 @@ def test_cycles_sorted_examples():
     assert cycles_sorted(Involution([4, 2, 3, 1])) == [(2, 2), (3, 3), (1, 4)]
     assert cycles_sorted(Involution([1, 2, 3])) == [(1, 1), (2, 2), (3, 3)]
     assert cycles_sorted(Involution([2, 1, 4, 3])) == [(1, 2), (3, 4)]
+    # cycle_type, on the same involutions and on words that are not involutions
+    for y in enumerate_involutions(5):
+        assert sorted(cycle_type(y.word)) == sorted(2 - (a == b) for a, b in cycles_sorted(y))
+    assert cycle_type((4, 2, 3, 1)) == [2, 1, 1]
+    assert cycle_type((2, 3, 1, 5, 4, 6)) == [3, 2, 1]
+    assert cycle_type(()) == []
 
 
 def test_knuth_move_examples():
