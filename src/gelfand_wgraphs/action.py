@@ -7,13 +7,10 @@ Both module actions the package checks are given this way: a W-graph's, from
 its tau sets and edge weights (wgraph.action_terms), and a Gelfand model's
 or the regular representation's, from its index tables and weak scalars
 (gelfand.ModuleTable.action_terms).  Every step is an integer add on a key,
-so no LaurentPoly arithmetic runs; LaurentPoly is only the type that `pack`
-and `unpack` convert from and to.
+so no LaurentPoly arithmetic runs.
 """
 
 from __future__ import annotations
-
-from .laurent import LaurentPoly
 
 
 class PackedAction:
@@ -33,12 +30,13 @@ class PackedAction:
     Key-field bound.  The field holds the exponents -bias .. bias - 1, and
     one generator moves an exponent by at most `reach`, the largest |d|.
     `apply` does not check the field: a term pushed past it would land in a
-    neighbouring vertex's field.  `pack` raises ValueError for a column with
-    a term beyond |e| = bias - 1 - reach, so one application from a packed
-    column stays inside.  A relation check starts at basis vectors (e = 0)
-    and applies at most three generators, so it needs bias > 3·reach, which
+    neighbouring vertex's field, so each caller keeps its columns inside.
+    A relation check starts at basis vectors (e = 0) and applies at most
+    three generators, so it needs bias > 3·reach, which
     `relation_violations` checks: span=3 (shift 3, bias 4) for the
-    W-graphs and the Gelfand models, where reach is 1.
+    W-graphs, where reach is 1.  A ModuleTable's action has the layout of
+    its column store (span 2**exp_bits - 1), wide enough for its bar
+    operator.
     """
 
     __slots__ = ("n", "size", "shift", "bias", "reach", "moves")
@@ -70,33 +68,6 @@ class PackedAction:
                 key2 = key + off
                 out[key2] = get(key2, 0) + a * c
         return {k: c for k, c in out.items() if c}
-
-    def pack(self, col: dict) -> dict:
-        """A column of LaurentPolys under basis indices, packed; see the field bound."""
-        shift, bias, room = self.shift, self.bias, self.bias - 1 - self.reach
-        out = {}
-        for v, p in col.items():
-            for e, c in p.items():
-                if abs(e) > room:
-                    raise ValueError(
-                        f"exponent {e} at basis vector {v} is outside the {shift}-bit "
-                        f"key field (|e| <= {room})"
-                    )
-                out[v << shift | bias + e] = c
-        return out
-
-    def unpack(self, col: dict) -> dict:
-        """A packed column with no zero entries back to LaurentPolys under basis indices."""
-        shift, bias = self.shift, self.bias
-        terms = {}
-        get = terms.get
-        for key, c in col.items():
-            v = key >> shift
-            t = get(v)
-            if t is None:
-                t = terms[v] = {}
-            t[key - (v << shift) - bias] = c
-        return {v: LaurentPoly.from_nonzero(t) for v, t in terms.items()}
 
 
 def relation_violations(act: PackedAction) -> list:

@@ -323,26 +323,25 @@ class ModuleTable:
     (Model); so is the regular representation of H(S_n), with no weak
     positions (hecke).
 
-    The H_s action is one PackedAction built from those tables (`action`):
-    integer coefficients under packed (vertex index, exponent) keys.  The
-    relation check and the bar recursion run on it; `h_col` and `bar_col`,
-    which the module and Hecke element APIs use, take and return columns of
-    LaurentPolys and convert them at the boundary.
+    A table has one packed (vertex index, exponent) key layout with
+    `exp_bits` exponent bits: 8, or more only if bar(T_v) at the longest
+    vertex would not fit (barvec), which no table at n <= 11 needs.  The H_s
+    action is one PackedAction in it (`action`); the relation check and
+    barvec run on it.  `h_col` and `bar_col`, which the module and Hecke
+    element APIs use, take columns of LaurentPolys at any exponents.
 
     The canonical-basis recursion keeps each finished column in a packed
-    ColumnStore (`column_store`): integer coefficients under PackedAction's
-    key layout, a few bytes per term, with exponents down to
-    -(2**exp_bits - 2).  The mu table is read off the columns as they are
-    computed.  The recursion and `check_intertwining()`, which certifies the
-    store's bar-invariance, apply H_s + x^-1 and H_s - x to stored columns
-    through one step kernel (_stepper).  `canonical_columns()` is the
+    ColumnStore (`column_store`) of that layout, a few bytes per term, with
+    exponents down to -(2**exp_bits - 2).  The mu table is read off the
+    columns as they are computed.  The recursion and `check_intertwining()`,
+    which certifies the store's bar-invariance, apply H_s + x^-1 and
+    H_s - x to stored columns through one step kernel (_stepper).  `canonical_columns()` is the
     LaurentPoly view of the same columns (dicts from vertex index to
     LaurentPoly), built from the store on first call and cached; the
     certificate does not need it.  `pick` chooses the strict descent the
     recursion expands a column by (see _compute_columns).
     """
 
-    exp_bits = 8  # exponents down to -(2**exp_bits - 2) fit a packed key
     picks = ("cost", "min", "max")
 
     def __init__(self, n, words, classify, act, tau_of, weak=(None, None), pick="cost"):
@@ -368,12 +367,16 @@ class ModuleTable:
         ]
         self.tau = [tau_of(wd) for wd in self.words]
         self.weak_asc, self.weak_des = weak
+        # a generator moves an exponent by at most `reach`, so barvec's
+        # exponents stay within length[-1]·reach of 0
+        reach = max([1] + [abs(e) for p in weak if p is not None for e, _ in p.items()])
+        self.exp_bits = max(8, (self.length[-1] * reach).bit_length())
         self._store = None
         self._columns = None
         self._mu_by_col = None
         self._barvecs = {}
         self._terms = None
-        self._actions = {}  # key-field shift -> PackedAction
+        self._action = None
         self.term_reads = None  # store terms the recursion read, once computed
 
     # -- the H_{s_i} action ----------------------------------------------------
@@ -405,28 +408,24 @@ class ModuleTable:
             self._terms = terms
         return self._terms
 
-    def action(self, span: int = 3) -> PackedAction:
-        """
-        The H_{s_i} action as a PackedAction whose key field holds every
-        |e| <= span; span=3 suits relation_violations.  Cached per field width.
-        """
-        shift = span.bit_length() + 1
-        act = self._actions.get(shift)
-        if act is None:
-            act = self._actions[shift] = PackedAction(
-                self.n, len(self.words), self.action_terms(), span
+    def action(self) -> PackedAction:
+        """The H_{s_i} action as a PackedAction in the table's key layout (ColumnStore's)."""
+        if self._action is None:
+            self._action = PackedAction(
+                self.n, len(self.words), self.action_terms(), (1 << self.exp_bits) - 1
             )
-        return act
+        return self._action
 
     def h_col(self, i: int, col: dict) -> dict:
-        """
-        H_{s_i} on a column of LaurentPolys under vertex indices: packed,
-        applied by `action` with a key field wide enough for its exponents,
-        and unpacked.
-        """
-        top = max((abs(e) for p in col.values() for e, _ in p.items()), default=0)
-        act = self.action(top + self.action().reach)
-        return act.unpack(act.apply(i, act.pack(col)))
+        """H_{s_i} on a column of LaurentPolys under vertex indices, by `action_terms`."""
+        terms = self.action_terms()[i]
+        out = {}
+        for v, p in col.items():
+            for u, d, a in terms[v]:
+                t = out.setdefault(u, {})
+                for e, c in p.items():
+                    t[e + d] = t.get(e + d, 0) + a * c
+        return _nonzero(out)
 
     # -- canonical basis -----------------------------------------------------
 
@@ -677,48 +676,56 @@ class ModuleTable:
 
     # -- bar operator ----------------------------------------------------------
 
-    def barvec(self, v: int, act: PackedAction) -> dict:
+    def barvec(self, v: int) -> dict:
         """
-        bar(T_v) over the standard basis as a packed column of `act`,
-        memoized per key field: T_v if v has no strict descent, else
+        bar(T_v) over the standard basis as a packed column of `action`,
+        memoized: T_v if v has no strict descent, else
         (H_s - (x - x^-1))·bar(T_w) at its least strict descent s, with
         w = s·v·s.  Each step lowers the length and moves an exponent by at
-        most max(reach, 1), so every |e| stays within l(v)·max(reach, 1).
+        most max(reach, 1), so every |e| stays within l(v)·max(reach, 1),
+        which `exp_bits` holds.
         """
-        memo = self._barvecs.setdefault(act.shift, {})
-        got = memo.get(v)
+        got = self._barvecs.get(v)
         if got is None:
+            act = self.action()
             dlt = self.strict_descents[v]
             if not dlt:
                 got = {v << act.shift | act.bias: 1}
             else:
-                bw = self.barvec(self.cnj[dlt[0]][v], act)
+                bw = self.barvec(self.cnj[dlt[0]][v])
                 out = act.apply(dlt[0], bw)
                 get = out.get
                 for key, c in bw.items():
                     out[key + 1] = get(key + 1, 0) - c
                     out[key - 1] = get(key - 1, 0) + c
                 got = {k: c for k, c in out.items() if c}
-            memo[v] = got
+            self._barvecs[v] = got
         return got
 
     def bar_col(self, col: dict) -> dict:
         """
-        bar of a column of LaurentPolys, bar(c(x)·T_v) = c(x^-1)·bar(T_v), on
-        packed keys: the field holds the column's exponents plus barvec's
-        bound at the longest vertex.
+        bar of a column of LaurentPolys, bar(c(x)·T_v) = c(x^-1)·bar(T_v):
+        barvec's keys are decoded and the column's exponents subtracted
+        outside the key field.
         """
-        top = max((abs(e) for p in col.values() for e, _ in p.items()), default=0)
-        act = self.action(top + self.length[-1] * max(self.action().reach, 1))
+        act = self.action()
+        shift, bias = act.shift, act.bias
         out = {}
-        get = out.get
         for v, p in col.items():
-            bv = self.barvec(v, act).items()
-            for e, c in p.items():
-                for key, d in bv:
-                    key -= e
-                    out[key] = get(key, 0) + c * d
-        return act.unpack({k: c for k, c in out.items() if c})
+            terms = p.items()
+            for key, d in self.barvec(v).items():
+                u = key >> shift
+                t = out.setdefault(u, {})
+                f = key - (u << shift) - bias
+                for e, c in terms:
+                    t[f - e] = t.get(f - e, 0) + c * d
+        return _nonzero(out)
+
+
+def _nonzero(col: dict) -> dict:
+    """A column of exponent -> coefficient dicts as LaurentPolys, zeros dropped."""
+    out = {v: LaurentPoly(t) for v, t in col.items()}
+    return {v: p for v, p in out.items() if p}
 
 
 class Model(ModuleTable):

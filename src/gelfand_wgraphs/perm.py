@@ -259,10 +259,15 @@ def conj_compare(z: Involution, i: int) -> str:
     """
     if not 1 <= i <= z.n - 1:
         raise ValueError(f"index {i} out of range for n={z.n}")
-    zi, zi1 = z(i), z(i + 1)
+    return ("lower", "equal", "higher")[word_conj_compare(z.word, i) + 1]
+
+
+def word_conj_compare(word, i: int) -> int:
+    """conj_compare on a bare one-line word, unchecked: +1 higher, 0 equal, -1 lower."""
+    zi, zi1 = word[i - 1], word[i]
     if (zi == i and zi1 == i + 1) or (zi == i + 1 and zi1 == i):
-        return "equal"
-    return "higher" if zi < zi1 else "lower"
+        return 0
+    return 1 if zi < zi1 else -1
 
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")

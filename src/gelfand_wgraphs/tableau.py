@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import lt
 
 from .perm import Permutation
 
@@ -69,12 +68,9 @@ class Tableau:
         """
         Entries 1..n, increasing along rows and columns.  A tableau built by
         `filling` or `transpose` of one need not increase, so the increase is
-        checked here too, by pairwise compares that run in C.
+        checked here too, by the same check as the constructor's.
         """
-        rows = self.rows
-        return (self.entries() == set(range(1, self.size + 1))
-                and all(all(map(lt, row, row[1:])) for row in rows)
-                and all(all(map(lt, up, down)) for up, down in zip(rows, rows[1:])))
+        return self.entries() == set(range(1, self.size + 1)) and self.is_partially_standard()
 
     def corners(self):
         """Removable cells: (r, c) at the end of a row that is longer than the next."""

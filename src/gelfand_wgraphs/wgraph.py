@@ -35,7 +35,7 @@ from math import comb, prod
 
 from .action import PackedAction, relation_violations
 from .gelfand import GelfandVertex, _model, format_rows, lambda_shape
-from .perm import Permutation, cycle_type, word_conj_s
+from .perm import Permutation, cycle_type, word_conj_compare, word_conj_s
 
 
 def symmetrize_mu(mu: dict) -> dict:
@@ -276,28 +276,27 @@ def cells(g: WGraph):
 # -- combinatorial bidirected edges -------------------------------------------
 
 
-def _cc_word(word, i: int) -> int:
-    """conj_compare on a bare word: +1 higher, 0 equal, -1 lower."""
-    zi, zi1 = word[i - 1], word[i]
-    if (zi == i and zi1 == i + 1) or (zi == i + 1 and zi1 == i):
-        return 0
-    return 1 if zi < zi1 else -1
+def _conj_partner(a, s: int, t: int, row: bool):
+    """
+    b = t·a·t if a and b pass the window comparisons of a bidirected edge,
+    else None: s·a·s is not above a (strictly below it in the column
+    case), b is above a, and s·b·s is above b (or equal to it in the
+    column case).
+    """
+    cs = word_conj_compare(a, s)
+    if cs > 0 or (not row and cs == 0) or word_conj_compare(a, t) <= 0:
+        return None
+    b = word_conj_s(a, t)
+    cb = word_conj_compare(b, s)
+    return b if cb > 0 or (not row and cb == 0) else None
 
 
 def _bidirected_words(u, v, i: int, row: bool) -> bool:
-    for a, b in ((u, v), (v, u)):
-        for s, t in ((i - 1, i), (i, i - 1)):
-            cs = _cc_word(a, s)
-            if cs > 0 or (not row and cs == 0):
-                continue  # need s a s <= a, strictly below in the column case
-            if _cc_word(a, t) <= 0:
-                continue
-            if word_conj_s(a, t) != b:
-                continue
-            cb = _cc_word(b, s)
-            if cb > 0 or (not row and cb == 0):
-                return True
-    return False
+    return any(
+        _conj_partner(a, s, t, row) == b
+        for a, b in ((u, v), (v, u))
+        for s, t in ((i - 1, i), (i, i - 1))
+    )
 
 
 def combinatorial_bidirected(y: GelfandVertex, z: GelfandVertex, i: int) -> bool:
@@ -343,16 +342,9 @@ def combinatorial_bidirected_pairs(n: int, variant: str):
         for i in range(2, n):
             for s, t in ((i - 1, i), (i, i - 1)):
                 # the tests of _bidirected_words on the shorter vertex a
-                cs = _cc_word(wa, s)
-                if cs > 0 or (not row and cs == 0) or _cc_word(wa, t) <= 0:
-                    continue
-                wb = word_conj_s(wa, t)
-                b = m.index.get(wb)
-                if b is None or m.length[b] != m.length[a] + 2:
-                    continue
-                cb = _cc_word(wb, s)
-                if cb > 0 or (not row and cb == 0):
-                    out.add(tuple(sorted((wa, wb))))
+                b = m.index.get(_conj_partner(wa, s, t, row))
+                if b is not None and m.length[b] == m.length[a] + 2:
+                    out.add(tuple(sorted((wa, m.words[b]))))
     return sorted(out)
 
 

@@ -8,15 +8,18 @@ from itertools import permutations
 
 import pytest
 
-from gelfand_wgraphs import gelfand, tableau
+from gelfand_wgraphs import gelfand, hecke, tableau
 from gelfand_wgraphs.action import PackedAction, relation_violations
 from gelfand_wgraphs.beissinger import p_cbs, p_rbs
 from gelfand_wgraphs.gelfand import (
+    ASC_LT,
+    DES_LT,
     ColumnStore,
     DescentData,
     GelfandVertex,
     Model,
     ModuleElement,
+    ModuleTable,
     _model,
     bar_module,
     canonical_basis,
@@ -211,26 +214,22 @@ def test_relation_violations_catch_doubled_generator():
 
 def test_packed_key_field_bound():
     m = _model(4, "asc")
-    act = m.action()  # reach 1, room for three generators: shift 3, bias 4
-    assert (act.shift, act.bias, act.reach) == (3, 4, 1)
+    act = m.action()  # the column store's layout, reach 1
+    store = m.column_store()
+    assert (act.shift, act.bias, act.reach) == (store.shift, store.bias, 1) == (9, 256, 1)
     v = len(m.words) // 2
-    room = act.bias - 1 - act.reach
-    assert act.unpack(act.pack({v: LaurentPoly.term(5, room)})) == {v: LaurentPoly.term(5, room)}
     # keys move by addition, so x^bias·T_v would take the key of x^-bias·T_{v+1}
     assert (v << act.shift) + act.bias + act.bias == (v + 1) << act.shift
-    for e in (room + 1, -room - 1, act.bias):
-        with pytest.raises(ValueError, match="outside the 3-bit key field"):
-            act.pack({v: LaurentPoly.term(1, e)})
     # a field too narrow for three generators is refused, not checked wrongly
     with pytest.raises(ValueError, match="cannot hold three generators"):
-        relation_violations(m.action(1))
-    # h_col widens the field to the column's exponents
+        relation_violations(PackedAction(4, len(m.words), m.action_terms(), 1))
+    # h_col and bar_col take exponents far outside the key field
     for i in (1, 2, 3):
         for e in (40, -40, 1000):
             col = {v: LaurentPoly.term(3, e)}
             want = {u: c * LaurentPoly.term(1, e) for u, c in m.h_col(i, {v: ONE}).items()}
             assert m.h_col(i, col) == {u: c * 3 for u, c in want.items()}
-    # and so does bar_col: bar(x^e·T_v) = x^-e·bar(T_v)
+    # bar(x^e·T_v) = x^-e·bar(T_v)
     for e in (40, -1000):
         want = {u: c * LaurentPoly.term(1, -e) for u, c in m.bar_col({v: ONE}).items()}
         assert m.bar_col({v: LaurentPoly.term(1, e)}) == want
@@ -369,6 +368,32 @@ def test_store_key_layout(bits):
     assert sorted(shuffled, key=lambda t: store.key(*t)) == terms
     store.append([store.key(v, e) for v, e in shuffled], [1] * len(terms))
     assert store.terms(0) == [(v, e, 1) for v, e in shuffled]
+
+
+def test_action_has_the_store_layout():
+    tables = [Model(n, v) for n in range(1, 8) for v in ("asc", "des")]
+    for m in tables + [hecke._regular(n) for n in range(1, 6)]:
+        act, store = m.action(), m.column_store()
+        assert (act.shift, act.bias) == (store.shift, store.bias), (m.n, m.words[0])
+
+
+def test_key_field_widens_for_a_long_vertex():
+    # T_w0 = H_1·T_e for w0 of S_24: barvec's bound for bar(T_w0) is its
+    # length, 276, past the 255 an 8-bit field holds
+    e, w0 = tuple(range(1, 25)), tuple(range(24, 0, -1))
+    m = ModuleTable(
+        2, [w0, e],
+        lambda wd, i: ASC_LT if wd == e else DES_LT,
+        lambda wd, i: w0 if wd == e else e,
+        lambda wd: frozenset({1}) if wd == e else frozenset(),
+    )
+    assert m.length == [0, 276] and m.exp_bits == 9
+    act, store = m.action(), m.column_store()
+    assert (act.shift, act.bias) == (store.shift, store.bias) == (10, 512)
+    assert m.canonical_columns()[1] == {1: ONE, 0: X_INV}
+    assert m.bar_col({1: ONE}) == {1: ONE, 0: -X_MINUS_XINV}
+    col = {0: LaurentPoly({5: 1, -300: 3}), 1: LaurentPoly({700: -2})}
+    assert m.bar_col(m.bar_col(col)) == col
 
 
 def test_store_exponent_field_bounds():

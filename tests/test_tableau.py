@@ -89,6 +89,26 @@ def test_validation():
         assert not transpose(F(bad)).is_standard()
 
 
+@pytest.mark.parametrize("rows, increase, message", [
+    ([[1, 2], []], True, "empty rows are not allowed"),
+    ([[1], [2, 3]], False, "row lengths must weakly decrease, got [1, 2]"),
+    ([[1, 0]], False, "entries must be positive integers, got 0"),
+    ([[1, "2"]], True, "entries must be positive integers, got '2'"),
+    ([[1, 2], [2]], False, "duplicate entry 2"),
+    ([[2, 1]], True, "row 1 is not strictly increasing: [2, 1]"),
+    ([[1, 2], [4, 3]], True, "row 2 is not strictly increasing: [4, 3]"),
+    ([[2, 3], [1]], True, "column 1 is not strictly increasing"),
+    ([[3, 1], [2]], True, "row 1 is not strictly increasing: [3, 1]"),  # the first of two faults
+])
+def test_validation_messages(rows, increase, message):
+    build = Tableau if increase else Tableau.filling
+    with pytest.raises(ValueError) as err:
+        build(rows)
+    assert str(err.value) == message
+    if increase and "increasing" in message:
+        assert Tableau.filling(rows).rows == tuple(map(tuple, rows))
+
+
 def test_rs_insert_examples():
     out, path = rs_insert(T([[1, 5], [3, 6], [4]]), 2)
     assert out == T([[1, 2], [3, 5], [4, 6]])
