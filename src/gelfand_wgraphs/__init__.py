@@ -64,6 +64,7 @@ from .wgraph import (
     cells,
     character_check,
     classify,
+    classify_graph,
     combinatorial_bidirected,
     export,
     molecules,

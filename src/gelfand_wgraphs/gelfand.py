@@ -195,6 +195,9 @@ class ModuleElement:
         variants = {z.variant for z in coeffs}
         if len(variants) > 1:
             raise ValueError("mixed vertex variants in one element")
+        degrees = {z.n for z in coeffs}
+        if len(degrees) > 1:
+            raise ValueError(f"mixed vertex degrees {sorted(degrees)} in one element")
         if variants:
             found = "M" if variants.pop() == "asc" else "N"
             if variant is not None and variant != found:
@@ -821,10 +824,12 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
     m = Model(n, key, pick=pick) if pick != "cost" else _model(n, key)
     cols = m.canonical_columns(check_bar=check_bar)
     sym = "M" if key == "asc" else "N"
-    out = {m.vertex(z): m.element(col) for z, col in enumerate(cols)}
-    mu = MuTable(sym, {
-        (m.vertex(y), m.vertex(z)): v for (y, z), v in m.mu_entries().items()
-    })
+    verts = [m.vertex(z) for z in range(len(cols))]  # one object per vertex, shared
+    out = {
+        verts[z]: ModuleElement({verts[v]: c for v, c in col.items()}, sym)
+        for z, col in enumerate(cols)
+    }
+    mu = MuTable(sym, {(verts[y], verts[z]): v for (y, z), v in m.mu_entries().items()})
     return out, mu
 
 

@@ -99,7 +99,10 @@ def _regular(n: int) -> ModuleTable:
 def _table_column(h: HeckeElement):
     """The regular-representation table of h's degree, and h as its column."""
     table = _regular(len(next(iter(h.terms))))
-    return table, {table.index[w]: c for w, c in h.terms.items()}
+    try:
+        return table, {table.index[w]: c for w, c in h.terms.items()}
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} is not a permutation of [1..{table.n}]") from None
 
 
 def _element(table: ModuleTable, col: dict) -> HeckeElement:

@@ -49,9 +49,6 @@ class LaurentPoly:
     def coeff(self, exp: int) -> int:
         return self._t.get(exp, 0)
 
-    def is_zero(self) -> bool:
-        return not self._t
-
     def in_neg_span(self) -> bool:
         """True iff every exponent is <= -1 (vacuously true for 0)."""
         return all(e <= -1 for e in self._t)

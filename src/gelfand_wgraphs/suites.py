@@ -28,26 +28,19 @@ def suite_insertion(n: int) -> dict:
     for m in range(1, n + 1):
         invs = list(enumerate_involutions(m))
         syt = list(tableau.standard_tableaux(m))
-        for maps, odd_dir, tag in (
-            (beissinger.p_rbs, "columns", "rbs"),
-            (beissinger.p_cbs, "rows", "cbs"),
-        ):
-            images = {}
-            refined = True
-            for y in invs:
-                T = maps(y)
-                images[T.rows] = y
-                if tableau.odd_lines(T, odd_dir) != len(y.fixed_points()):
-                    refined = False
+        rbs = [beissinger.p_rbs(y) for y in invs]
+        cbs = [beissinger.p_cbs(y) for y in invs]
+        for tabs, odd_dir, tag in ((rbs, "columns", "rbs"), (cbs, "rows", "cbs")):
             _check(checks, f"p_{tag} bijective on I_{m}",
-                   len(images) == len(invs) == len(syt))
-            _check(checks, f"p_{tag} fixed-point refinement at n={m}", refined)
-        inv_fn = {"rbs": beissinger.p_rbs_inverse, "cbs": beissinger.p_cbs_inverse}
+                   len({T.rows for T in tabs}) == len(invs) == len(syt))
+            _check(checks, f"p_{tag} fixed-point refinement at n={m}",
+                   all(tableau.odd_lines(T, odd_dir) == len(y.fixed_points())
+                       for y, T in zip(invs, tabs)))
         _check(checks, f"round trips on I_{m}",
-               all(inv_fn["rbs"](beissinger.p_rbs(y)) == y
-                   and inv_fn["cbs"](beissinger.p_cbs(y)) == y for y in invs))
+               all(beissinger.p_rbs_inverse(a) == y and beissinger.p_cbs_inverse(b) == y
+                   for y, a, b in zip(invs, rbs, cbs)))
         _check(checks, f"p_rbs equals RS insertion tableau on I_{m}",
-               all(beissinger.p_rbs(y) == tableau.pq_rs(y.perm)[0] for y in invs))
+               all(a == tableau.pq_rs(y.perm)[0] for y, a in zip(invs, rbs)))
     return _wrap("insertion", n, checks)
 
 
@@ -136,17 +129,17 @@ def suite_gelfand(n: int) -> dict:
                             ok_bar = False
             _check(checks, f"bar operator involutive and compatible at n={m}", ok_bar)
         try:
-            for variant in ("M", "N"):
-                gelfand.canonical_basis(m, variant, check_bar=True)
+            for variant in ("asc", "des"):
+                gelfand._model(m, variant).check_intertwining()
             _check(checks, f"canonical bases verified at n={m}", True)
         except RuntimeError as exc:
             _check(checks, f"canonical bases verified at n={m}", False, str(exc))
         if m <= 5:
             try:
                 same = all(
-                    gelfand.canonical_basis(m, v)[0]
-                    == gelfand.canonical_basis(m, v, check_bar=False, pick="max")[0]
-                    for v in ("M", "N")
+                    gelfand._model(m, v).canonical_columns()
+                    == gelfand.Model(m, v, pick="max").canonical_columns()
+                    for v in ("asc", "des")
                 )
                 _check(checks, f"pivot choice independence at n={m}", same)
             except RuntimeError as exc:
@@ -170,21 +163,20 @@ def suite_wgraph(n: int) -> dict:
     checks = []
     for m in range(1, n + 1):
         for variant in ("row", "col"):
+            g = wgraph.build_gamma(m, variant)  # the one reduced graph of every check
             if m <= 5:
-                graphs = {reduced: wgraph.build_gamma(m, variant, reduced)
-                          for reduced in (True, False)}
-                for reduced, g in graphs.items():
-                    rep = wgraph.verify_axioms(g)
+                for reduced, h in ((True, g), (False, wgraph.build_gamma(m, variant, False))):
+                    rep = wgraph.verify_axioms(h)
                     _check(checks, f"axioms {variant} n={m} reduced={reduced}",
                            rep.ok, "; ".join(rep.violations))
-            r = wgraph.classify(m, variant)
+            r = wgraph.classify_graph(g)
             _check(checks, f"molecules = shape fibers ({variant}, n={m})",
                    r.molecules_match_fibers, "; ".join(r.counterexamples))
             if m <= 5:
                 _check(checks, f"bidirected edges combinatorial ({variant}, n={m})",
                        r.edges_match, "; ".join(r.counterexamples))
                 _check(checks, f"character identity ({variant}, n={m})",
-                       all(wgraph.character_check(graphs[True], w)
+                       all(wgraph.character_check(g, w)
                            for w in _conjugacy_representatives(m)))
     return _wrap("wgraph", n, checks)
 
@@ -202,10 +194,11 @@ def suite_kl(n: int) -> dict:
             ok, detail = False, str(exc)
         _check(checks, f"KL basis bar-invariant at n={m}", ok, detail)
         _check(checks, f"KL coefficients nonnegative at n={m}", min(coefs) >= 0)
+        rs = {p: tableau.pq_rs(p) for p in _permutations(range(1, m + 1))}
         for side, which in (("left", 1), ("right", 0)):
             fibers = {}
-            for p in _permutations(range(1, m + 1)):
-                fibers.setdefault(tableau.pq_rs(p)[which].rows, []).append(p)
+            for p, pq in rs.items():
+                fibers.setdefault(pq[which].rows, []).append(p)
             want = sorted(sorted(v) for v in fibers.values())
             got = sorted(sorted(c) for c in hecke.kl_cells(m, side, max_n=max(m, hecke.DEFAULT_MAX_N)))
             _check(checks, f"{side} KL cells = RS fibers at n={m}", got == want)

@@ -372,13 +372,19 @@ class ClassifyReport:
 
 
 def classify(n: int, variant: str, reduced: bool = True) -> ClassifyReport:
+    """classify_graph on the row or column Gelfand graph that build_gamma makes."""
+    return classify_graph(build_gamma(n, variant, reduced=reduced))
+
+
+def classify_graph(g: WGraph) -> ClassifyReport:
     """
     Check, for one Gelfand graph: molecules are the shape fibers of the
     restricted insertion tableau; bidirected edges agree with their
     order-theoretic description; and every molecule is a cell.
     """
-    g = build_gamma(n, variant, reduced=reduced)
-    report = ClassifyReport(n, variant, g.reduced)
+    if g.variant not in ("row", "col") or g.shapes is None:
+        raise ValueError(f"need a row or column Gelfand graph with shapes, got {g!r}")
+    report = ClassifyReport(g.n, g.variant, g.reduced)
 
     fibers = {}
     for k, sh in enumerate(g.shapes):
@@ -394,7 +400,7 @@ def classify(n: int, variant: str, reduced: bool = True) -> ClassifyReport:
         )
 
     alg = algebraic_bidirected_pairs(g)
-    comb = combinatorial_bidirected_pairs(n, variant)
+    comb = combinatorial_bidirected_pairs(g.n, g.variant)
     report.edges_match = alg == comb
     if not report.edges_match:
         alg_set, comb_set = set(alg), set(comb)

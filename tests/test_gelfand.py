@@ -171,6 +171,16 @@ def test_h_action_examples():
         h_action(4, ModuleElement.basis(zd))
 
 
+def test_module_element_rejects_mixed_degrees():
+    # vertices of I_3 and I_4 in one element would reach h_action and
+    # bar_module with words that the degree-3 model does not index
+    z3, z4 = embed(Involution.identity(3), "asc"), embed(Involution.identity(4), "asc")
+    with pytest.raises(ValueError, match=r"^mixed vertex degrees \[3, 4\] in one element$"):
+        ModuleElement.basis(z3) + ModuleElement.basis(z4)
+    with pytest.raises(ValueError, match=r"^mixed vertex degrees \[3, 4\] in one element$"):
+        ModuleElement({z4: ONE, z3: X})
+
+
 def test_quadratic_and_braid_relations():
     for n in (2, 3, 4, 5):
         for mode in ("asc", "des"):
@@ -262,6 +272,13 @@ def test_canonical_basis_small_cases():
     assert len(cols1) == 1 and not mu1.entries
     with pytest.raises(ValueError):
         canonical_basis(2, "Q")
+
+
+def test_canonical_basis_shares_one_vertex_object_per_vertex():
+    cols, mu = canonical_basis(4, "N")
+    verts = {z.word: z for z in cols}
+    assert all(y is verts[y.word] for e in cols.values() for y in e.coeffs)
+    assert all(y is verts[y.word] and z is verts[z.word] for y, z in mu.entries)
 
 
 def test_canonical_basis_verified_and_triangular():

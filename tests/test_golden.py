@@ -12,7 +12,10 @@ shapes) and the p_rbs, p_cbs and psi images of I_9 ("insert 9") were recorded
 before the Beissinger maps moved onto the list-level Schensted kernels.
 The n=7 tables files ("tables 7 M bytes", "tables 7 N bytes": the exact
 bytes that `gwg graph build --n 7 --tables` writes for row and col) were
-recorded before tables_json streamed its text column by column.
+recorded before tables_json streamed its text column by column.  The n=7
+reports of the gelfand and wgraph verify suites ("verify gelfand 7", "verify
+wgraph 7") were recorded before the suites fetched each model, certificate
+and reduced graph once.
 """
 
 import hashlib
@@ -39,6 +42,8 @@ GOLDEN = {
     "pairs 8 row": "8ad0a21ee1b6a2b69abbaa0452cd0966a4e726fcd88d6ee8bbe86b7befe6f843",
     "pairs 8 col": "6ae8e88b7fd78c75c8d886c9bcfa28b7bf23078a4e0cbae16fedda5a01254987",
     "verify all 5": "ba842baf3616f8775f51c7ffd6684273d79d42894928a7b2d6622f0042384ad8",
+    "verify gelfand 7": "15900ab02644a9f951f126ee3b4e918b7d59009eed01c873cd052bffb4559402",
+    "verify wgraph 7": "70a5bdb5785690d10ac2b383f5a99782c0749d2f7b8da1eb9879270fdacbee9e",
     "graph 8 row": "537cda8f294df5080d38a9d106adf5248e2a70805275866338dbc8d4b1cbcc8c",
     "graph 8 col": "83e6f4f4a4da83884c47ec29936ed2f703ccac6bb011f0044dcb881ae27b4f9a",
     "insert 9": "22227f259749b024cf716266e7b2ca4866870cc6bd379d1ae0f653f1e8707534",

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import pytest
@@ -27,6 +28,18 @@ def test_h_s_mul_examples():
     assert h_s_mul(1, H([3, 1, 2])) == H([3, 2, 1])
     with pytest.raises(ValueError):
         h_s_mul(3, H([2, 1, 3]))
+
+
+@pytest.mark.parametrize("h,bad", [
+    (H([1, 2]) + H([1, 2, 3]), "(1, 2, 3)"),  # terms of two degrees
+    (H([2, 3]), "(2, 3)"),                    # not a permutation of [1..2]
+])
+def test_words_outside_the_degree_are_refused(h, bad):
+    msg = "^" + re.escape(f"{bad} is not a permutation of [1..2]") + "$"
+    with pytest.raises(ValueError, match=msg):
+        h_s_mul(1, h)
+    with pytest.raises(ValueError, match=msg):
+        h_bar(h)
 
 
 def test_h_s_mul_is_linear():

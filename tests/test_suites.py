@@ -50,3 +50,46 @@ def test_gelfand_suite_reports_broken_action(monkeypatch):
     assert not report["passed"]
     assert "quadratic relation fails for s_2" in failed["quadratic and braid relations at n=3"]
     assert "quadratic and braid relations at n=2" not in failed
+
+
+def test_suites_fetch_each_checked_object_once(monkeypatch):
+    # one reduced graph per (m, variant) in the wgraph suite, one certificate
+    # per (m, variant) in the gelfand suite, one p-map tableau of each kind
+    # per involution and one RS pair per permutation
+    from gelfand_wgraphs import beissinger, tableau, wgraph
+    from gelfand_wgraphs.perm import enumerate_involutions
+
+    calls = []
+
+    def counted(owner, name, tag=None):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(tag(*args, **kwargs) if tag else name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def build_tag(n, variant, reduced=True):
+        return f"build reduced={bool(reduced)}"
+
+    counted(wgraph, "build_gamma", build_tag)
+    counted(gelfand.ModuleTable, "check_intertwining")
+    counted(beissinger, "p_rbs")
+    counted(beissinger, "p_cbs")
+    counted(tableau, "pq_rs")
+
+    assert run_suite("wgraph", 5)["passed"]
+    assert calls.count("build reduced=True") == 10
+    assert calls.count("build reduced=False") == 10
+    calls.clear()
+    assert run_suite("gelfand", 5)["passed"]
+    assert calls.count("check_intertwining") == 10
+    calls.clear()
+    assert run_suite("insertion", 5)["passed"]
+    involutions = sum(len(list(enumerate_involutions(m))) for m in range(1, 6))
+    assert calls.count("p_rbs") == calls.count("p_cbs") == involutions
+    assert calls.count("pq_rs") == involutions
+    calls.clear()
+    assert run_suite("kl", 4)["passed"]
+    assert calls.count("pq_rs") == 1 + 2 + 6 + 24

@@ -20,6 +20,7 @@ from gelfand_wgraphs.wgraph import (
     character_check,
     character_trace,
     classify,
+    classify_graph,
     combinatorial_bidirected,
     combinatorial_bidirected_pairs,
     export,
@@ -272,6 +273,19 @@ def test_classify_small():
             assert rep.ok, (n, variant, rep.counterexamples)
     assert classify(4, "row").fiber_count == 5
     assert classify(5, "col").fiber_count == 7
+
+
+def test_classify_graph_is_classify_on_a_given_graph():
+    from gelfand_wgraphs.hecke import kl_wgraph
+
+    for variant in ("row", "col"):
+        for reduced in (True, False):
+            assert classify_graph(build_gamma(4, variant, reduced)) == classify(4, variant, reduced)
+    g = build_gamma(3, "row")
+    no_shapes = WGraph(g.n, g.variant, g.reduced, g.vertices, g.tau, g.omega)
+    for other in (kl_wgraph(3, "left"), no_shapes):
+        with pytest.raises(ValueError, match="^need a row or column Gelfand graph with shapes"):
+            classify_graph(other)
 
 
 def test_classify_reports_dropped_combinatorial_pair(monkeypatch, capsys):
