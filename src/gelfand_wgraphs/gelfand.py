@@ -185,63 +185,6 @@ def transfer_points(z: GelfandVertex) -> frozenset:
     return frozenset(i for i in range(1, z.n + 1) if z.word[i - 1] > z.n)
 
 
-class ModuleElement:
-    """A sparse vector over Gelfand vertices with Laurent coefficients."""
-
-    __slots__ = ("coeffs", "variant")
-
-    def __init__(self, coeffs, variant=None):
-        coeffs = {z: c for z, c in coeffs.items() if c}
-        variants = {z.variant for z in coeffs}
-        if len(variants) > 1:
-            raise ValueError("mixed vertex variants in one element")
-        degrees = {z.n for z in coeffs}
-        if len(degrees) > 1:
-            raise ValueError(f"mixed vertex degrees {sorted(degrees)} in one element")
-        if variants:
-            found = "M" if variants.pop() == "asc" else "N"
-            if variant is not None and variant != found:
-                raise ValueError(f"vertices are {found}-type, element declared {variant}")
-            variant = found
-        self.coeffs = coeffs
-        self.variant = variant
-
-    @classmethod
-    def basis(cls, z: GelfandVertex) -> "ModuleElement":
-        return cls({z: ONE})
-
-    def __add__(self, other):
-        t = dict(self.coeffs)
-        for z, c in other.coeffs.items():
-            t[z] = t[z] + c if z in t else c
-        return ModuleElement(t, self.variant or other.variant)
-
-    def __sub__(self, other):
-        t = dict(self.coeffs)
-        for z, c in other.coeffs.items():
-            t[z] = t[z] - c if z in t else -c
-        return ModuleElement(t, self.variant or other.variant)
-
-    def scale(self, p: LaurentPoly) -> "ModuleElement":
-        return ModuleElement({z: c * p for z, c in self.coeffs.items()}, self.variant)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleElement)
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "ModuleElement(0)"
-        sym = self.variant or "?"
-        bits = [
-            f"({c})*{sym}[{''.join(map(str, z.word)) if z.n < 5 else list(z.word)}]"
-            for z, c in sorted(self.coeffs.items(), key=lambda t: t[0].word)
-        ]
-        return " + ".join(bits)
-
-
 @dataclass(frozen=True)
 class MuTable:
     """Sparse x^-1 coefficients of the canonical basis transition matrix."""
@@ -330,8 +273,8 @@ class ModuleTable:
     `exp_bits` exponent bits: 8, or more only if bar(T_v) at the longest
     vertex would not fit (barvec), which no table at n <= 11 needs.  The H_s
     action is one PackedAction in it (`action`); the relation check and
-    barvec run on it.  `h_col` and `bar_col`, which the module and Hecke
-    element APIs use, take columns of LaurentPolys at any exponents.
+    barvec run on it.  `h_col` and `bar_col`, which the elements
+    (_TableElement) use, take columns of LaurentPolys at any exponents.
 
     The canonical-basis recursion keeps each finished column in a packed
     ColumnStore (`column_store`) of that layout, a few bytes per term, with
@@ -382,6 +325,10 @@ class ModuleTable:
         self._action = None
         self.term_reads = None  # store terms the recursion read, once computed
 
+    def vertex(self, k: int):
+        """The basis vector at index k as an element key: its word (Model: a GelfandVertex)."""
+        return self.words[k]
+
     # -- the H_{s_i} action ----------------------------------------------------
 
     def action_terms(self) -> dict:
@@ -421,6 +368,8 @@ class ModuleTable:
 
     def h_col(self, i: int, col: dict) -> dict:
         """H_{s_i} on a column of LaurentPolys under vertex indices, by `action_terms`."""
+        if not 1 <= i <= self.n - 1:
+            raise ValueError(f"generator index {i} out of range for n={self.n}")
         terms = self.action_terms()[i]
         out = {}
         for v, p in col.items():
@@ -707,21 +656,28 @@ class ModuleTable:
 
     def bar_col(self, col: dict) -> dict:
         """
-        bar of a column of LaurentPolys, bar(c(x)·T_v) = c(x^-1)·bar(T_v):
-        barvec's keys are decoded and the column's exponents subtracted
-        outside the key field.
+        bar of a column of LaurentPolys, bar(c(x)·T_v) = c(x^-1)·bar(T_v).
+        barvec's packed columns are summed as they are, one sum per exponent
+        e of the column, and each sum is decoded once with e subtracted
+        outside the key field, so no exponent needs a wider one.
         """
         act = self.action()
         shift, bias = act.shift, act.bias
-        out = {}
+        field = (1 << shift) - 1
+        sums = {}  # e -> the packed sum of c·bar(T_v) over the terms c·x^e·T_v
         for v, p in col.items():
-            terms = p.items()
-            for key, d in self.barvec(v).items():
-                u = key >> shift
-                t = out.setdefault(u, {})
-                f = key - (u << shift) - bias
-                for e, c in terms:
-                    t[f - e] = t.get(f - e, 0) + c * d
+            bv = self.barvec(v).items()
+            for e, c in p.items():
+                acc = sums.setdefault(e, {})
+                get = acc.get
+                for key, d in bv:
+                    acc[key] = get(key, 0) + c * d
+        out = {}
+        for e, acc in sums.items():
+            for key, c in acc.items():
+                t = out.setdefault(key >> shift, {})
+                f = (key & field) - bias - e
+                t[f] = t.get(f, 0) + c
         return _nonzero(out)
 
 
@@ -729,6 +685,55 @@ def _nonzero(col: dict) -> dict:
     """A column of exponent -> coefficient dicts as LaurentPolys, zeros dropped."""
     out = {v: LaurentPoly(t) for v, t in col.items()}
     return {v: p for v, p in out.items() if p}
+
+
+class _TableElement:
+    """
+    A finite Z[x,x^-1]-combination of the basis vectors of a ModuleTable:
+    `terms` maps keys, the table's `vertex` objects, to nonzero
+    LaurentPolys.  A subclass (ModuleElement, hecke.HeckeElement) names the
+    table of a nonzero element (_table), gives a key's word in it (_word),
+    makes an element of its type from terms and an operand (_new) and
+    labels a key in the repr (_label).  Elements of two types are never
+    equal, and adding or subtracting them raises TypeError.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            t[k] = t[k] + c if k in t else c
+        return self._new(t, other)
+
+    def __sub__(self, other):
+        return self + other.scale(-ONE)
+
+    def scale(self, p: LaurentPoly):
+        return self._new({k: c * p for k, c in self.terms.items()}, self)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return f"{type(self).__name__}(0)"
+        terms = sorted(self.terms.items(), key=lambda t: self._word(t[0]))
+        return " + ".join(f"({c})*{self._label(k)}" for k, c in terms)
+
+    def _apply(self, op: str, *args):
+        """The table's column operation `op`, "h_col" (args: i) or "bar_col", on the element."""
+        if not self.terms:
+            return self._new({}, self)
+        table = self._table()
+        col = {table.index[self._word(k)]: c for k, c in self.terms.items()}
+        out = getattr(table, op)(*args, col)
+        return self._new({table.vertex(v): c for v, c in out.items()}, self)
 
 
 class Model(ModuleTable):
@@ -757,17 +762,8 @@ class Model(ModuleTable):
             pick,
         )
 
-    # -- conversions -------------------------------------------------------------
-
     def vertex(self, k: int) -> GelfandVertex:
         return GelfandVertex(self.words[k], self.n, self.variant, validate=False)
-
-    def element(self, col: dict) -> ModuleElement:
-        sym = "M" if self.variant == "asc" else "N"
-        return ModuleElement({self.vertex(v): c for v, c in col.items()}, sym)
-
-    def column_of(self, e: ModuleElement) -> dict:
-        return {self.index[z.word]: c for z, c in e.coeffs.items()}
 
 
 @lru_cache(maxsize=None)
@@ -775,32 +771,57 @@ def _model(n: int, variant: str) -> Model:
     return Model(n, variant)
 
 
-def _variant_of(e: ModuleElement) -> str:
-    if e.variant == "M":
-        return "asc"
-    if e.variant == "N":
-        return "des"
-    raise ValueError("cannot act on the zero element of unknown variant")
+class ModuleElement(_TableElement):
+    """A sparse vector over Gelfand vertices with Laurent coefficients."""
+
+    __slots__ = ("variant",)
+
+    def __init__(self, coeffs, variant=None):
+        if variant not in (None, "M", "N"):
+            raise ValueError(f"variant must be 'M', 'N' or None, got {variant!r}")
+        super().__init__(coeffs)
+        variants = {z.variant for z in self.terms}
+        if len(variants) > 1:
+            raise ValueError("mixed vertex variants in one element")
+        degrees = {z.n for z in self.terms}
+        if len(degrees) > 1:
+            raise ValueError(f"mixed vertex degrees {sorted(degrees)} in one element")
+        if variants:
+            found = "M" if variants.pop() == "asc" else "N"
+            if variant is not None and variant != found:
+                raise ValueError(f"vertices are {found}-type, element declared {variant}")
+            variant = found
+        self.variant = variant
+
+    @classmethod
+    def basis(cls, z: GelfandVertex) -> "ModuleElement":
+        return cls({z: ONE})
+
+    @property
+    def coeffs(self) -> dict:
+        return self.terms
+
+    def _table(self) -> Model:
+        return _model(next(iter(self.terms)).n, "asc" if self.variant == "M" else "des")
+
+    def _word(self, z: GelfandVertex) -> tuple:
+        return z.word
+
+    def _new(self, terms: dict, other: "ModuleElement") -> "ModuleElement":
+        return ModuleElement(terms, self.variant or other.variant)
+
+    def _label(self, z: GelfandVertex) -> str:
+        return f"{self.variant or '?'}[{''.join(map(str, z.word)) if z.n < 5 else list(z.word)}]"
 
 
 def h_action(i: int, e: ModuleElement) -> ModuleElement:
     """Left action of H_{s_i} on a module element."""
-    if not e.coeffs:
-        return e
-    variant = _variant_of(e)
-    n = next(iter(e.coeffs)).n
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    m = _model(n, variant)
-    return m.element(m.h_col(i, m.column_of(e)))
+    return e._apply("h_col", i)
 
 
 def bar_module(e: ModuleElement) -> ModuleElement:
     """The bar operator of the element's model, extended bar-semilinearly."""
-    if not e.coeffs:
-        return e
-    m = _model(next(iter(e.coeffs)).n, _variant_of(e))
-    return m.element(m.bar_col(m.column_of(e)))
+    return e._apply("bar_col")
 
 
 def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):

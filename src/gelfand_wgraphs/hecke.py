@@ -13,7 +13,9 @@ each generator a strict left ascent or descent, H_s moving w to s*w, and tau
 the left ascent set.  Multiplication by H_s, the bar involution and the KL
 basis are the Gelfand engine's column action, bar recursion and
 canonical-basis recursion on that table, so the check that KL cells are RS
-fibers exercises the same engine as the Gelfand W-graphs.
+fibers exercises the same engine as the Gelfand W-graphs.  HeckeElement is
+the engine's one sparse element type (gelfand._TableElement), as
+ModuleElement is for the Gelfand models, keyed by one-line words.
 """
 
 from __future__ import annotations
@@ -21,57 +23,52 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations as _permutations
 
-from .gelfand import ASC_LT, DES_LT, ModuleTable
+from .gelfand import ASC_LT, DES_LT, ModuleTable, _TableElement
 from .laurent import ONE, LaurentPoly
 from .perm import Permutation
 
 DEFAULT_MAX_N = 6
 
 
-class HeckeElement:
+def _one_line(w) -> tuple:
+    """The one-line word of a Permutation or of a sequence of values."""
+    return w.word if isinstance(w, Permutation) else tuple(w)
+
+
+class HeckeElement(_TableElement):
     """A finite Z[x,x^-1]-combination of standard basis elements H_w."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+        super().__init__({_one_line(w): c for w, c in (terms or {}).items()})
 
     @classmethod
     def basis(cls, w) -> "HeckeElement":
-        word = w.word if isinstance(w, Permutation) else tuple(w)
-        return cls({word: ONE})
+        return cls({w: ONE})
 
     @classmethod
     def unit(cls, n: int) -> "HeckeElement":
         return cls.basis(tuple(range(1, n + 1)))
 
     def coeff(self, w) -> LaurentPoly:
-        word = w.word if isinstance(w, Permutation) else tuple(w)
-        return self.terms.get(word, LaurentPoly())
+        return self.terms.get(_one_line(w), LaurentPoly())
 
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t[w] + c if w in t else c
-        return HeckeElement(t)
+    def _table(self) -> ModuleTable:
+        table = _regular(len(next(iter(self.terms))))
+        for w in self.terms:
+            if w not in table.index:
+                raise ValueError(f"{w} is not a permutation of [1..{table.n}]")
+        return table
 
-    def __sub__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t[w] - c if w in t else -c
-        return HeckeElement(t)
+    def _word(self, w) -> tuple:
+        return w
 
-    def scale(self, p: LaurentPoly) -> "HeckeElement":
-        return HeckeElement({w: c * p for w, c in self.terms.items()})
+    def _new(self, terms: dict, other: "HeckeElement") -> "HeckeElement":
+        return HeckeElement(terms)
 
-    def __eq__(self, other):
-        return isinstance(other, HeckeElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "HeckeElement(0)"
-        bits = [f"({c})*H{list(w)}" for w, c in sorted(self.terms.items())]
-        return " + ".join(bits)
+    def _label(self, w) -> str:
+        return f"H{list(w)}"
 
 
 def _s_mul_word(i: int, word):
@@ -96,32 +93,14 @@ def _regular(n: int) -> ModuleTable:
     )
 
 
-def _table_column(h: HeckeElement):
-    """The regular-representation table of h's degree, and h as its column."""
-    table = _regular(len(next(iter(h.terms))))
-    try:
-        return table, {table.index[w]: c for w, c in h.terms.items()}
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]} is not a permutation of [1..{table.n}]") from None
-
-
-def _element(table: ModuleTable, col: dict) -> HeckeElement:
-    return HeckeElement({table.words[v]: c for v, c in col.items()})
-
-
 def h_s_mul(i: int, h: HeckeElement) -> HeckeElement:
     """Left multiplication by H_{s_i}."""
-    if not h.terms:
-        return HeckeElement()
-    table, col = _table_column(h)
-    if not 1 <= i <= table.n - 1:
-        raise ValueError(f"generator index {i} out of range for n={table.n}")
-    return _element(table, table.h_col(i, col))
+    return h._apply("h_col", i)
 
 
 def reduced_word(w) -> tuple:
     """The lexicographically least reduced word of w."""
-    word = w.word if isinstance(w, Permutation) else tuple(w)
+    word = _one_line(w)
     letters = []
     while True:
         for i in range(1, len(word)):
@@ -135,10 +114,7 @@ def reduced_word(w) -> tuple:
 
 def h_bar(h: HeckeElement) -> HeckeElement:
     """The bar involution, extended bar-semilinearly from the basis."""
-    if not h.terms:
-        return HeckeElement()
-    table, col = _table_column(h)
-    return _element(table, table.bar_col(col))
+    return h._apply("bar_col")
 
 
 def kl_table(n: int):

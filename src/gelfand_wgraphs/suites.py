@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import permutations as _permutations
 
 from . import action, beissinger, gelfand, hecke, tableau, wgraph
-from .laurent import X_MINUS_XINV
+from .laurent import ONE, X_MINUS_XINV, ZERO
 from .perm import Permutation, cycle_type, enumerate_involutions
 
 
@@ -115,17 +115,20 @@ def suite_gelfand(n: int) -> dict:
             ]
             _check(checks, f"quadratic and braid relations at n={m}", not bad,
                    "; ".join(bad))
+            # bar(bar(T_v)) = T_v, and bar(H_s·T_v) = (H_s - (x - x^-1))·bar(T_v) in
+            # the form bar((H_s - (x - x^-1))·T_v) = H_s·bar(T_v), equal by semilinearity
             ok_bar = True
-            for variant in ("M", "N"):
-                for za, zd in pairs:
-                    e = gelfand.ModuleElement.basis(za if variant == "M" else zd)
-                    be = gelfand.bar_module(e)
-                    if gelfand.bar_module(be) != e:
+            for variant in ("asc", "des"):
+                model = gelfand._model(m, variant)
+                for v in range(len(model.words)):
+                    e = {v: ONE}
+                    be = model.bar_col(e)
+                    if model.bar_col(be) != e:
                         ok_bar = False
                     for i in range(1, m):
-                        lhs = gelfand.bar_module(gelfand.h_action(i, e))
-                        rhs = gelfand.h_action(i, be) - be.scale(X_MINUS_XINV)
-                        if lhs != rhs:
+                        col = model.h_col(i, e)
+                        col[v] = col.get(v, ZERO) - X_MINUS_XINV
+                        if model.bar_col(col) != model.h_col(i, be):
                             ok_bar = False
             _check(checks, f"bar operator involutive and compatible at n={m}", ok_bar)
         try:

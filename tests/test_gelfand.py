@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import sys
 import tracemalloc
 from array import array
@@ -179,6 +180,16 @@ def test_module_element_rejects_mixed_degrees():
         ModuleElement.basis(z3) + ModuleElement.basis(z4)
     with pytest.raises(ValueError, match=r"^mixed vertex degrees \[3, 4\] in one element$"):
         ModuleElement({z4: ONE, z3: X})
+
+
+@pytest.mark.parametrize("variant", ["Q", "asc", "", 0])
+def test_module_element_rejects_unknown_variants(variant):
+    msg = r"^variant must be 'M', 'N' or None, got " + re.escape(repr(variant)) + "$"
+    with pytest.raises(ValueError, match=msg):
+        ModuleElement({}, variant)
+    with pytest.raises(ValueError, match=msg):
+        ModuleElement({embed(Involution.identity(2), "asc"): ONE}, variant)
+    assert ModuleElement({}, "N").variant == "N"
 
 
 def test_quadratic_and_braid_relations():

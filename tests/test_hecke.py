@@ -42,6 +42,17 @@ def test_words_outside_the_degree_are_refused(h, bad):
         h_bar(h)
 
 
+def test_permutation_keys_are_keyed_by_their_words():
+    w = Permutation((2, 1, 3))
+    h = HeckeElement({w: X})
+    assert h.coeff(w) == X
+    assert h.coeff((2, 1, 3)) == X
+    assert h == HeckeElement.basis(w).scale(X)
+    assert repr(h) == "(x)*H[2, 1, 3]"
+    assert h_s_mul(1, h) == H([1, 2, 3]).scale(X) + h.scale(X_MINUS_XINV)
+    assert h_bar(h) == h_bar(H([2, 1, 3])).scale(X_INV)
+
+
 def test_h_s_mul_is_linear():
     e = H([1, 2, 3]).scale(X) + H([2, 1, 3]).scale(X_INV)
     assert h_s_mul(2, e) == h_s_mul(2, H([1, 2, 3])).scale(X) + h_s_mul(2, H([2, 1, 3])).scale(X_INV)

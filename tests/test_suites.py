@@ -50,6 +50,46 @@ def test_gelfand_suite_reports_broken_action(monkeypatch):
     assert not report["passed"]
     assert "quadratic relation fails for s_2" in failed["quadratic and braid relations at n=3"]
     assert "quadratic and braid relations at n=2" not in failed
+    assert "bar operator involutive and compatible at n=3" in failed
+
+
+def test_gelfand_suite_bar_check_sees_a_broken_bar(monkeypatch):
+    # bar(T_v) off by one coefficient at the longest vertex of I_3: the
+    # relations and the certificate never read bar(T_v), so only the bar
+    # check can see it
+    true_barvec = gelfand.ModuleTable.barvec
+
+    def broken(self, v):
+        got = true_barvec(self, v)
+        if self.n == 3 and v == len(self.words) - 1:
+            key = min(got)
+            got = {**got, key: got[key] + 1}
+        return got
+
+    monkeypatch.setattr(gelfand.ModuleTable, "barvec", broken)
+    gelfand._model.cache_clear()
+    try:
+        report = run_suite("gelfand", 3)
+    finally:
+        gelfand._model.cache_clear()
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert failed == {"bar operator involutive and compatible at n=3"}
+
+
+def test_verify_path_builds_no_elements(monkeypatch):
+    # the gelfand and kl suites check the engine's columns directly, so they
+    # pass even when no ModuleElement or HeckeElement can be built
+    from gelfand_wgraphs import hecke
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an element was built on the verify path")
+
+    monkeypatch.setattr(gelfand.ModuleElement, "__init__", refuse)
+    monkeypatch.setattr(hecke.HeckeElement, "__init__", refuse)
+    for name in ("gelfand", "kl"):
+        report = run_suite(name, 5)
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert report["passed"] and not failed, failed
 
 
 def test_suites_fetch_each_checked_object_once(monkeypatch):
