@@ -157,34 +157,68 @@ def _peel(rows, row: bool) -> Involution:
 
     Peel off b = n, n-1, ..., 1 in turn, skipping the partners already
     unbumped.  Each b is the largest entry left in a partially standard
-    tableau, so it sits at a corner: it ends its row, found among the row
-    ends, and no row below reaches its column.  In row 1 (row) or column 1
-    (column) it records a fixed point; otherwise an inverse Schensted
-    insertion from the end of the row above it (row) or from the bottom of
-    the column to its left (column) outputs the partner of b.  That column,
-    column c, ends in the last of the rows of length c that follow b's row:
-    the rows above are longer and the rows past them shorter.
+    tableau, so it sits at a corner: it ends its row and no row below
+    reaches its column.  In row 1 (row) or column 1 (column) it records a
+    fixed point; otherwise an inverse Schensted insertion from the end of
+    the row above it (row) or from the bottom of the column to its left
+    (column) outputs the partner a of b.
+
+    Every cell is found in O(1).  where[v] is the row index of v: it is
+    filled once, and unbump updates it for each value that moves up a row.
+    In the column variant height[c] is the length of column c, decremented
+    on every pop, so the column to the left of b, column c, ends in row
+    height[c].  Those indices never shift, because a row is deleted only
+    when it is the last row.  A row empties only when its last cell, in
+    column 1, is popped, and that cell is a corner, so no row below it
+    reaches column 1:
+      - b's row, when b is in column 1;
+      - in the row variant, the row above b's row, when it has length 1;
+        then b's row had no room left of b, so b was in column 1 and b's
+        row was already deleted as the last row;
+      - in the column variant, row height[1], the last row.
+
+    The word starts as the identity and only ever swaps b with a while both
+    are fixed: b is checked at the top of the loop and a before the swap.
+    So it stays a product of disjoint transpositions, and the Involution is
+    built without sorting or inverting it; an unbump that returns a value
+    already paired raises RuntimeError instead.
     """
     n = sum(map(len, rows))
     word = list(range(1, n + 1))
+    where = [0] * (n + 1)
+    for r, cells in enumerate(rows):
+        for v in cells:
+            where[v] = r
+    if not row and rows:
+        height = [0] * (len(rows[0]) + 1)
+        for cells in rows:
+            height[len(cells)] += 1
+        for c in range(len(height) - 2, 0, -1):
+            height[c] += height[c + 1]
     for b in range(n, 0, -1):
         if word[b - 1] != b:  # b was unbumped as the partner of a larger entry
             continue
-        r = [x[-1] for x in rows].index(b)
-        rows[r].pop()
-        c = len(rows[r])
+        r = where[b]
+        cells = rows[r]
+        cells.pop()
+        c = len(cells)
         if not c:
             del rows[r]
-        if (r if row else c) == 0:  # a fixed point
-            continue
-        start = r
-        if not row:
-            start += 1
-            while start < len(rows) and len(rows[start]) == c:
-                start += 1
-        a = unbump(rows, start)
+        if row:
+            if not r:  # a fixed point
+                continue
+            start = r
+        else:
+            height[c + 1] -= 1
+            if not c:  # a fixed point
+                continue
+            start = height[c]
+            height[c] -= 1
+        a = unbump(rows, start, where)
+        if word[a - 1] != a:
+            raise RuntimeError(f"peeling {b}: the unbump returned {a}, which is already paired")
         word[a - 1], word[b - 1] = b, a
-    return Involution(word)
+    return Involution(word, validate=False)
 
 
 def _standard_rows(T: Tableau):

@@ -52,13 +52,16 @@ def cycle_type(word) -> list:
 
 @total_ordering
 class Permutation:
-    """A permutation of [n], stored as a tuple in one-line notation."""
+    """
+    A permutation of [n], stored as a tuple in one-line notation.
+    validate=False skips the sort that checks the word.
+    """
 
     __slots__ = ("word",)
 
-    def __init__(self, word):
+    def __init__(self, word, validate: bool = True):
         word = tuple(word)
-        if sorted(word) != list(range(1, len(word) + 1)):
+        if validate and sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"{word} is not a permutation of [1..{len(word)}]")
         object.__setattr__(self, "word", word)
 
@@ -106,14 +109,18 @@ class Permutation:
 
 
 class Involution:
-    """A self-inverse permutation."""
+    """
+    A self-inverse permutation.  validate=False trusts a caller that has
+    built the word as a product of disjoint transpositions, as the peel of
+    an inverse Beissinger map does, and skips the sort and the inversion.
+    """
 
     __slots__ = ("perm",)
 
-    def __init__(self, perm):
+    def __init__(self, perm, validate: bool = True):
         if not isinstance(perm, Permutation):
-            perm = Permutation(perm)
-        if not perm.is_involution():
+            perm = Permutation(perm, validate)
+        if validate and not perm.is_involution():
             raise ValueError(f"{list(perm.word)} is not an involution")
         object.__setattr__(self, "perm", perm)
 

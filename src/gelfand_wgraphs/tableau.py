@@ -21,13 +21,28 @@ from .perm import Permutation
 
 
 class Tableau:
-    __slots__ = ("rows",)
+    """
+    A tableau is immutable once built.  `_checked` records that the
+    constructor's increase check passed, so `is_partially_standard` and
+    `is_standard` need not repeat it; tableaux from `filling`, from
+    `validate=False` and from `transpose` are unchecked and get the full
+    check there.
+    """
+
+    __slots__ = ("rows", "_checked")
 
     def __init__(self, rows=(), validate: bool = True):
         rows = tuple(tuple(r) for r in rows)
         if validate:
             _validate(rows, increase=True)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_checked", validate)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Tableau is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Tableau is immutable; cannot delete {name!r}")
 
     @classmethod
     def filling(cls, rows) -> "Tableau":
@@ -37,13 +52,13 @@ class Tableau:
         arbitrary pair can produce such fillings; the involution-to-tableau
         maps never do.
         """
-        rows = tuple(tuple(r) for r in rows)
-        _validate(rows, increase=False)
-        t = cls.__new__(cls)
-        object.__setattr__(t, "rows", rows)
+        t = cls(rows, validate=False)
+        _validate(t.rows, increase=False)
         return t
 
     def is_partially_standard(self) -> bool:
+        if self._checked:
+            return True
         try:
             _validate(self.rows, increase=True)
         except ValueError:
@@ -56,7 +71,7 @@ class Tableau:
 
     @property
     def size(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def entries(self):
         return {v for row in self.rows for v in row}
@@ -66,11 +81,14 @@ class Tableau:
 
     def is_standard(self) -> bool:
         """
-        Entries 1..n, increasing along rows and columns.  A tableau built by
-        `filling` or `transpose` of one need not increase, so the increase is
-        checked here too, by the same check as the constructor's.
+        Entries 1..n, increasing along rows and columns.  Once the increase
+        check has passed, the entries are distinct positive integers and
+        each row's largest entry ends it, so they are 1..n exactly when the
+        largest row end is the size.
         """
-        return self.entries() == set(range(1, self.size + 1)) and self.is_partially_standard()
+        if not self.is_partially_standard():
+            return False
+        return not self.rows or max(r[-1] for r in self.rows) == self.size
 
     def corners(self):
         """Removable cells: (r, c) at the end of a row that is longer than the next."""
@@ -168,19 +186,24 @@ def bump(rows, x, path=None):
     return len(rows), 1
 
 
-def unbump(rows, r: int) -> int:
+def unbump(rows, r: int, where=None) -> int:
     """
     The inverse of bump: remove the last box of row r (1-based), which must
     be a removable cell, bump its entry back up through the rows above, and
-    return the value pushed out of row 1.  rows is changed in place.
+    return the value pushed out of row 1.  rows is changed in place.  If
+    where is a list, where[v] is set to the new 0-based row of every value v
+    that moves up into a row.
     """
     x = rows[r - 1].pop()
     if not rows[r - 1]:
         del rows[r - 1]
-    for row in reversed(rows[:r - 1]):
+    for j in range(r - 2, -1, -1):
+        row = rows[j]
         # rightmost entry smaller than the carried value gets bumped out
         k = bisect_right(row, x) - 1
         row[k], x = x, row[k]
+        if where is not None:
+            where[row[k]] = j
     return x
 
 
@@ -238,20 +261,30 @@ def dual_equiv(T: Tableau, i: int) -> Tableau:
     The elementary dual equivalence operator D_i.  Looking at the positions
     of i-1, i, i+1 in the reading word: if i is in the middle the tableau is
     unchanged; if i-1 is in the middle, i and i+1 trade places; if i+1 is in
-    the middle, i-1 and i trade places.
+    the middle, i-1 and i trade places.  The reading word takes the rows
+    last first, so v comes before u in it when v's cell is lower, or in the
+    same row and further left: one pass over the rows finds the three cells.
     """
-    entries = T.entries()
-    for v in (i - 1, i, i + 1):
-        if v not in entries:
+    window = (i - 1, i, i + 1)
+    cell = {}
+    for r, row in enumerate(T.rows):
+        for v in window:
+            if v in row:
+                cell[v] = (r, row.index(v))
+        if len(cell) == 3:
+            break
+    for v in window:
+        if v not in cell:
             raise ValueError(f"entry {v} is missing; D_{i} needs i-1, i, i+1 present")
-    word = reading_word(T)
-    pos = {v: word.index(v) for v in (i - 1, i, i + 1)}
-    middle = sorted((i - 1, i, i + 1), key=pos.get)[1]
+    middle = sorted(window, key=lambda v: (-cell[v][0], cell[v][1]))[1]
     if middle == i:
         return T
     a, b = (i, i + 1) if middle == i - 1 else (i - 1, i)
-    swap = {a: b, b: a}
-    return Tableau([[swap.get(v, v) for v in row] for row in T.rows])
+    rows = list(T.rows)
+    for v, w in ((a, b), (b, a)):
+        r, c = cell[v]
+        rows[r] = rows[r][:c] + (w,) + rows[r][c + 1:]
+    return Tableau(rows)
 
 
 def transpose(T: Tableau) -> Tableau:

@@ -382,3 +382,48 @@ def test_cbs_insert_on_random_fillings_matches_counting_target():
         assert outcome(cbs_insert, F, a, b) == want, (F, a, b)
         kinds.add(want if isinstance(want, str) else "filling")
     assert "filling" in kinds and len(kinds) >= 3
+
+
+# -- the peel: an exhaustive oracle and fault detection -----------------------
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_inverses_match_reference_on_every_syt(n):
+    for U in standard_tableaux(n):
+        y, z = p_rbs_inverse(U), p_cbs_inverse(U)
+        assert y == peel_reference(U, True)
+        assert z == peel_reference(U, False)
+        assert p_rbs(y) == U and p_cbs(z) == U
+
+
+@pytest.mark.parametrize("peel", [
+    lambda y: p_rbs_inverse(p_rbs(y)),
+    lambda y: p_cbs_inverse(p_cbs(y)),
+    psi,
+], ids=["rbs", "cbs", "psi"])
+def test_peel_raises_when_unbump_returns_a_paired_value(monkeypatch, peel):
+    # every later unbump returns the partner found by the first one
+    real, first = beissinger.unbump, []
+
+    def faulty(rows, r, where=None):
+        first.append(real(rows, r, where))
+        return first[0]
+
+    monkeypatch.setattr(beissinger, "unbump", faulty)
+    with pytest.raises(RuntimeError, match="already paired"):
+        peel(inv([3, 4, 1, 2]))
+
+
+@pytest.mark.parametrize("bad", [
+    [[2, 1]], [[1, 2], [4, 3]], [[1, 4], [3, 2]], [[2], [1]], [[1, 3, 4], [2], [6], [5]],
+])
+def test_unchecked_non_increasing_tableaux_are_rejected(bad):
+    from gelfand_wgraphs.gelfand import iota_line
+
+    for U in (Tableau(bad, validate=False), Tableau.filling(bad),
+              transpose(Tableau.filling(bad))):
+        assert not U.is_standard()
+        for f in (p_rbs_inverse, p_cbs_inverse,
+                  lambda t: iota_line(t, "row"), lambda t: iota_line(t, "col")):
+            with pytest.raises(ValueError, match="standard tableau"):
+                f(U)

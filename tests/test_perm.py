@@ -136,6 +136,12 @@ def test_permutation_validation():
         Permutation([1, 1, 2])
     with pytest.raises(ValueError):
         Involution([2, 3, 1])
+    with pytest.raises(ValueError):
+        Involution(Permutation([2, 3, 1]))
+    # the trusted path skips the checks and builds the same value
+    trusted = Involution((3, 2, 1), validate=False)
+    assert trusted == Involution([3, 2, 1]) and trusted.perm == P([3, 2, 1])
+    assert hash(trusted) == hash(Involution([3, 2, 1]))
 
 
 def test_composition_and_inverse():

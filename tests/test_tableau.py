@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -177,6 +178,70 @@ def test_dual_equiv_examples():
     assert dual_equiv(T([[1, 2, 5], [3, 4]]), 2) == T([[1, 3, 5], [2, 4]])
     with pytest.raises(ValueError):
         dual_equiv(T([[1, 2, 5], [3, 4]]), 5)
+
+
+def dual_equiv_by_reading_word(U, i):
+    """D_i read off the reading word directly, as a reference."""
+    entries = U.entries()
+    for v in (i - 1, i, i + 1):
+        if v not in entries:
+            raise ValueError(f"entry {v} is missing; D_{i} needs i-1, i, i+1 present")
+    word = reading_word(U)
+    middle = sorted((i - 1, i, i + 1), key=word.index)[1]
+    if middle == i:
+        return U
+    a, b = (i, i + 1) if middle == i - 1 else (i - 1, i)
+    swap = {a: b, b: a}
+    return Tableau([[swap.get(v, v) for v in row] for row in U.rows])
+
+
+def test_dual_equiv_matches_reading_word_reference():
+    for n in range(3, 8):
+        for U in standard_tableaux(n):
+            for i in range(2, n):
+                assert dual_equiv(U, i) == dual_equiv_by_reading_word(U, i)
+    # on fillings the two agree on the result or on the error, message included
+    rng = random.Random(4)
+    for _ in range(2000):
+        shape = sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 4))), reverse=True)
+        values = rng.sample(range(1, sum(shape) + 1 + rng.randint(0, 1)), sum(shape))
+        rest = iter(values)
+        F = Tableau.filling([[next(rest) for _ in range(m)] for m in shape])
+        i = rng.randint(2, max(2, sum(shape) - 1))
+        got, want = [], []
+        for f, out in ((dual_equiv, got), (dual_equiv_by_reading_word, want)):
+            try:
+                out.append(f(F, i).rows)
+            except ValueError as exc:
+                out.append(str(exc))
+        assert got == want, (F, i)
+
+
+def test_tableau_is_immutable():
+    U = T([[1, 2], [3]])
+    for name in ("rows", "_checked", "other"):
+        with pytest.raises(AttributeError):
+            setattr(U, name, ((1,),))
+    with pytest.raises(AttributeError):
+        del U.rows
+    assert U.rows == ((1, 2), (3,)) and U.is_standard()
+
+
+def test_checked_tableaux_are_not_validated_again(monkeypatch):
+    from gelfand_wgraphs import tableau
+
+    checked = T([[1, 2, 5], [3, 4]])
+    gap = T([[1, 2, 6], [3, 4]])  # partially standard, but not on 1..n
+    unchecked = Tableau([[1, 2, 5], [3, 4]], validate=False)
+
+    def fail(rows, increase):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(tableau, "_validate", fail)
+    assert checked.is_partially_standard() and checked.is_standard()
+    assert gap.is_partially_standard() and not gap.is_standard()
+    with pytest.raises(AssertionError):
+        unchecked.is_standard()
 
 
 def test_dual_equiv_involution_on_syt():
