@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import nullcontext
 
 from . import beissinger, gelfand, hecke, suites, wgraph
 from .perm import Involution, parse_involution
@@ -57,12 +59,19 @@ def _inv_json(y: Involution) -> dict:
 
 
 def _emit(doc, path=None):
-    text = doc if isinstance(doc, str) else json.dumps(doc)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    """
+    Write doc, a string, an iterator of string chunks (a streamed export) or
+    a value for json.dumps, to the file at path, ended by a newline if it
+    does not end in one, or to stdout with a newline after it, as print does.
+    """
+    if not isinstance(doc, Iterator):
+        doc = [doc if isinstance(doc, str) else json.dumps(doc)]
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        text = ""
+        for text in doc:
+            fh.write(text)
+        if not (path and text.endswith("\n")):
+            fh.write("\n")
 
 
 def cmd_insert(args) -> int:
@@ -142,7 +151,7 @@ def cmd_graph(args) -> int:
         return EXIT_OK if report.ok else EXIT_DOMAIN
     g = wgraph.build_gamma(args.n, args.variant, reduced=reduced)
     if args.action == "build":
-        _emit(wgraph.export(g, "json"), args.out)
+        _emit(wgraph.export_chunks(g, "json"), args.out)
         if args.tables:
             with open(args.tables, "w") as fh:
                 gelfand.tables_json(args.n, "M" if args.variant == "row" else "N", fh)
@@ -158,7 +167,7 @@ def cmd_graph(args) -> int:
                    "condensation": [list(e) for e in cond]}
         _emit(doc, args.out)
     if args.dot:
-        _emit(wgraph.export(g, "dot"), args.dot)
+        _emit(wgraph.export_chunks(g, "dot"), args.dot)
     return EXIT_OK
 
 

@@ -465,7 +465,7 @@ class ModuleTable:
             mu_by_col[z] = self._check_column(z, step(i, 1, w, mu_by_col[w].items()), store)
             sizes.append(store.ends[z] - (store.ends[z - 1] if z else 0))
         self._store = store
-        self._mu_by_col = mu_by_col
+        self._mu_by_col = tuple(mu_by_col)
         self.term_reads = reads
 
     def _check_column(self, z: int, col: dict, store: ColumnStore) -> dict:
@@ -546,21 +546,26 @@ class ModuleTable:
             self.check_intertwining()
         return self._columns
 
-    def mu_entries(self) -> dict:
+    def mu_columns(self) -> tuple:
+        """
+        The mu table as the recursion keeps it: entry z maps each y with
+        mu(y, z) != 0 to mu(y, z), always with l(y) < l(z).  The dicts are the
+        table's own, shared with every caller, and must not be changed.
+        """
         if self._mu_by_col is None:
             self._compute_columns()
-        return {
-            (y, z): m
-            for z, ml in enumerate(self._mu_by_col)
-            for y, m in ml.items()
-        }
+        return self._mu_by_col
+
+    def mu_entries(self) -> dict:
+        """The mu table as a new dict from index pairs (y, z) to mu(y, z)."""
+        return {(y, z): m for z, col in enumerate(self.mu_columns()) for y, m in col.items()}
 
     def check_intertwining(self) -> None:
         """
         Certify that the canonical columns are bar-invariant, at a cost
         linear in their terms, or raise a RuntimeError that names the first
         column and generator at fault.  It checks, on the packed store and
-        the mu table that mu_entries() returns:
+        the mu table that mu_columns() returns:
 
         (a) every vertex v with no strict descent has the column T_v, and
             each column's mu entries are its x^-1 coefficients off the
@@ -611,8 +616,10 @@ class ModuleTable:
                 raise RuntimeError(f"column {words[v]} is not its standard basis vector")
             if {y: c for y, e, c in terms if e == -1} != mu_by_col[v]:
                 raise RuntimeError(f"column {words[v]} disagrees with its mu entries")
-        omega = [[] for _ in range(V)]  # per v, the (u, omega(u, v)) pairs
-        for (u, v), m in symmetrize_mu(self.mu_entries()).items():
+        # per v, the (u, omega(v, u)) pairs; the reduced weights suffice, since
+        # step skips every u with tau(v) in tau(u) at an i in tau(v)
+        omega = [[] for _ in range(V)]
+        for (v, u), m in symmetrize_mu(mu_by_col, tau).items():
             omega[v].append((u, m))
         step = self._stepper(store)
         # the descent identities read only C_v, so they run first: a corrupted
@@ -850,7 +857,9 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
         verts[z]: ModuleElement({verts[v]: c for v, c in col.items()}, sym)
         for z, col in enumerate(cols)
     }
-    mu = MuTable(sym, {(verts[y], verts[z]): v for (y, z), v in m.mu_entries().items()})
+    mu = MuTable(sym, {
+        (verts[y], verts[z]): v for z, col in enumerate(m.mu_columns()) for y, v in col.items()
+    })
     return out, mu
 
 
@@ -950,7 +959,12 @@ def tables_json(n: int, variant: str, fh) -> None:
     m = _model(n, key)
     store = m.column_store()
     shift = store.shift
-    mu = sorted((y, z, v) for (y, z), v in m.mu_entries().items())
+    mu = m.mu_columns()
+    # mu is written sorted by (y, z): per y, the z with mu(y, z) != 0, ascending
+    mu_rows = [[] for _ in m.words]
+    for z, col in enumerate(mu):
+        for y in col:
+            mu_rows[y].append(z)
     fh.write('{"variant": %s, "n": %d, "vertices": %s, "columns": {' % (
         '"M"' if key == "asc" else '"N"', n, _int_lists(m.words)))
     # (bias + e, coefficient) -> "e, c]": bias + e lies in 2..bias, which for
@@ -979,7 +993,13 @@ def tables_json(n: int, variant: str, fh) -> None:
         # a column is never empty: it holds its diagonal term
         text[0] = text[0][4:]  # the first vertex closes no previous one
         fh.write('%s"%d": [%s]]]' % (", " if z else "", z, "".join(text)))
-    fh.write('}, "mu": %s}\n' % _int_lists(mu))
+    fh.write('}, "mu": [')
+    sep = ""
+    for y, zs in enumerate(mu_rows):
+        if zs:
+            fh.write(sep + ", ".join(["[%d, %d, %d]" % (y, z, mu[z][y]) for z in zs]))
+            sep = ", "
+    fh.write("]}\n")
 
 
 def _int_lists(rows) -> str:
@@ -991,14 +1011,12 @@ def _int_lists(rows) -> str:
     return "[%s]" % ", ".join(format_rows(rows, lambda w: "[%s]" % ", ".join(["%d"] * w)))
 
 
-def format_rows(rows, template) -> list:
+def format_rows(rows, template):
     """Each row of ints through one % format, template(width), made once per width."""
     made = {}
-    text = []
     for row in rows:
         row = tuple(row)
         fmt = made.get(len(row))
         if fmt is None:
             fmt = made[len(row)] = template(len(row))
-        text.append(fmt % row)
-    return text
+        yield fmt % row

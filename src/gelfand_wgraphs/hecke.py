@@ -131,7 +131,9 @@ def kl_table(n: int):
         words[z]: {words[y]: c for y, c in col.items()}
         for z, col in enumerate(table.canonical_columns())
     }
-    mu = {(words[y], words[z]): m for (y, z), m in table.mu_entries().items()}
+    mu = {
+        (words[y], words[z]): m for z, col in enumerate(table.mu_columns()) for y, m in col.items()
+    }
     return list(words), columns, mu
 
 
@@ -161,13 +163,14 @@ def kl_wgraph(n: int, side: str, reduced: bool = True, max_n: int = DEFAULT_MAX_
     if n > max_n:
         raise ValueError(f"n={n} exceeds the bound {max_n}; pass max_n to override")
     table = _regular(n)
+    tau = table.tau if side == "left" else [asc_right(w) for w in table.words]
     return WGraph(
         n=n,
         variant=f"kl_{side}",
         reduced=reduced,
         vertices=table.words,
-        tau=table.tau if side == "left" else [asc_right(w) for w in table.words],
-        omega=symmetrize_mu(table.mu_entries()),
+        tau=tau,
+        omega=symmetrize_mu(table.mu_columns(), tau if reduced else None),
     )
 
 

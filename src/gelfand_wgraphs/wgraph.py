@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb, prod
 
 from .action import PackedAction, relation_violations
@@ -38,20 +39,38 @@ from .gelfand import GelfandVertex, _model, format_rows, lambda_shape
 from .perm import Permutation, cycle_type, word_conj_compare, word_conj_s
 
 
-def symmetrize_mu(mu: dict) -> dict:
-    """omega(v, w) = mu(v, w) + mu(w, v) on index pairs, zero entries dropped."""
+def symmetrize_mu(mu, tau=None) -> dict:
+    """
+    omega(v, w) = mu(v, w) + mu(w, v), zero entries dropped, in one pass over
+    mu: a dict from pairs (y, z) to mu(y, z), or the per-column dicts of
+    ModuleTable.mu_columns().  Given the ascent sets tau, the entries (v, w)
+    with tau(v) contained in tau(w) are never made: the reduced weights.
+    """
+    pairs = mu.items() if isinstance(mu, dict) else (
+        ((y, z), m) for z, col in enumerate(mu) for y, m in col.items()
+    )
     out = {}
-    for (y, z), m in mu.items():
-        out[(y, z)] = out.get((y, z), 0) + m
-        out[(z, y)] = out.get((z, y), 0) + m
-    return {k: v for k, v in out.items() if v}
+    get = out.get
+    for k, m in pairs:
+        y, z = k
+        if tau is None or not tau[y] <= tau[z]:
+            out[k] = get(k, 0) + m
+        if tau is None or not tau[z] <= tau[y]:
+            k = z, y
+            out[k] = get(k, 0) + m
+    if 0 in out.values():  # never from the engine: it stores no zero, and no (y, z) twice
+        out = {k: c for k, c in out.items() if c}
+    return out
 
 
 class WGraph:
     """
     Vertex labels are one-line words; tau sets and omega weights are keyed
-    by vertex index.  If reduced is set, omega already had the tau-inclusion
-    entries dropped.
+    by vertex index.  Zero weights are dropped, and so, if reduced is set,
+    are the entries (v, w) with tau(v) contained in tau(w).  An omega with
+    nothing to drop is kept as given and shared with the caller, not copied
+    (build_gamma's, made by symmetrize_mu with tau, is one); otherwise the
+    graph keeps a filtered copy.  The caller's dict is never changed.
     """
 
     def __init__(self, n, variant, reduced, vertices, tau, omega, shapes=None):
@@ -59,13 +78,13 @@ class WGraph:
         self.variant = variant
         self.reduced = bool(reduced)
         self.vertices = tuple(tuple(v) for v in vertices)
-        self.tau = tuple(frozenset(t) for t in tau)
-        omega = {k: v for k, v in omega.items() if v}
-        if self.reduced:
+        self.tau = tau = tuple(frozenset(t) for t in tau)
+        reduced = self.reduced
+        if 0 in omega.values() or reduced and any(tau[v] <= tau[w] for v, w in omega):
             omega = {
                 (v, w): c
                 for (v, w), c in omega.items()
-                if not self.tau[v] <= self.tau[w]
+                if c and not (reduced and tau[v] <= tau[w])
             }
         self.omega = omega
         self.shapes = tuple(tuple(s) for s in shapes) if shapes is not None else None
@@ -78,7 +97,7 @@ class WGraph:
 
     def edges(self):
         """Sorted (v, w, weight) triples."""
-        return [(v, w, self.omega[(v, w)]) for (v, w) in sorted(self.omega)]
+        return list(_sorted_edges(self))
 
     def bidirected_pairs(self):
         """Sorted pairs {v < w} carrying nonzero weights in both directions."""
@@ -113,7 +132,7 @@ def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:
     if variant not in ("row", "col"):
         raise ValueError(f"variant must be 'row' or 'col', got {variant!r}")
     m = _model(n, "asc" if variant == "row" else "des")
-    mu = m.mu_entries()
+    omega = symmetrize_mu(m.mu_columns(), m.tau if reduced else None)
     shapes = [lambda_shape(m.vertex(k)) for k in range(len(m.words))]
     return WGraph(
         n=n,
@@ -121,7 +140,7 @@ def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:
         reduced=reduced,
         vertices=m.words,
         tau=m.tau,
-        omega=symmetrize_mu(mu),
+        omega=omega,
         shapes=shapes,
     )
 
@@ -493,49 +512,84 @@ def character_check(g: WGraph, w: Permutation) -> bool:
 # -- serialization --------------------------------------------------------------
 
 
+_BATCH = 1024  # pieces of text (rows and separators) per chunk of export_chunks
+
+
 def export(g: WGraph, fmt: str) -> str:
-    if fmt == "json":
-        # the text json.dumps(doc, indent=1) gives for the document, built
-        # from one string per vertex and per edge: the pure-Python encoder
-        # that indent selects holds one string per token until it joins them
-        fields = [
-            ("n", str(g.n)),
-            ("variant", json.dumps(g.variant)),
-            ("reduced", json.dumps(g.reduced)),
-            ("vertices", _indent1_rows(g.vertices)),
-            ("tau", _indent1_rows(sorted(t) for t in g.tau)),
-            ("edges", _indent1_rows(g.edges())),
-        ]
-        if g.shapes is not None:
-            fields.append(("shapes", _indent1_rows(g.shapes)))
-        return "{\n%s\n}" % ",\n".join(' "%s": %s' % kv for kv in fields)
-    if fmt == "dot":
-        lines = [f'digraph "{g.variant}_{g.n}" {{']
-        for k, v in enumerate(g.vertices):
-            label = "".join(map(str, v)) if g.n < 5 else ",".join(map(str, v))
-            if g.shapes is not None:
-                label += "|" + ",".join(map(str, g.shapes[k]))
-            lines.append(f'  v{k} [label="{label}"];')
-        bidir = set(g.bidirected_pairs())
-        for v, w, c in g.edges():
-            if (v, w) in bidir:
-                lines.append(f'  v{v} -> v{w} [dir=both, label="{c}"];')
-            elif (w, v) not in bidir:
-                lines.append(f'  v{v} -> v{w} [style=dashed, label="{c}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unsupported format {fmt!r}")
+    """The graph as a JSON or DOT document: the chunks of export_chunks, joined."""
+    return "".join(export_chunks(g, fmt))
 
 
-def _indent1_rows(rows) -> str:
+def export_chunks(g: WGraph, fmt: str):
+    """
+    The text of the graph's JSON or DOT document, as an iterator of chunks
+    of _BATCH pieces (a row's text or a separator) each, so that a writer
+    never holds the whole document (`gwg graph build` streams its files
+    this way).  The format is checked here, before any chunk is made.
+    """
+    if fmt not in ("json", "dot"):
+        raise ValueError(f"unsupported format {fmt!r}")
+    pieces = _json_pieces(g) if fmt == "json" else _dot_pieces(g)
+    return ("".join(batch) for batch in iter(lambda: list(islice(pieces, _BATCH)), []))
+
+
+def _sorted_edges(g: WGraph):
+    """g.edges() one triple at a time: only the sorted keys are held."""
+    omega = g.omega
+    return ((v, w, omega[v, w]) for v, w in sorted(omega))
+
+
+def _json_pieces(g: WGraph):
+    """
+    The text json.dumps(doc, indent=1) gives for the document, one string
+    per vertex and per edge: the pure-Python encoder that indent selects
+    holds one string per token of the whole document until it joins them.
+    """
+    yield '{\n "n": %s,\n "variant": %s,\n "reduced": %s' % (
+        g.n, json.dumps(g.variant), json.dumps(g.reduced))
+    fields = [
+        ("vertices", g.vertices),
+        ("tau", (sorted(t) for t in g.tau)),
+        ("edges", _sorted_edges(g)),
+    ]
+    if g.shapes is not None:
+        fields.append(("shapes", g.shapes))
+    for name, rows in fields:
+        yield ',\n "%s": ' % name
+        yield from _indent1_pieces(rows)
+    yield "\n}"
+
+
+def _indent1_pieces(rows):
     """
     Rows of ints as json.dumps(..., indent=1) writes a list of lists one level
     deep, each row one % format of a template made once for its width.
     """
-    text = format_rows(
+    sep = "[\n"
+    for text in format_rows(
         rows, lambda w: "  [\n   %s\n  ]" % ",\n   ".join(["%d"] * w) if w else "  []"
-    )
-    return "[\n%s\n ]" % ",\n".join(text) if text else "[]"
+    ):
+        yield sep
+        yield text
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n ]"
+
+
+def _dot_pieces(g: WGraph):
+    """One line per vertex and per edge; a bidirected edge is drawn once, from its smaller end."""
+    yield f'digraph "{g.variant}_{g.n}" {{\n'
+    for k, v in enumerate(g.vertices):
+        label = "".join(map(str, v)) if g.n < 5 else ",".join(map(str, v))
+        if g.shapes is not None:
+            label += "|" + ",".join(map(str, g.shapes[k]))
+        yield f'  v{k} [label="{label}"];\n'
+    omega = g.omega
+    for v, w, c in _sorted_edges(g):
+        if (w, v) not in omega:
+            yield f'  v{v} -> v{w} [style=dashed, label="{c}"];\n'
+        elif v < w:
+            yield f'  v{v} -> v{w} [dir=both, label="{c}"];\n'
+    yield "}\n"
 
 
 def parse_wgraph(text: str) -> WGraph:

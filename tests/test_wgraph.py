@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import os
 import tracemalloc
@@ -7,8 +9,8 @@ import pytest
 
 from gelfand_wgraphs import wgraph
 from gelfand_wgraphs.cli import main
-from gelfand_wgraphs.gelfand import _model, embed
-from gelfand_wgraphs.hecke import reduced_word
+from gelfand_wgraphs.gelfand import Model, ModuleTable, _model, embed, tables_json
+from gelfand_wgraphs.hecke import asc_right, kl_table, kl_wgraph, reduced_word
 from gelfand_wgraphs.laurent import ONE, X, X_INV, LaurentPoly
 from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions
 from gelfand_wgraphs.wgraph import (
@@ -24,10 +26,12 @@ from gelfand_wgraphs.wgraph import (
     combinatorial_bidirected,
     combinatorial_bidirected_pairs,
     export,
+    export_chunks,
     graph_action,
     molecules,
     parse_wgraph,
     square_root_count,
+    symmetrize_mu,
     verify_axioms,
 )
 
@@ -56,6 +60,103 @@ def test_reduced_flag_filters_inclusions():
     assert dropped
     for v, w in dropped:
         assert graw.tau[v] <= graw.tau[w]
+
+
+def symmetrize_then_filter(mu, tau, reduced):
+    """
+    The weights as they were built before the one-pass table: the whole
+    symmetrized mu table, then its zeros dropped, then, if reduced, the
+    entries (v, w) with tau(v) contained in tau(w).
+    """
+    out = {}
+    for (y, z), m in mu.items():
+        out[(y, z)] = out.get((y, z), 0) + m
+        out[(z, y)] = out.get((z, y), 0) + m
+    out = {k: c for k, c in out.items() if c}
+    if reduced:
+        out = {(v, w): c for (v, w), c in out.items() if not tau[v] <= tau[w]}
+    return out
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("variant", ["row", "col"])
+def test_omega_equals_symmetrize_then_filter(variant, reduced):
+    for n in range(1, 8):
+        m = _model(n, "asc" if variant == "row" else "des")
+        want = symmetrize_then_filter(m.mu_entries(), m.tau, reduced)
+        assert build_gamma(n, variant, reduced).omega == want, n
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_kl_omega_equals_symmetrize_then_filter(side, reduced):
+    g = kl_wgraph(4, side, reduced)
+    tau = g.tau if side == "left" else [asc_right(w) for w in g.vertices]
+    index = {w: k for k, w in enumerate(g.vertices)}
+    mu = {(index[y], index[z]): m for (y, z), m in kl_table(4)[2].items()}
+    assert g.omega == symmetrize_then_filter(mu, tau, reduced)
+
+
+def test_symmetrize_mu_takes_pairs_or_columns():
+    # mu(y, z) and mu(z, y) both given add up, and a zero sum is dropped
+    assert symmetrize_mu({(0, 1): 2, (1, 0): -2, (0, 2): 1, (1, 2): 0}) == {(0, 2): 1, (2, 0): 1}
+    columns = [{}, {0: 1}, {0: -1, 1: 3}]
+    pairs = {(0, 1): 1, (0, 2): -1, (1, 2): 3}
+    assert symmetrize_mu(columns) == symmetrize_mu(pairs)
+    tau = [frozenset({1}), frozenset(), frozenset({1, 2})]
+    assert symmetrize_mu(columns, tau) == symmetrize_mu(pairs, tau) == {
+        (0, 1): 1, (2, 0): -1, (2, 1): 3}
+
+
+def test_wgraph_init_copies_only_to_drop():
+    tau = [frozenset({1}), frozenset(), frozenset({1, 2})]
+    words = [(1,), (2,), (3,)]
+    # (1, 0) and (0, 2) are tau inclusions, (1, 2) is a zero
+    omega = {(0, 1): 1, (1, 0): 1, (0, 2): 1, (2, 0): 1, (1, 2): 0, (2, 1): 2}
+    given = dict(omega)
+    red = WGraph(3, "row", True, words, tau, omega)
+    assert red.omega == {(0, 1): 1, (2, 0): 1, (2, 1): 2}
+    raw = WGraph(3, "row", False, words, tau, omega)
+    assert raw.omega == {k: c for k, c in given.items() if c}
+    assert omega == given and list(omega) == list(given)  # the caller's dict is unchanged
+    # nothing to drop: the dict is kept as given
+    assert WGraph(3, "row", True, words, tau, red.omega).omega is red.omega
+    assert WGraph(3, "row", False, words, tau, raw.omega).omega is raw.omega
+    g = build_gamma(5, "col")
+    assert WGraph(5, "col", True, g.vertices, g.tau, g.omega).omega is g.omega
+
+
+def test_graph_tables_and_certificate_read_the_mu_columns(monkeypatch):
+    # none of them builds the pair-keyed mu table only to regroup or sort it
+    def refuse(self):
+        raise AssertionError("pair-keyed mu table built")
+
+    monkeypatch.setattr(ModuleTable, "mu_entries", refuse)
+    for variant, model in (("row", "M"), ("col", "N")):
+        for reduced in (True, False):
+            build_gamma(6, variant, reduced)
+        tables_json(6, model, io.StringIO())
+        Model(5, "asc" if model == "M" else "des").check_intertwining()
+    for side in ("left", "right"):
+        kl_wgraph(4, side)
+    kl_table(4)
+
+
+@pytest.mark.parametrize("variant", ["row", "col"])
+def test_build_gamma_makes_the_edge_table_once(variant):
+    # the columns and mu table exist already; what build_gamma allocates is
+    # the graph it returns, with no second copy of its edges on the way
+    _model(8, "asc" if variant == "row" else "des").column_store()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build_gamma(8, variant)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.omega
+    assert peak - base <= 1.25 * (kept - base)
 
 
 def test_verify_axioms_pass():
@@ -402,6 +503,36 @@ def test_export_json_memory():
     finally:
         tracemalloc.stop()
     assert peak < 6 * len(text)
+
+
+def test_export_chunks_stream_the_document(tmp_path):
+    g = build_gamma(8, "col")
+    for fmt in ("json", "dot"):
+        chunks = list(export_chunks(g, fmt))
+        assert len(chunks) > 1 and "".join(chunks) == export(g, fmt)
+    out, dot = tmp_path / "g.json", tmp_path / "g.dot"
+    assert main(["graph", "build", "--n", "8", "--variant", "col",
+                 "--out", str(out), "--dot", str(dot)]) == 0
+    assert out.read_text() == export(g, "json") + "\n"
+    assert dot.read_text() == export(g, "dot")
+    with pytest.raises(ValueError):
+        export_chunks(g, "yaml")  # checked before any chunk is asked for
+
+
+def test_export_chunks_memory():
+    # the whole text is never held: the peak is the sorted edge keys and one
+    # batch of rows, where export() holds the text and its pieces (about 2x)
+    g = build_gamma(9, "col")
+    for fmt in ("json", "dot"):
+        size = len(export(g, fmt))
+        tracemalloc.start()
+        try:
+            for _ in export_chunks(g, fmt):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * size, fmt
 
 
 def test_export_dot_golden():
