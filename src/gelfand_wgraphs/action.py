@@ -18,40 +18,38 @@ class PackedAction:
     The generators of H(S_n) acting on sparse columns under packed keys.
 
     A key packs a basis index v and an exponent e into one int,
-    v << shift | (bias + e) with bias = 2**(shift - 1), so a column is a
-    dict from key to nonzero int: the term c·x^e·T_v is key -> c.  The action
-    is given by its terms: `terms[i][v]` lists the (u, d, a) with
-    H_{s_i}·T_v = sum of a·x^d·T_u, a a nonzero int.  `moves[i][v]` holds
-    the same terms as (key offset, a) pairs, the offset (u - v) << shift
-    plus d, so applying H_{s_i} to a column is one integer add per term and
-    move, the same for a W-graph (terms from tau and omega) as for a module
-    table (terms from `cls`/`cnj` and the weak scalars).
+    v << shift | (bias + e), so a column is a dict from key to nonzero int:
+    the term c·x^e·T_v is key -> c.  The action is given by its terms:
+    `terms[i][v]` lists the (u, d, a) with H_{s_i}·T_v = sum of a·x^d·T_u,
+    a a nonzero int.  `moves[i][v]` holds the same terms as (key offset, a)
+    pairs, the offset (u - v) << shift plus d, so applying H_{s_i} to a
+    column is one integer add per term and move, the same for a W-graph
+    (terms from tau and omega) as for a module table (terms from `cls`/`cnj`
+    and the weak scalars).
 
     Key-field bound.  The field holds the exponents -bias .. bias - 1, and
     one generator moves an exponent by at most `reach`, the largest |d|.
     `apply` does not check the field: a term pushed past it would land in a
-    neighbouring vertex's field, so each caller keeps its columns inside.
-    A relation check starts at basis vectors (e = 0) and applies at most
-    three generators, so it needs bias > 3·reach, which
-    `relation_violations` checks: span=3 (shift 3, bias 4) for the
-    W-graphs, where reach is 1.  A ModuleTable's action has the layout of
-    its column store (span 2**exp_bits - 1), wide enough for its bar
-    operator.
+    neighbouring vertex's field.  The action sizes the field from its own
+    terms: bias = 2**(shift - 1) is the least power of two above
+    3·max(reach, 1), so the field holds every column `relation_violations`
+    makes.  Proof: that check starts at basis vectors (e = 0) and applies at
+    most three generators, or one and a shift by x^±1, so every exponent it
+    meets has |e| <= 3·max(reach, 1) < bias.  Both kinds of action the
+    package builds have reach 1, so they get shift 3 and bias 4.
     """
 
     __slots__ = ("n", "size", "shift", "bias", "reach", "moves")
 
-    def __init__(self, n: int, size: int, terms: dict, span: int):
-        """
-        `size` basis vectors, terms as above for the generators 1..n-1; the
-        field holds every |e| <= span.
-        """
+    def __init__(self, n: int, size: int, terms: dict):
+        """`size` basis vectors, terms as above for the generators 1..n-1."""
         self.n, self.size = n, size
-        self.shift = span.bit_length() + 1
-        self.bias = 1 << self.shift - 1
         self.reach = max(
             (abs(d) for ti in terms.values() for tv in ti for _, d, _ in tv), default=0
         )
+        span = 3 * max(self.reach, 1)  # the largest |e| relation_violations meets
+        self.shift = span.bit_length() + 1
+        self.bias = 1 << self.shift - 1
         shift = self.shift
         self.moves = {
             i: [tuple((((u - v) << shift) + d, a) for u, d, a in tv) for v, tv in enumerate(ti)]
@@ -77,16 +75,11 @@ def relation_violations(act: PackedAction) -> list:
     On every basis vector T_v this checks the quadratic relation
     H_s·H_s = 1 + (x - x^-1)·H_s, the braid relation for adjacent
     generators and commutation for distant ones.  Each side applies at most
-    three generators to T_v, so its exponents stay within 3·reach of 0, and
-    the key field must hold that (PackedAction's field bound); the
-    right-hand side of the quadratic relation is H_s·T_v with every key
-    shifted by +1 and, negated, by -1.
+    three generators to T_v, which the action's key field holds
+    (PackedAction's field bound); the right-hand side of the quadratic
+    relation is H_s·T_v with every key shifted by +1 and, negated, by -1.
     """
     n, shift, bias = act.n, act.shift, act.bias
-    if bias <= 3 * max(act.reach, 1):  # the quadratic relation also shifts by x^±1
-        raise ValueError(
-            f"a {shift}-bit key field cannot hold three generators of reach {act.reach}"
-        )
     apply = act.apply
     gens = range(1, n)
     failed = set()  # (i, i): quadratic; (i, j), i < j: braid or commutation

@@ -199,13 +199,14 @@ class ColumnStore:
     arrays.
 
     Column z is the slice ends[z-1]:ends[z] (0:ends[0] for z = 0) of `keys`
-    and `coefs`, its terms in the order the recursion produced them.  A key
-    packs a vertex index v and an exponent e into one int, PackedAction's
-    layout: key(v, e) = v << shift | (bias + e) with bias = 2**exp_bits and
-    shift = exp_bits + 1, so sorting a column's keys sorts its terms by
-    (v, e).  The recursion stores exponents -(bias - 2) .. 0, so one step
-    H_s + x^-1 or H_s - x from a stored term, to exponents -(bias - 1) .. 1,
-    stays inside its vertex's field.  `coefs` holds the nonzero integer
+    and `coefs`, its terms in the order the recursion produced them.  The
+    store owns its key layout: a key packs a vertex index v and an exponent
+    e into one int, key(v, e) = v << shift | (bias + e) with
+    bias = 2**exp_bits and shift = exp_bits + 1 (ModuleTable.exp_bits, 8),
+    so sorting a column's keys sorts its terms by (v, e).  The recursion
+    stores exponents -(bias - 2) .. 0, so one step H_s + x^-1 or H_s - x
+    from a stored term, to exponents -(bias - 1) .. 1, stays inside its
+    vertex's field.  `coefs` holds the nonzero integer
     coefficients in the narrowest of `coef_codes` that has held every column
     so far.
     """
@@ -269,24 +270,27 @@ class ModuleTable:
     (Model); so is the regular representation of H(S_n), with no weak
     positions (hecke).
 
-    A table has one packed (vertex index, exponent) key layout with
-    `exp_bits` exponent bits: 8, or more only if bar(T_v) at the longest
-    vertex would not fit (barvec), which no table at n <= 11 needs.  The H_s
-    action is one PackedAction in it (`action`); the relation check and
-    barvec run on it.  `h_col` and `bar_col`, which the elements
-    (_TableElement) use, take columns of LaurentPolys at any exponents.
+    `action_terms` is the one rule for H_s on the table.  `h_col` applies it
+    to columns of LaurentPolys at any exponents, and barvec builds
+    bar(T_v) with it, so `bar_col` and the elements (_TableElement) need no
+    key layout.  `action()` is the same rule as a PackedAction, which sizes
+    its own key field, for the relation check.
 
     The canonical-basis recursion keeps each finished column in a packed
-    ColumnStore (`column_store`) of that layout, a few bytes per term, with
-    exponents down to -(2**exp_bits - 2).  The mu table is read off the
-    columns as they are computed.  The recursion and `check_intertwining()`,
-    which certifies the store's bar-invariance, apply H_s + x^-1 and
-    H_s - x to stored columns through one step kernel (_stepper).  `canonical_columns()` is the
-    LaurentPoly view of the same columns (dicts from vertex index to
-    LaurentPoly), built from the store on first call and cached; the
-    certificate does not need it.  `pick` chooses the strict descent the
+    ColumnStore (`column_store`), a few bytes per term, whose key field has
+    `exp_bits` = 8 exponent bits: exponents down to -254, where the
+    deepest stored term is x^-20 at n = 9 row and x^-15 at n = 10 col; a
+    deeper one is refused by name (_check_column).  The mu table is read off
+    the columns as they are computed.  The recursion and
+    `check_intertwining()`, which certifies the store's bar-invariance,
+    apply H_s + x^-1 and H_s - x to stored columns through one step kernel
+    (_stepper).  `canonical_columns()` decodes the store into dicts from
+    vertex index to LaurentPoly on each call; nothing on the graph path or
+    in the certificate calls it.  `pick` chooses the strict descent the
     recursion expands a column by (see _compute_columns).
     """
+
+    exp_bits = 8  # the store's exponent field (ColumnStore)
 
     picks = ("cost", "min", "max")
 
@@ -313,12 +317,7 @@ class ModuleTable:
         ]
         self.tau = [tau_of(wd) for wd in self.words]
         self.weak_asc, self.weak_des = weak
-        # a generator moves an exponent by at most `reach`, so barvec's
-        # exponents stay within length[-1]·reach of 0
-        reach = max([1] + [abs(e) for p in weak if p is not None for e, _ in p.items()])
-        self.exp_bits = max(8, (self.length[-1] * reach).bit_length())
         self._store = None
-        self._columns = None
         self._mu_by_col = None
         self._barvecs = {}
         self._terms = None
@@ -359,17 +358,19 @@ class ModuleTable:
         return self._terms
 
     def action(self) -> PackedAction:
-        """The H_{s_i} action as a PackedAction in the table's key layout (ColumnStore's)."""
+        """The H_{s_i} action as a PackedAction, for relation_violations."""
         if self._action is None:
-            self._action = PackedAction(
-                self.n, len(self.words), self.action_terms(), (1 << self.exp_bits) - 1
-            )
+            self._action = PackedAction(self.n, len(self.words), self.action_terms())
         return self._action
 
     def h_col(self, i: int, col: dict) -> dict:
         """H_{s_i} on a column of LaurentPolys under vertex indices, by `action_terms`."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} out of range for n={self.n}")
+        return _nonzero(self._h_sums(i, col))
+
+    def _h_sums(self, i: int, col: dict) -> dict:
+        """H_{s_i} on a column of LaurentPolys, as exponent -> coefficient dicts with zeros kept."""
         terms = self.action_terms()[i]
         out = {}
         for v, p in col.items():
@@ -377,7 +378,7 @@ class ModuleTable:
                 t = out.setdefault(u, {})
                 for e, c in p.items():
                     t[e + d] = t.get(e + d, 0) + a * c
-        return _nonzero(out)
+        return out
 
     # -- canonical basis -----------------------------------------------------
 
@@ -527,24 +528,19 @@ class ModuleTable:
             self._compute_columns()
         return self._store
 
-    def canonical_columns(self, check_bar: bool = False):
+    def canonical_columns(self) -> list:
         """
-        The canonical columns as dicts from vertex index to LaurentPoly.
-        check_bar runs check_intertwining(), which certifies that they are
-        bar-invariant.
+        The canonical columns as new dicts from vertex index to LaurentPoly,
+        decoded from the store on each call.
         """
-        if self._columns is None:
-            store = self.column_store()
-            cols = []
-            for z in range(len(self.words)):
-                terms = {}
-                for v, e, c in store.terms(z):
-                    terms.setdefault(v, {})[e] = c
-                cols.append({v: LaurentPoly.from_nonzero(t) for v, t in terms.items()})
-            self._columns = cols
-        if check_bar:
-            self.check_intertwining()
-        return self._columns
+        store = self.column_store()
+        cols = []
+        for z in range(len(self.words)):
+            terms = {}
+            for v, e, c in store.terms(z):
+                terms.setdefault(v, {})[e] = c
+            cols.append({v: LaurentPoly.from_nonzero(t) for v, t in terms.items()})
+        return cols
 
     def mu_columns(self) -> tuple:
         """
@@ -591,12 +587,15 @@ class ModuleTable:
         Step 1 treats every omega term alike, those above v included, so no
         induction on length is needed and no term can break one.
 
-        Assumptions.  The proof takes bar to be compatible with every H_s,
-        as bar_col's recursion does; the gelfand suite checks that at
-        n <= 5, and for the regular representation it is the algebra's own
-        bar.  The certificate reads the same `cls`/`cnj` tables and weak
-        scalars as the recursion, so it cannot see an error in those, only
-        in what the recursion computed from them.  It tests every generator,
+        Assumptions.  The proof takes `action_terms` to satisfy the
+        relations of H(S_n), and bar to be compatible with every H_s.
+        barvec builds bar(T_v) by that rule at one strict descent of v, so
+        compatibility at the others is what must be checked: the gelfand
+        suite checks it and the relations at n <= 5, and the tests check the
+        relations at n <= 8.  For the regular representation bar is the
+        algebra's own.  The certificate reads the same `cls`/`cnj` tables
+        and weak scalars as the recursion, so it cannot see an error in
+        those, only in what the recursion computed from them.  It tests every generator,
         not only the one the recursion picked, against the graph built from
         mu and tau.
 
@@ -637,54 +636,41 @@ class ModuleTable:
 
     def barvec(self, v: int) -> dict:
         """
-        bar(T_v) over the standard basis as a packed column of `action`,
+        bar(T_v) over the standard basis as a column of LaurentPolys,
         memoized: T_v if v has no strict descent, else
         (H_s - (x - x^-1))·bar(T_w) at its least strict descent s, with
-        w = s·v·s.  Each step lowers the length and moves an exponent by at
-        most max(reach, 1), so every |e| stays within l(v)·max(reach, 1),
-        which `exp_bits` holds.
+        w = s·v·s, by h_col's sums.
         """
         got = self._barvecs.get(v)
         if got is None:
-            act = self.action()
             dlt = self.strict_descents[v]
             if not dlt:
-                got = {v << act.shift | act.bias: 1}
+                got = {v: ONE}
             else:
                 bw = self.barvec(self.cnj[dlt[0]][v])
-                out = act.apply(dlt[0], bw)
-                get = out.get
-                for key, c in bw.items():
-                    out[key + 1] = get(key + 1, 0) - c
-                    out[key - 1] = get(key - 1, 0) + c
-                got = {k: c for k, c in out.items() if c}
+                out = self._h_sums(dlt[0], bw)
+                for u, p in bw.items():
+                    t = out.setdefault(u, {})
+                    for e, c in p.items():
+                        t[e + 1] = t.get(e + 1, 0) - c
+                        t[e - 1] = t.get(e - 1, 0) + c
+                got = _nonzero(out)
             self._barvecs[v] = got
         return got
 
     def bar_col(self, col: dict) -> dict:
         """
-        bar of a column of LaurentPolys, bar(c(x)·T_v) = c(x^-1)·bar(T_v).
-        barvec's packed columns are summed as they are, one sum per exponent
-        e of the column, and each sum is decoded once with e subtracted
-        outside the key field, so no exponent needs a wider one.
+        bar of a column of LaurentPolys, bar(c(x)·T_v) = c(x^-1)·bar(T_v):
+        the c·x^-e·bar(T_v) summed in exponent dicts, one per vertex.
         """
-        act = self.action()
-        shift, bias = act.shift, act.bias
-        field = (1 << shift) - 1
-        sums = {}  # e -> the packed sum of c·bar(T_v) over the terms c·x^e·T_v
+        out = {}
         for v, p in col.items():
             bv = self.barvec(v).items()
             for e, c in p.items():
-                acc = sums.setdefault(e, {})
-                get = acc.get
-                for key, d in bv:
-                    acc[key] = get(key, 0) + c * d
-        out = {}
-        for e, acc in sums.items():
-            for key, c in acc.items():
-                t = out.setdefault(key >> shift, {})
-                f = (key & field) - bias - e
-                t[f] = t.get(f, 0) + c
+                for u, q in bv:
+                    t = out.setdefault(u, {})
+                    for f, d in q.items():
+                        t[f - e] = t.get(f - e, 0) + c * d
         return _nonzero(out)
 
 
@@ -850,7 +836,9 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
     if check_bar is None:
         check_bar = n <= 6
     m = Model(n, key, pick=pick) if pick != "cost" else _model(n, key)
-    cols = m.canonical_columns(check_bar=check_bar)
+    if check_bar:
+        m.check_intertwining()
+    cols = m.canonical_columns()
     sym = "M" if key == "asc" else "N"
     verts = [m.vertex(z) for z in range(len(cols))]  # one object per vertex, shared
     out = {
@@ -947,12 +935,13 @@ def tables_json(n: int, variant: str, fh) -> None:
     word); column z lists its vertices y in increasing order, each with its
     nonzero coefficients c of x^e in increasing e; mu is sorted.  The text is
     what `json.dumps` gives for that document, but it is written
-    incrementally, one column at a time, straight from the packed column
-    store, so the whole document never exists in memory.  A column's packed
-    keys, sorted as plain ints, give that order; each vertex's "]], [y, [["
-    opener comes from a list built once, and each "e, c]" text from a dict
-    that formats a (key field, coefficient) pair on first use (n = 9 has
-    128 of them in M and 44 in N).  The store and mu table are computed before the first
+    incrementally, one vertex, column or mu row at a time, the columns
+    straight from the packed column store, so the whole document never
+    exists in memory.  A column's packed keys, sorted as plain ints, give
+    that order; each vertex's "]], [y, [[" opener comes from a list built
+    once, and each "e, c]" text from a dict that formats a (key field,
+    coefficient) pair on first use (n = 9 has 128 of them in M and 44 in
+    N).  The store and mu table are computed before the first
     write, so a failed self-check writes nothing.
     """
     key = {"M": "asc", "N": "des", "asc": "asc", "des": "des"}[variant]
@@ -965,10 +954,14 @@ def tables_json(n: int, variant: str, fh) -> None:
     for z, col in enumerate(mu):
         for y in col:
             mu_rows[y].append(z)
-    fh.write('{"variant": %s, "n": %d, "vertices": %s, "columns": {' % (
-        '"M"' if key == "asc" else '"N"', n, _int_lists(m.words)))
+    fh.write('{"variant": %s, "n": %d, "vertices": [' % ('"M"' if key == "asc" else '"N"', n))
+    sep = ""
+    for text in format_rows(m.words, lambda w: "[%s]" % ", ".join(["%d"] * w)):
+        fh.write(sep + text)
+        sep = ", "
+    fh.write('], "columns": {')
     # (bias + e, coefficient) -> "e, c]": bias + e lies in 2..bias, which for
-    # the default 8 bits are CPython's cached small ints, so no int is made
+    # the 8-bit field are CPython's cached small ints, so no int is made
     # per term (e itself goes down to -254)
     bias = store.bias
     pair = {}
@@ -1000,15 +993,6 @@ def tables_json(n: int, variant: str, fh) -> None:
             fh.write(sep + ", ".join(["[%d, %d, %d]" % (y, z, mu[z][y]) for z in zs]))
             sep = ", "
     fh.write("]}\n")
-
-
-def _int_lists(rows) -> str:
-    """
-    Rows of ints as `json.dumps` writes a list of lists.  `json.dumps` itself
-    holds one string per number and separator until it joins them, about 25
-    bytes of memory per byte of text.
-    """
-    return "[%s]" % ", ".join(format_rows(rows, lambda w: "[%s]" % ", ".join(["%d"] * w)))
 
 
 def format_rows(rows, template):

@@ -172,7 +172,7 @@ def action_terms(g: WGraph) -> dict:
 
 def graph_action(g: WGraph) -> PackedAction:
     """The graph's module action on packed keys, with room for relation_violations."""
-    return PackedAction(g.n, g.size, action_terms(g), 3)
+    return PackedAction(g.n, g.size, action_terms(g))
 
 
 @dataclass

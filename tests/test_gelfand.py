@@ -39,7 +39,7 @@ from gelfand_wgraphs.gelfand import (
 from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
 from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions, word_conj_s
 from gelfand_wgraphs.tableau import Tableau, odd_lines, standard_tableaux
-from gelfand_wgraphs.wgraph import build_gamma, classify, symmetrize_mu
+from gelfand_wgraphs.wgraph import build_gamma, classify, graph_action, symmetrize_mu
 
 
 def inv(word):
@@ -210,7 +210,7 @@ def test_quadratic_and_braid_relations():
 
 
 def test_relation_violations_of_true_action():
-    for n in (1, 2, 3, 4, 5):
+    for n in range(1, 9):
         for mode in ("asc", "des"):
             m = _model(n, mode)
             assert relation_violations(m.action()) == [], (n, mode)
@@ -225,7 +225,7 @@ def doubled_at(terms, i):
 
 def test_relation_violations_catch_doubled_generator():
     m = _model(4, "asc")
-    act = PackedAction(4, len(m.words), doubled_at(m.action_terms(), 2), 3)
+    act = PackedAction(4, len(m.words), doubled_at(m.action_terms(), 2))
     assert relation_violations(act) == [
         "quadratic relation fails for s_2",
         "braid relation fails for s_1, s_2",
@@ -235,15 +235,11 @@ def test_relation_violations_catch_doubled_generator():
 
 def test_packed_key_field_bound():
     m = _model(4, "asc")
-    act = m.action()  # the column store's layout, reach 1
-    store = m.column_store()
-    assert (act.shift, act.bias, act.reach) == (store.shift, store.bias, 1) == (9, 256, 1)
+    act = m.action()  # reach 1: the least field with bias > 3
+    assert (act.shift, act.bias, act.reach) == (3, 4, 1)
     v = len(m.words) // 2
     # keys move by addition, so x^bias·T_v would take the key of x^-bias·T_{v+1}
     assert (v << act.shift) + act.bias + act.bias == (v + 1) << act.shift
-    # a field too narrow for three generators is refused, not checked wrongly
-    with pytest.raises(ValueError, match="cannot hold three generators"):
-        relation_violations(PackedAction(4, len(m.words), m.action_terms(), 1))
     # h_col and bar_col take exponents far outside the key field
     for i in (1, 2, 3):
         for e in (40, -40, 1000):
@@ -380,12 +376,11 @@ def test_store_raises_when_no_coefficient_type_fits(monkeypatch):
 
 @pytest.mark.parametrize("bits", [2, 3, 8])
 def test_store_key_layout(bits):
-    # PackedAction's layout, with room for one step H_s + x^-1 or H_s - x
-    # (an exponent moves by one) from the deepest storable term and from
-    # the diagonal; key order is (vertex, exponent) order
+    # room for one step H_s + x^-1 or H_s - x (an exponent moves by one)
+    # from the deepest storable term and from the diagonal; key order is
+    # (vertex, exponent) order
     store = ColumnStore(6, bits)
-    act = PackedAction(1, 6, {}, 2**bits - 1)
-    assert (store.shift, store.bias) == (act.shift, act.bias)
+    assert (store.shift, store.bias) == (bits + 1, 2**bits)
     low = -(2**bits - 2)
     for v in range(6):
         for e in (low, 0):
@@ -398,16 +393,25 @@ def test_store_key_layout(bits):
     assert store.terms(0) == [(v, e, 1) for v, e in shuffled]
 
 
-def test_action_has_the_store_layout():
+def test_action_field_holds_three_generators():
+    # relation_violations applies up to three generators, or one and x^±1,
+    # to a basis vector, so the field needs bias > 3·max(reach, 1)
+    for reach in (0, 1, 5):
+        terms = {1: [((0, reach, 1), (1, 0, 1)), ((1, -reach, 2),)]}
+        act = PackedAction(2, 2, terms)
+        assert act.reach == reach and act.bias == 1 << act.shift - 1
+        assert 3 * max(reach, 1) < act.bias <= 6 * max(reach, 1), reach
     tables = [Model(n, v) for n in range(1, 8) for v in ("asc", "des")]
     for m in tables + [hecke._regular(n) for n in range(1, 6)]:
-        act, store = m.action(), m.column_store()
-        assert (act.shift, act.bias) == (store.shift, store.bias), (m.n, m.words[0])
+        act = m.action()
+        assert (act.shift, act.bias, act.reach) == (3, 4, 1 if m.n > 1 else 0), m.n
+    act = graph_action(build_gamma(5, "row"))  # a W-graph's action: reach 1 too
+    assert (act.shift, act.bias, act.reach) == (3, 4, 1)
 
 
-def test_key_field_widens_for_a_long_vertex():
-    # T_w0 = H_1·T_e for w0 of S_24: barvec's bound for bar(T_w0) is its
-    # length, 276, past the 255 an 8-bit field holds
+def test_long_vertex_keeps_the_8_bit_field():
+    # T_w0 = H_1·T_e for w0 of S_24: bar(T_w0) reaches x^±1 only, and the
+    # length 276 of w0, past the 255 an 8-bit field holds, widens nothing
     e, w0 = tuple(range(1, 25)), tuple(range(24, 0, -1))
     m = ModuleTable(
         2, [w0, e],
@@ -415,12 +419,16 @@ def test_key_field_widens_for_a_long_vertex():
         lambda wd, i: w0 if wd == e else e,
         lambda wd: frozenset({1}) if wd == e else frozenset(),
     )
-    assert m.length == [0, 276] and m.exp_bits == 9
-    act, store = m.action(), m.column_store()
-    assert (act.shift, act.bias) == (store.shift, store.bias) == (10, 512)
+    assert m.length == [0, 276] and m.exp_bits == 8
+    store = m.column_store()
+    assert (store.shift, store.bias) == (9, 256)
     assert m.canonical_columns()[1] == {1: ONE, 0: X_INV}
     assert m.bar_col({1: ONE}) == {1: ONE, 0: -X_MINUS_XINV}
     col = {0: LaurentPoly({5: 1, -300: 3}), 1: LaurentPoly({700: -2})}
+    assert m.bar_col(col) == {
+        0: LaurentPoly({-5: 1, 300: 3}) + LaurentPoly({-700: -2}) * -X_MINUS_XINV,
+        1: LaurentPoly({-700: -2}),
+    }
     assert m.bar_col(m.bar_col(col)) == col
 
 
@@ -443,13 +451,17 @@ def test_store_takes_at_most_8_bytes_per_term(variant):
     assert size <= 8 * len(store.keys)
 
 
-def test_graph_path_reads_the_store():
+def test_graph_path_reads_the_store(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the LaurentPoly view was built")
+
     _model.cache_clear()
     try:
-        g = build_gamma(5, "row", reduced=False)
-        doc = json.loads(tables_text(5, "M"))
+        with monkeypatch.context() as mp:
+            mp.setattr(ModuleTable, "canonical_columns", refuse)
+            g = build_gamma(5, "row", reduced=False)
+            doc = json.loads(tables_text(5, "M"))
         m = _model(5, "asc")
-        assert m._columns is None  # no LaurentPoly view was built
         assert g.omega == symmetrize_mu(m.mu_entries())
         view = m.canonical_columns()
         assert doc["columns"] == {

@@ -15,7 +15,9 @@ bytes that `gwg graph build --n 7 --tables` writes for row and col) were
 recorded before tables_json streamed its text column by column.  The n=7
 reports of the gelfand and wgraph verify suites ("verify gelfand 7", "verify
 wgraph 7") were recorded before the suites fetched each model, certificate
-and reduced graph once.
+and reduced graph once.  The n=6 KL export ("kl 6") was recorded before the
+bar operator moved onto LaurentPoly columns and the packed layout onto the
+column store alone.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ from gelfand_wgraphs.wgraph import build_gamma, combinatorial_bidirected_pairs, 
 
 GOLDEN = {
     "kl 5": "a64bc44a976c4c464e5611f0156af4c05c4bfac36cee3bea66c916ab1deb1121",
+    "kl 6": "610d9e33fcc3d06f28be8ca862d84985a24d2d892a923c0c8402900b6570a176",
     "tables 6 M": "f9f84802efa52fa68896097425c7aa897056052a9f8525de4ae8e2dd56ca91ab",
     "tables 6 N": "7766870318750b215f12f7c04a6fa894c06d0dcde034ca51022dd7489a921bd3",
     "tables 7 M": "82dc6d967ac11395cd75677c38f7130a2f04e99b70d3192aa23a3eda46014327",

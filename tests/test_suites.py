@@ -1,6 +1,7 @@
 import pytest
 
 from gelfand_wgraphs import gelfand
+from gelfand_wgraphs.laurent import ONE
 from gelfand_wgraphs.suites import SUITES, run_suite
 
 
@@ -54,16 +55,16 @@ def test_gelfand_suite_reports_broken_action(monkeypatch):
 
 
 def test_gelfand_suite_bar_check_sees_a_broken_bar(monkeypatch):
-    # bar(T_v) off by one coefficient at the longest vertex of I_3: the
-    # relations and the certificate never read bar(T_v), so only the bar
-    # check can see it
+    # bar(T_v) off by one in one LaurentPoly coefficient at the longest
+    # vertex of I_3: the relations and the certificate never read bar(T_v),
+    # so only the bar check can see it
     true_barvec = gelfand.ModuleTable.barvec
 
     def broken(self, v):
         got = true_barvec(self, v)
         if self.n == 3 and v == len(self.words) - 1:
-            key = min(got)
-            got = {**got, key: got[key] + 1}
+            u = min(got)
+            got = {**got, u: got[u] + ONE}
         return got
 
     monkeypatch.setattr(gelfand.ModuleTable, "barvec", broken)
