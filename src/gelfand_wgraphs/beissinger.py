@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 from .perm import (
     Involution,
-    Permutation,
+    _conjugate_involution,
     conj_by_s,
     enumerate_involutions,
     involution_count,
 )
-from .tableau import Tableau, bump, transpose, unbump
+from .tableau import Tableau, _transpose_rows, bump, unbump
 
 
 def _column_bump(rows, x):
@@ -224,7 +224,7 @@ def _peel(rows, row: bool) -> Involution:
 def _standard_rows(T: Tableau):
     if not T.is_standard():
         raise ValueError("input must be a standard tableau")
-    return [list(r) for r in T.rows]
+    return list(map(list, T.rows))
 
 
 def p_cbs_inverse(T: Tableau) -> Involution:
@@ -241,9 +241,10 @@ def psi(y: Involution) -> Involution:
     """
     The involution z with p_rbs(y) equal to the transpose of p_cbs(z).  p_rbs
     has validated its tableau, and a transpose of a standard tableau is
-    standard, so the peel needs no second check.
+    standard, so the peel needs no second check.  Its rows are transposed
+    straight into the peel's row lists; no second Tableau is built.
     """
-    return _peel([list(r) for r in transpose(p_rbs(y)).rows], False)
+    return _peel(_transpose_rows(p_rbs(y).rows), False)
 
 
 def psi_orbit(y: Involution):
@@ -295,8 +296,19 @@ def _between(m: int, a: int, b: int) -> bool:
 
 
 def _conj_by_transposition(y: Involution, a: int, b: int) -> Involution:
-    t = Permutation.transposition(y.n, a, b)
-    return Involution(t * y.perm * t)
+    """
+    t * y * t for the transposition t = (a, b), formed on y's word: swap the
+    entries at positions a and b, then the values a and b.  After the first
+    swap the value a sits at position t(y(a)), and b at t(y(b)).  The result
+    differs from y at most at a, b, y(a) and y(b), and only those points can
+    break z * z = id, so only they are checked (`perm._conjugate_involution`).
+    """
+    word = list(y.word)
+    word[a - 1], word[b - 1] = word[b - 1], word[a - 1]
+    t = {a: b, b: a}
+    ya, yb = y(a), y(b)
+    word[t.get(ya, ya) - 1], word[t.get(yb, yb) - 1] = b, a
+    return _conjugate_involution(y, tuple(word), a, b)
 
 
 def simrbs_partner(y: Involution, i: int) -> Involution:

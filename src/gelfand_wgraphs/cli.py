@@ -27,7 +27,7 @@ GRAPH_CAP = 8
 # the output files each `graph` action writes; giving it any other is an error
 GRAPH_OUTPUTS = {"build": ("out", "dot", "tables"), "molecules": ("out", "dot"),
                  "cells": ("out", "dot"), "classify": ()}
-PSI_CAP = 10  # --cycles and --fixed-points enumerate all of I_n
+PSI_CAP = 10  # --cycles and --fixed-points enumerate I_n; one --orbit can take |I_n| steps
 EXIT_OK, EXIT_DOMAIN, EXIT_PARSE, EXIT_CAP = 0, 1, 2, 3
 
 
@@ -97,18 +97,20 @@ def cmd_insert(args) -> int:
 
 
 def cmd_psi(args) -> int:
+    y = None
     if args.orbit is not None:
         try:
             y = parse_involution(args.orbit, args.n)
         except ValueError as exc:
             raise ParseFailure(str(exc)) from exc
+    if _over_cap(args, PSI_CAP):
+        return EXIT_CAP
+    if y is not None:
         doc = {
             "n": args.n,
             "orbit": [_inv_json(z) for z in beissinger.psi_orbit(y)],
         }
     else:
-        if _over_cap(args, PSI_CAP):
-            return EXIT_CAP
         stats = beissinger.psi_cycle_stats(args.n)
         if args.fixed_points:
             doc = {
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--fixed-points", action="store_true")
     mode.add_argument("--orbit", help="involution, one-line or cycle notation")
     p.add_argument("--force", action="store_true",
-                   help=f"lift the n<={PSI_CAP} cap of --cycles and --fixed-points")
+                   help=f"lift the n<={PSI_CAP} cap")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_psi)
 

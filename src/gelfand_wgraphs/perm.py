@@ -176,10 +176,37 @@ def length(w: Permutation) -> int:
 
 
 def conj_by_s(w, i: int):
-    """s_i * w * s_i for the simple transposition s_i = (i, i+1)."""
+    """
+    s_i * w * s_i for the simple transposition s_i = (i, i+1).  The conjugate
+    of an involution w differs from w at most at i, i+1, w(i) and w(i+1), and
+    only those points can break w * w = id, so only they are checked
+    (`_conjugate_involution`); a permutation gets the full check.
+    """
     if isinstance(w, Involution):
-        return Involution(Permutation(word_conj_s(w.word, i)))
+        return _conjugate_involution(w, word_conj_s(w.word, i), i, i + 1)
     return Permutation(word_conj_s(w.word, i))
+
+
+def _conjugate_involution(y: Involution, word, a: int, b: int) -> Involution:
+    """
+    The involution with one-line word `word`, which the caller has formed as
+    t * y * t for the transposition t = (a, b), checked where it can fail.
+
+    t * y * t can differ from y only at the points D = {a, b, y(a), y(b)}:
+    for j outside D, t(j) = j and y(j) is neither a nor b.  The callers
+    change y's word only there.  y maps D onto D, so for j outside D,
+    word(j) = y(j) is outside D too and word(word(j)) = y(y(j)) = j.  So
+    word * word = id, which also makes word a permutation of [n], exactly
+    when word(word(j)) = j for the at most four j in D.  If that fails,
+    Involution(Permutation(word)) runs the full check and raises its own
+    ValueError.
+    """
+    n = len(word)
+    for j in (a, b, y.perm.word[a - 1], y.perm.word[b - 1]):
+        k = word[j - 1]
+        if not 0 < k <= n or word[k - 1] != j:
+            return Involution(Permutation(word))
+    return Involution(Permutation(word, False), False)
 
 
 def cycles_sorted(y: Involution):

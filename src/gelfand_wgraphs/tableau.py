@@ -22,21 +22,31 @@ from .perm import Permutation
 
 class Tableau:
     """
-    A tableau is immutable once built.  `_checked` records that the
-    constructor's increase check passed, so `is_partially_standard` and
-    `is_standard` need not repeat it; tableaux from `filling`, from
-    `validate=False` and from `transpose` are unchecked and get the full
-    check there.
+    A tableau is immutable once built.  `_checked` records that its rows are
+    known to be partially standard: the constructor's full check passed, or
+    `dual_equiv` moved a checked tableau and its local re-check of the moved
+    cells passed (`_of_checked`), which is as strong (see `_swap`).  So
+    `is_partially_standard` and `is_standard` need not repeat the check;
+    tableaux from `filling`, from `validate=False` and from `transpose` are
+    unchecked and get the full check there.
     """
 
     __slots__ = ("rows", "_checked")
 
     def __init__(self, rows=(), validate: bool = True):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if validate:
             _validate(rows, increase=True)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_checked", validate)
+
+    @classmethod
+    def _of_checked(cls, rows) -> "Tableau":
+        """A checked tableau on rows, a tuple of tuples proved partially standard by the caller."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        object.__setattr__(t, "_checked", True)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Tableau is immutable; cannot set {name!r}")
@@ -264,6 +274,11 @@ def dual_equiv(T: Tableau, i: int) -> Tableau:
     the middle, i-1 and i trade places.  The reading word takes the rows
     last first, so v comes before u in it when v's cell is lower, or in the
     same row and further left: one pass over the rows finds the three cells.
+
+    The swap is checked by `_swap`: on a checked T only at the two moved
+    cells, on an unchecked one in full.  On a standard tableau D_i always
+    gives a standard tableau (Haiman, Dual equivalence with applications,
+    Discrete Math. 99, 1992), so the check fires only on faulty code.
     """
     window = (i - 1, i, i + 1)
     cell = {}
@@ -280,21 +295,62 @@ def dual_equiv(T: Tableau, i: int) -> Tableau:
     if middle == i:
         return T
     a, b = (i, i + 1) if middle == i - 1 else (i - 1, i)
+    return _swap(T, cell[a], cell[b])
+
+
+def _swap(T: Tableau, p, q) -> Tableau:
+    """
+    T with the entries in the 0-based cells p and q exchanged.
+
+    An unchecked T goes through the full check of Tableau(rows).  A checked
+    T is re-checked only where the swap can break it.  The swap keeps the
+    shape and the set of entries, so the row lengths, the emptiness of rows
+    and the entries' being distinct positive integers still hold; of the
+    increase conditions, which compare neighbours in a row or a column, only
+    those between a moved cell and one of its four neighbours have changed.
+    If all of those hold, the rows are partially standard exactly as the
+    full check would find, and the result is marked checked.  If one fails,
+    the full check runs and raises its own ValueError, so the message is the
+    one an unchecked swap gives.
+    """
     rows = list(T.rows)
-    for v, w in ((a, b), (b, a)):
-        r, c = cell[v]
-        rows[r] = rows[r][:c] + (w,) + rows[r][c + 1:]
+    (r, c), (s, d) = p, q
+    x, y = rows[r][c], rows[s][d]
+    rows[r] = rows[r][:c] + (y,) + rows[r][c + 1:]
+    rows[s] = rows[s][:d] + (x,) + rows[s][d + 1:]
+    if T._checked and _fits(rows, r, c) and _fits(rows, s, d):
+        return Tableau._of_checked(tuple(rows))
     return Tableau(rows)
 
 
+def _fits(rows, r: int, c: int) -> bool:
+    """
+    Whether the entry in cell (r, c) of partition-shaped rows is above its
+    left and upper neighbours and below its right and lower ones.
+    """
+    row, v = rows[r], rows[r][c]
+    if c and row[c - 1] >= v or c + 1 < len(row) and row[c + 1] <= v:
+        return False
+    if r and rows[r - 1][c] >= v:
+        return False
+    return r + 1 == len(rows) or c >= len(rows[r + 1]) or rows[r + 1][c] > v
+
+
+def _transpose_rows(rows):
+    """
+    The columns of partition-shaped rows as new lists, the rows of the
+    transpose: row 1 starts one list per column, and each later row is
+    zipped onto the first columns, as many as it reaches.
+    """
+    cols = [[v] for v in rows[0]] if rows else []
+    for row in rows[1:]:
+        for col, v in zip(cols, row):
+            col.append(v)
+    return cols
+
+
 def transpose(T: Tableau) -> Tableau:
-    if not T.rows:
-        return T
-    cols = [[] for _ in range(len(T.rows[0]))]
-    for row in T.rows:
-        for c, v in enumerate(row):
-            cols[c].append(v)
-    return Tableau(cols, validate=False)
+    return Tableau(_transpose_rows(T.rows), validate=False)
 
 
 def restrict(T: Tableau, keep) -> Tableau:

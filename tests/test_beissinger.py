@@ -19,7 +19,13 @@ from gelfand_wgraphs.beissinger import (
     simcbs_partner,
     simrbs_partner,
 )
-from gelfand_wgraphs.perm import Involution, cycles_sorted, enumerate_involutions
+from gelfand_wgraphs.perm import (
+    Involution,
+    Permutation,
+    _conjugate_involution,
+    cycles_sorted,
+    enumerate_involutions,
+)
 from gelfand_wgraphs.tableau import (
     EMPTY,
     Tableau,
@@ -190,6 +196,17 @@ def test_psi_examples():
     assert [z.cycle_string() for z in orbit2] == ["(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]
 
 
+def test_psi_matches_the_transposed_tableau_peel():
+    # psi peels the rows of transpose(p_rbs(y)); build them cell by cell here
+    for n in range(9):
+        for y in enumerate_involutions(n):
+            rows = p_rbs(y).rows
+            width = len(rows[0]) if rows else 0
+            cols = [[row[c] for row in rows if len(row) > c] for c in range(width)]
+            assert Tableau(cols) == transpose(p_rbs(y))
+            assert psi(y) == beissinger._peel(cols, False)  # consumes cols
+
+
 def test_psi_orbit_is_bounded(monkeypatch):
     # a psi that never returns to y (here it sends everything to the
     # identity) stops after |I_4| = 10 steps instead of growing the orbit
@@ -236,6 +253,38 @@ def test_simcbs_partner_examples():
     assert dual_equiv(T([[1, 3], [2], [4]]), 3) == T([[1, 4], [2], [3]])
     with pytest.raises(ValueError):
         simcbs_partner(inv([1, 2, 3]), 3)
+
+
+def test_conj_by_transposition_matches_the_validated_product():
+    for n in range(2, 8):
+        for y in enumerate_involutions(n):
+            for a in range(1, n + 1):
+                for b in range(a + 1, n + 1):
+                    t = Permutation.transposition(n, a, b)
+                    z = beissinger._conj_by_transposition(y, a, b)
+                    assert isinstance(z, Involution) and z == Involution(t * y.perm * t)
+
+
+def word_or_error(make):
+    try:
+        return make().word
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_conjugate_check_fires_as_the_full_check():
+    # y * t in place of t * y * t: the positions a, b swapped, the values not
+    fired = 0
+    for n in range(2, 7):
+        for y in enumerate_involutions(n):
+            for a in range(1, n + 1):
+                for b in range(a + 1, n + 1):
+                    w = list(y.word)
+                    w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
+                    got = word_or_error(lambda: _conjugate_involution(y, tuple(w), a, b))
+                    assert got == word_or_error(lambda: Involution(Permutation(w)))
+                    fired += isinstance(got, str)
+    assert fired
 
 
 def partner_by_search(tabs, i, y):

@@ -102,8 +102,14 @@ def test_psi_cap_and_force(monkeypatch, capsys):
     code, out, _ = run(capsys, "psi", "--n", "11", "--cycles", "--force")
     assert code == 0 and json.loads(out)["longest_cycle"] == 1
     assert calls == [11]
-    # --orbit walks one orbit and is not capped
-    code, out, _ = run(capsys, "psi", "--n", "12", "--orbit", "(1,2)")
+    # one --orbit can take |I_n| steps, so it is capped too; the refusal
+    # comes after the parse, before any psi step
+    code, out, err = run(capsys, "psi", "--n", "12", "--orbit", "(1,2)")
+    assert code == 3 and not out
+    assert "exceeds the default cap 10" in err and "--force" in err
+    code, _, _ = run(capsys, "psi", "--n", "12", "--orbit", "abc")
+    assert code == 2
+    code, out, _ = run(capsys, "psi", "--n", "12", "--orbit", "(1,2)", "--force")
     assert code == 0 and json.loads(out)["orbit"]
 
 

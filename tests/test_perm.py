@@ -12,6 +12,7 @@ from gelfand_wgraphs.perm import (
     knuth_move,
     length,
     parse_involution,
+    word_conj_s,
 )
 
 
@@ -41,6 +42,50 @@ def test_conj_by_s_examples():
     assert conj_by_s(P([4, 2, 3, 1]), 3) == P([3, 2, 1, 4])
     assert conj_by_s(P([2, 1, 4, 3]), 2) == P([3, 4, 1, 2])
     assert isinstance(conj_by_s(Involution([2, 1]), 1), Involution)
+
+
+def test_conj_by_s_of_involutions_matches_the_validated_product():
+    for n in range(2, 8):
+        for y in enumerate_involutions(n):
+            for i in range(1, n):
+                s = Permutation.transposition(n, i, i + 1)
+                z = conj_by_s(y, i)
+                assert isinstance(z, Involution) and z == Involution(s * y.perm * s)
+
+
+def positions_only(word, i):
+    """A faulty word_conj_s that skips the value swap: y * s_i, not s_i * y * s_i."""
+    w = list(word)
+    w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
+
+
+def pairs_i(word, i):
+    """A faulty word_conj_s that also makes (i, i+1) a cycle, so it breaks only at y(i), y(i+1)."""
+    w = list(word_conj_s(word, i))
+    w[i - 1], w[i] = i + 1, i
+    return tuple(w)
+
+
+@pytest.mark.parametrize("faulty", [positions_only, pairs_i])
+def test_conj_by_s_check_fires_as_the_full_check(monkeypatch, faulty):
+    from gelfand_wgraphs import perm
+
+    def word_or_error(make):
+        try:
+            return make().word
+        except ValueError as exc:
+            return str(exc)
+
+    monkeypatch.setattr(perm, "word_conj_s", faulty)
+    fired = 0
+    for n in range(2, 8):
+        for y in enumerate_involutions(n):
+            for i in range(1, n):
+                got = word_or_error(lambda: conj_by_s(y, i))
+                assert got == word_or_error(lambda: Involution(Permutation(faulty(y.word, i))))
+                fired += isinstance(got, str)
+    assert fired
 
 
 def test_conj_by_s_out_of_range():

@@ -253,6 +253,63 @@ def test_dual_equiv_involution_on_syt():
                 assert dual_equiv(moved, i) == U
 
 
+def checked_syt(max_n):
+    """Every standard tableau with 3..max_n cells, built through the full check."""
+    return [Tableau(U.rows) for n in range(3, max_n + 1) for U in standard_tableaux(n)]
+
+
+def test_dual_equiv_checks_only_the_moved_cells(monkeypatch):
+    from gelfand_wgraphs import tableau
+
+    cases = [(U, i) for U in checked_syt(7) for i in range(2, U.size)]
+    want = [dual_equiv_by_reading_word(U, i) for U, i in cases]
+    calls = []
+    real = tableau._validate
+    monkeypatch.setattr(tableau, "_validate",
+                        lambda rows, increase: calls.append(rows) or real(rows, increase))
+    got = [dual_equiv(U, i) for U, i in cases]
+    assert got == want and all(t._checked for t in got)
+    assert calls == []
+    # an unchecked input is still checked in full, once
+    U = Tableau([[1, 2, 5], [3, 4]], validate=False)
+    moved = dual_equiv(U, 2)
+    assert len(calls) == 1 and moved._checked
+    assert moved.rows == ((1, 3, 5), (2, 4))
+
+
+def test_dual_equiv_local_check_fires_as_the_full_check(monkeypatch):
+    from gelfand_wgraphs import tableau
+
+    real_swap = tableau._swap
+    case = {}
+
+    def faulty_swap(U, p, q):
+        # trade i-1 and i+1, whichever pair D_i picked
+        case["swapped"] = True
+        return real_swap(U, case["cell"][case["i"] - 1], case["cell"][case["i"] + 1])
+
+    monkeypatch.setattr(tableau, "_swap", faulty_swap)
+    fired = passed = 0
+    for U in checked_syt(7):
+        for i in range(2, U.size):
+            swap = {i - 1: i + 1, i + 1: i - 1}
+            try:
+                want = Tableau([[swap.get(v, v) for v in row] for row in U.rows]).rows
+            except ValueError as exc:
+                want = str(exc)
+            case.update(i=i, swapped=False,
+                        cell={v: (r, row.index(v)) for r, row in enumerate(U.rows) for v in row})
+            try:
+                got = dual_equiv(U, i).rows
+            except ValueError as exc:
+                got = str(exc)
+            if case["swapped"]:
+                assert got == want, (U, i)
+                fired += isinstance(got, str)
+                passed += not isinstance(got, str)
+    assert fired and passed
+
+
 def test_knuth_moves_match_dual_equiv():
     # Knuth move at i keeps P and applies D_i to Q; dually with inverse words
     from gelfand_wgraphs.perm import knuth_move
@@ -278,6 +335,23 @@ def test_transpose_examples():
     assert transpose(T([[1, 2, 3], [4]])) == T([[1, 4], [2], [3]])
     for U in all_syt_oracle(6):
         assert transpose(transpose(U)) == U
+
+
+def transpose_by_cells(U):
+    """The columns of U read cell by cell, as a reference."""
+    width = len(U.rows[0]) if U.rows else 0
+    return [[row[c] for row in U.rows if len(row) > c] for c in range(width)]
+
+
+def test_transpose_of_fillings_matches_reference():
+    rng = random.Random(11)
+    for _ in range(500):
+        shape = sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 6))), reverse=True)
+        values = rng.sample(range(1, 3 * sum(shape) + 2), sum(shape))
+        rest = iter(values)
+        F = Tableau.filling([[next(rest) for _ in range(m)] for m in shape])
+        got = transpose(F)
+        assert got.rows == tuple(map(tuple, transpose_by_cells(F))) and not got._checked
 
 
 def test_restrict_examples():
