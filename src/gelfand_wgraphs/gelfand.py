@@ -22,8 +22,10 @@ Indices i always range over [n-1] here even though vertex words live on
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .action import PackedAction
 from .beissinger import _p_map
@@ -283,11 +285,11 @@ class ModuleTable:
     deeper one is refused by name (_check_column).  The mu table is read off
     the columns as they are computed.  The recursion and
     `check_intertwining()`, which certifies the store's bar-invariance,
-    apply H_s + x^-1 and H_s - x to stored columns through one step kernel
-    (_stepper).  `canonical_columns()` decodes the store into dicts from
-    vertex index to LaurentPoly on each call; nothing on the graph path or
-    in the certificate calls it.  `pick` chooses the strict descent the
-    recursion expands a column by (see _compute_columns).
+    apply H_s + x^-1 and H_s - x to stored columns through one step kernel,
+    which reads per-vertex move tables (_stepper).  `canonical_columns()`
+    decodes the store into LaurentPoly dicts on each call; nothing on the
+    graph path or in the certificate calls it.  `pick` chooses the strict
+    descent the recursion expands a column by (see _compute_columns).
     """
 
     exp_bits = 8  # the store's exponent field (ColumnStore)
@@ -389,36 +391,38 @@ class ModuleTable:
         packed key to int with zeros kept, C·C_v minus m·C_y summed over the
         (y, m) in `lower` with i not in tau(y), C_v and C_y read from the
         store as they are: C = H_s + x^-1 for sign 1 and H_s - x for sign -1,
-        s = s_i.  C sends T_y at a strict position to T_{s·y} plus
-        sign·x^(±1)·T_y (x^-sign at an ascent, x^sign at a descent), and
-        scales it at a weak position by its scalar plus x^-1 or minus x.  So
-        every term is an integer add under a packed key: the vertex bits move
-        to s·y, or the exponent field moves by one.
+        s = s_i.  C is read from move tables, one per (i, sign) built on
+        first use: entry y lists, flat, the offset and multiplier pairs that
+        send c at a key of vertex y to multiplier·c at key + offset.  A
+        strict y has ((cnj[i][y] - y) << shift, 1), the move to s·y, then
+        (∓sign, sign) at an ascent/descent; a weak y has (d, a) per term
+        a·x^d of its scalar plus x^-1, or minus x: none or two in M and N.
         """
-        shift, tau, cls, cnj = store.shift, self.tau, self.cls, self.cnj
-        weak = {
-            sign: {
-                k: () if p is None else tuple((p + by).items())
-                for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))
-            }
-            for sign, by in ((1, X_INV), (-1, -X))
-        }
+        shift, tau, tables, entries = store.shift, self.tau, {}, {}
+
+        def moves(i: int, sign: int) -> list:
+            by, turn = (X_INV if sign == 1 else -X), {ASC_LT: -sign, DES_LT: sign}
+            weak = {k: () if p is None else sum((p + by).items(), ())
+                    for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))}
+            return tables.setdefault((i, sign), [
+                entries.setdefault(m, m) for m in (  # equal entries share one tuple
+                    ((u - y) << shift, 1, turn[k], sign) if k in turn else weak[k]
+                    for y, (k, u) in enumerate(zip(self.cls[i], self.cnj[i])))
+            ])
 
         def step(i: int, sign: int, v: int, lower=()) -> dict:
-            cls_i, cnj_i, weak_s = cls[i], cnj[i], weak[sign]
+            table = tables.get((i, sign)) or moves(i, sign)
             out = {}
             get = out.get
             for key, c in zip(*store.column(v)):
-                y = key >> shift
-                k = cls_i[y]
-                if k == ASC_LT or k == DES_LT:
-                    moved = key + ((cnj_i[y] - y) << shift)
-                    out[moved] = get(moved, 0) + c
-                    key += sign if k == DES_LT else -sign
-                    out[key] = get(key, 0) + sign * c
-                else:
-                    for d, a in weak_s[k]:
-                        out[key + d] = get(key + d, 0) + a * c
+                m = table[key >> shift]
+                if len(m) == 4:
+                    d, e = m[0] + key, m[2] + key
+                    out[d] = get(d, 0) + m[1] * c
+                    out[e] = get(e, 0) + m[3] * c
+                elif m:  # a weak scalar with one term or more than two
+                    for j in range(0, len(m), 2):
+                        out[m[j] + key] = get(m[j] + key, 0) + m[j + 1] * c
             for y, m in lower:
                 if i not in tau[y]:
                     for key, c in zip(*store.column(y)):
@@ -475,52 +479,48 @@ class ModuleTable:
         append it to the store: the coefficient of z is exactly 1, every
         other term has l(y) < l(z) and exponent <= -1, every exponent is at
         least -(2**exp_bits - 2) and every coefficient fits 64 bits.  Returns
-        the column's mu entries, the x^-1 coefficients off the diagonal.
+        the column's mu entries, the x^-1 coefficients off the diagonal.  As
+        vertices are sorted by length, one max bounds the keys below z's
+        length, and one pass tests each exponent field and reads mu.  A
+        failed column is rescanned for its fault: not unitriangular, else
+        the last term too deep for the key field, else the first bad term.
         """
-        lz, length = self.length[z], self.length
-        shift, bias = store.shift, store.bias
-        field = (1 << shift) - 1
-        diagonal = 0
-        bad = deep = None
-        keys, coefs = [], []
-        mu = {}
-        for key, c in col.items():
-            if not c:
-                continue
-            keys.append(key)
-            coefs.append(c)
-            y, f = key >> shift, key & field  # f = bias + e
-            if y == z:
-                diagonal += 1
-            elif f == bias - 1:
-                mu[y] = c
-                if length[y] >= lz and bad is None:
-                    bad = y
-            elif f < 2:
-                deep = y, f - bias
-            elif (f >= bias or length[y] >= lz) and bad is None:
-                bad = y
-        if diagonal != 1 or col.get(store.key(z, 0)) != 1:
-            raise RuntimeError(f"column {self.words[z]} is not unitriangular")
-        if deep is not None:
+        shift, bias, words, length = store.shift, store.bias, self.words, self.length
+        field, top, diag = (1 << shift) - 1, bias - 1, store.key(z, 0)  # key & field: bias + e
+        keys, coefs = list(compress(col, col.values())), list(filter(None, col.values()))
+        if col.get(diag) == 1:
+            p = keys.index(diag)
+            keys[p] = -1  # the diagonal is the one key not below the bound
+            below = max(keys) < bisect_left(length, length[z]) << shift
+            keys[p] = diag
+            mu = {}
+            for key, c in zip(keys, coefs):
+                f = key & field
+                if f == top:
+                    mu[key >> shift] = c
+                elif not 2 <= f < top and key != diag:
+                    break
+            else:
+                if below:
+                    try:
+                        store.append(keys, coefs)
+                    except OverflowError:
+                        raise RuntimeError(
+                            f"column {words[z]} has a coefficient beyond 64 bits"
+                        ) from None
+                    return mu
+        terms = [(k >> shift, (k & field) - bias, c) for k, c in zip(keys, coefs)]
+        if [(e, c) for y, e, c in terms if y == z] != [(0, 1)]:
+            raise RuntimeError(f"column {words[z]} is not unitriangular")
+        deep = [(y, e) for y, e, _ in terms if y != z and e < 2 - bias]
+        if deep:
             raise RuntimeError(
-                f"column {self.words[z]} has a term at {self.words[deep[0]]} with exponent "
-                f"{deep[1]}, below the {self.exp_bits}-bit key field"
+                f"column {words[z]} has a term at {words[deep[-1][0]]} with exponent "
+                f"{deep[-1][1]}, below the {self.exp_bits}-bit key field"
             )
-        if bad is not None:
-            c = LaurentPoly({
-                k - store.key(bad, 0): c for k, c in zip(keys, coefs) if k >> shift == bad
-            })
-            raise RuntimeError(
-                f"column {self.words[z]} has a bad term at {self.words[bad]}: {c}"
-            )
-        try:
-            store.append(keys, coefs)
-        except OverflowError:
-            raise RuntimeError(
-                f"column {self.words[z]} has a coefficient beyond 64 bits"
-            ) from None
-        return mu
+        bad = next(y for y, e, _ in terms if y != z and (e >= 0 or length[y] >= length[z]))
+        c = LaurentPoly({e: c for y, e, c in terms if y == bad})
+        raise RuntimeError(f"column {words[z]} has a bad term at {words[bad]}: {c}")
 
     def column_store(self) -> ColumnStore:
         """The canonical columns, packed (see ColumnStore)."""
@@ -825,7 +825,7 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
     element expanded over the standard basis, and the table of x^-1
     coefficients.  Triangularity is always verified; check_bar=True also
     certifies bar-invariance by ModuleTable.check_intertwining, at a cost
-    linear in the column terms (about 0.04 s at n=7 and 0.4 s at n=8 for M,
+    linear in the column terms (about 0.02 s at n=7 and 0.2 s at n=8 for M,
     several times the recursion itself).  check_bar=None runs it for n <= 6.
     pick is the recursion's pivot rule (ModuleTable.picks); the basis does
     not depend on it.

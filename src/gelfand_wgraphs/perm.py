@@ -8,12 +8,18 @@ All values are immutable; operations return new objects.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import total_ordering
 
 
 def word_length(word) -> int:
-    """Number of inversions of a one-line word."""
-    return sum([1 for i, a in enumerate(word) for b in word[i + 1:] if a > b])
+    """Number of inversions of a one-line word, counted right to left by bisection."""
+    seen, count = [], 0
+    for a in reversed(word):
+        k = bisect_left(seen, a)
+        count += k
+        seen.insert(k, a)
+    return count
 
 
 def word_inverse(word):

@@ -120,12 +120,6 @@ class Tableau:
             return "Tableau([])"
         return "Tableau(" + str([list(r) for r in self.rows]) + ")"
 
-    def pretty(self) -> str:
-        if not self.rows:
-            return "(empty)"
-        w = max(len(str(v)) for row in self.rows for v in row)
-        return "\n".join(" ".join(str(v).rjust(w) for v in row) for row in self.rows)
-
 
 def _validate(rows, increase: bool):
     seen = set()

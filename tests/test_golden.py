@@ -17,7 +17,12 @@ reports of the gelfand and wgraph verify suites ("verify gelfand 7", "verify
 wgraph 7") were recorded before the suites fetched each model, certificate
 and reduced graph once.  The n=6 KL export ("kl 6") was recorded before the
 bar operator moved onto LaurentPoly columns and the packed layout onto the
-column store alone.
+column store alone.  The column stores ("store 8 M", "store 8 N", "store
+regular 6": the little-endian bytes of `ColumnStore.keys`, `coefs` and
+`ends`, then `term_reads` and the mu table's items in `mu_entries()` order)
+were recorded before the step kernel moved onto move tables and the column
+self-check onto one pass; they pin the stored term order as well as the
+terms.
 """
 
 import hashlib
@@ -26,9 +31,10 @@ import json
 
 import pytest
 
+from gelfand_wgraphs import hecke
 from gelfand_wgraphs.beissinger import p_cbs, p_rbs, psi
 from gelfand_wgraphs.cli import main
-from gelfand_wgraphs.gelfand import tables_json
+from gelfand_wgraphs.gelfand import Model, tables_json
 from gelfand_wgraphs.perm import enumerate_involutions
 from gelfand_wgraphs.wgraph import build_gamma, combinatorial_bidirected_pairs, export
 
@@ -81,3 +87,25 @@ def test_engine_output_digest(what, capsys, tmp_path):
         tables_json(int(n), variant[0], fh)
         text = json.dumps(json.loads(fh.getvalue()), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[what]
+
+
+STORES = {
+    "store 8 M": "b4fcf721148cf2e6d0c7448393d757f0521e37a1dad52b63e6505f1a31acd5cf",
+    "store 8 N": "aa40b3133c9bbb92377c8509863d270bdecdd5614693dbeeda4652507dbd2fa7",
+    "store regular 6": "223c0dcf45f87883f1ecc8169a3df7eefecf9cf273a253cdda6252c78ee092af",
+}
+
+
+@pytest.mark.parametrize("what", STORES)
+def test_column_store_digest(what):
+    _, n, *variant = what.split()
+    if n == "regular":
+        table = hecke._regular(int(variant[0]))
+    else:
+        table = Model(int(n), "asc" if variant[0] == "M" else "des")
+    store = table.column_store()
+    h = hashlib.sha256()
+    for a in (store.keys, store.coefs, store.ends):
+        h.update(a.tobytes())
+    h.update(repr((table.term_reads, list(table.mu_entries().items()))).encode())
+    assert h.hexdigest() == STORES[what]

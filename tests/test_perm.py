@@ -11,8 +11,10 @@ from gelfand_wgraphs.perm import (
     involution_count,
     knuth_move,
     length,
+    involution_words,
     parse_involution,
     word_conj_s,
+    word_length,
 )
 
 
@@ -35,6 +37,25 @@ def test_length_matches_pair_count():
             1 for i in range(4) for j in range(i + 1, 4) if w[i] > w[j]
         )
         assert length(P(w)) == expect
+
+
+def quadratic_length(word):
+    return sum(1 for i, a in enumerate(word) for b in word[i + 1:] if a > b)
+
+
+def test_word_length_matches_the_quadratic_count():
+    # every word of S_7, and the n=8 vertex words of both Gelfand embeddings
+    from itertools import permutations
+
+    from gelfand_wgraphs.gelfand import embed_word
+
+    for w in permutations(range(1, 8)):
+        assert word_length(w) == quadratic_length(w), w
+    for mode in ("asc", "des"):
+        for w in involution_words(8):
+            wd = embed_word(w, mode)
+            assert word_length(wd) == quadratic_length(wd), wd
+    assert word_length(()) == 0
 
 
 def test_conj_by_s_examples():
