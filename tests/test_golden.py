@@ -22,7 +22,10 @@ regular 6": the little-endian bytes of `ColumnStore.keys`, `coefs` and
 `ends`, then `term_reads` and the mu table's items in `mu_entries()` order)
 were recorded before the step kernel moved onto move tables and the column
 self-check onto one pass; they pin the stored term order as well as the
-terms.
+terms.  The canonical bases of both models at n=6 ("basis 6 M", "basis 6 N":
+each column's vertex words with their coefficient pairs, then the mu entries
+by word) were recorded before the element types were removed and
+canonical_basis returned ModuleElements.
 """
 
 import hashlib
@@ -34,7 +37,7 @@ import pytest
 from gelfand_wgraphs import hecke
 from gelfand_wgraphs.beissinger import p_cbs, p_rbs, psi
 from gelfand_wgraphs.cli import main
-from gelfand_wgraphs.gelfand import Model, tables_json
+from gelfand_wgraphs.gelfand import Model, canonical_basis, tables_json
 from gelfand_wgraphs.perm import enumerate_involutions
 from gelfand_wgraphs.wgraph import build_gamma, combinatorial_bidirected_pairs, export
 
@@ -109,3 +112,21 @@ def test_column_store_digest(what):
         h.update(a.tobytes())
     h.update(repr((table.term_reads, list(table.mu_entries().items()))).encode())
     assert h.hexdigest() == STORES[what]
+
+
+BASES = {
+    "basis 6 M": "a7c361e74a88ee17d9a1e11748285fec3c8caf5b09dcf3df185be15729cc2779",
+    "basis 6 N": "77f02a0cbe3b2e2fd9095800ddd4619f8d5f298c76a5b8a2034a910b370e42ca",
+}
+
+
+@pytest.mark.parametrize("what", BASES)
+def test_canonical_basis_digest(what):
+    _, n, variant = what.split()
+    cols, mu = canonical_basis(int(n), variant)
+    doc = (
+        sorted((z.word, sorted((y.word, c.to_pairs()) for y, c in col.terms.items()))
+               for z, col in cols.items()),
+        sorted((y.word, z.word, m) for (y, z), m in mu.entries.items()),
+    )
+    assert hashlib.sha256(repr(doc).encode()).hexdigest() == BASES[what]
