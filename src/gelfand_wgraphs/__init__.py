@@ -41,17 +41,14 @@ from .beissinger import (
     simcbs_partner,
     simrbs_partner,
 )
-from .hecke import HeckeElement, h_bar, h_s_mul, kl_basis, kl_cells, kl_wgraph
+from .hecke import kl_cells, kl_wgraph
 from .gelfand import (
     DescentData,
     GelfandVertex,
-    ModuleElement,
     MuTable,
-    bar_module,
     canonical_basis,
     descent_data,
     embed,
-    h_action,
     hat_p,
     iota_line,
     lambda_shape,

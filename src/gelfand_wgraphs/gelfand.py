@@ -272,11 +272,16 @@ class ModuleTable:
     (Model); so is the regular representation of H(S_n), with no weak
     positions (hecke).
 
+    The table assumes that act(., i) is an involution on the strict
+    positions of i, as z -> s_i·z·s_i and w -> s_i·w are, and builds
+    `cnj[i]` from one `act` call per pair {k, cnj[i][k]}.
+
     `action_terms` is the one rule for H_s on the table.  `h_col` applies it
     to columns of LaurentPolys at any exponents, and barvec builds
-    bar(T_v) with it, so `bar_col` and the elements (_TableElement) need no
-    key layout.  `action()` is the same rule as a PackedAction, which sizes
-    its own key field, for the relation check.
+    bar(T_v) with it, so `bar_col` needs no key layout.  A column is a dict
+    from vertex index to LaurentPoly; it is the table's only form of a
+    module element.  `action()` is the same rule as a PackedAction, which
+    sizes its own key field, for the relation check.
 
     The canonical-basis recursion keeps each finished column in a packed
     ColumnStore (`column_store`), a few bytes per term, whose key field has
@@ -304,15 +309,16 @@ class ModuleTable:
         keyed = sorted((word_length(wd), wd) for wd in words)
         self.words = [wd for _, wd in keyed]
         self.length = [ln for ln, _ in keyed]
-        self.index = {wd: k for k, wd in enumerate(self.words)}
+        self.index = index = {wd: k for k, wd in enumerate(self.words)}
         self.cls = {}   # i -> per-vertex classification
         self.cnj = {}   # i -> per-vertex index of the vertex H_{s_i} moves it to
         for i in range(1, n):
-            self.cls[i] = [classify(wd, i) for wd in self.words]
-            self.cnj[i] = [
-                self.index[act(wd, i)] if self.cls[i][k] in (ASC_LT, DES_LT) else k
-                for k, wd in enumerate(self.words)
-            ]
+            cls_i = self.cls[i] = [classify(wd, i) for wd in self.words]
+            cnj_i = self.cnj[i] = list(range(len(self.words)))  # weak k stay fixed
+            for k, wd in enumerate(self.words):
+                if cnj_i[k] == k and cls_i[k] in (ASC_LT, DES_LT):
+                    u = index[act(wd, i)]
+                    cnj_i[k], cnj_i[u] = u, k
         self.strict_descents = [
             [i for i in range(1, n) if self.cls[i][k] == DES_LT]
             for k in range(len(self.words))
@@ -325,10 +331,6 @@ class ModuleTable:
         self._terms = None
         self._action = None
         self.term_reads = None  # store terms the recursion read, once computed
-
-    def vertex(self, k: int):
-        """The basis vector at index k as an element key: its word (Model: a GelfandVertex)."""
-        return self.words[k]
 
     # -- the H_{s_i} action ----------------------------------------------------
 
@@ -680,55 +682,6 @@ def _nonzero(col: dict) -> dict:
     return {v: p for v, p in out.items() if p}
 
 
-class _TableElement:
-    """
-    A finite Z[x,x^-1]-combination of the basis vectors of a ModuleTable:
-    `terms` maps keys, the table's `vertex` objects, to nonzero
-    LaurentPolys.  A subclass (ModuleElement, hecke.HeckeElement) names the
-    table of a nonzero element (_table), gives a key's word in it (_word),
-    makes an element of its type from terms and an operand (_new) and
-    labels a key in the repr (_label).  Elements of two types are never
-    equal, and adding or subtracting them raises TypeError.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            t[k] = t[k] + c if k in t else c
-        return self._new(t, other)
-
-    def __sub__(self, other):
-        return self + other.scale(-ONE)
-
-    def scale(self, p: LaurentPoly):
-        return self._new({k: c * p for k, c in self.terms.items()}, self)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return f"{type(self).__name__}(0)"
-        terms = sorted(self.terms.items(), key=lambda t: self._word(t[0]))
-        return " + ".join(f"({c})*{self._label(k)}" for k, c in terms)
-
-    def _apply(self, op: str, *args):
-        """The table's column operation `op`, "h_col" (args: i) or "bar_col", on the element."""
-        if not self.terms:
-            return self._new({}, self)
-        table = self._table()
-        col = {table.index[self._word(k)]: c for k, c in self.terms.items()}
-        out = getattr(table, op)(*args, col)
-        return self._new({table.vertex(v): c for v, c in out.items()}, self)
-
-
 class Model(ModuleTable):
     """
     The Gelfand model M (variant 'asc') or N ('des') for one n: the engine
@@ -764,66 +717,15 @@ def _model(n: int, variant: str) -> Model:
     return Model(n, variant)
 
 
-class ModuleElement(_TableElement):
-    """A sparse vector over Gelfand vertices with Laurent coefficients."""
-
-    __slots__ = ("variant",)
-
-    def __init__(self, coeffs, variant=None):
-        if variant not in (None, "M", "N"):
-            raise ValueError(f"variant must be 'M', 'N' or None, got {variant!r}")
-        super().__init__(coeffs)
-        variants = {z.variant for z in self.terms}
-        if len(variants) > 1:
-            raise ValueError("mixed vertex variants in one element")
-        degrees = {z.n for z in self.terms}
-        if len(degrees) > 1:
-            raise ValueError(f"mixed vertex degrees {sorted(degrees)} in one element")
-        if variants:
-            found = "M" if variants.pop() == "asc" else "N"
-            if variant is not None and variant != found:
-                raise ValueError(f"vertices are {found}-type, element declared {variant}")
-            variant = found
-        self.variant = variant
-
-    @classmethod
-    def basis(cls, z: GelfandVertex) -> "ModuleElement":
-        return cls({z: ONE})
-
-    @property
-    def coeffs(self) -> dict:
-        return self.terms
-
-    def _table(self) -> Model:
-        return _model(next(iter(self.terms)).n, "asc" if self.variant == "M" else "des")
-
-    def _word(self, z: GelfandVertex) -> tuple:
-        return z.word
-
-    def _new(self, terms: dict, other: "ModuleElement") -> "ModuleElement":
-        return ModuleElement(terms, self.variant or other.variant)
-
-    def _label(self, z: GelfandVertex) -> str:
-        return f"{self.variant or '?'}[{''.join(map(str, z.word)) if z.n < 5 else list(z.word)}]"
-
-
-def h_action(i: int, e: ModuleElement) -> ModuleElement:
-    """Left action of H_{s_i} on a module element."""
-    return e._apply("h_col", i)
-
-
-def bar_module(e: ModuleElement) -> ModuleElement:
-    """The bar operator of the element's model, extended bar-semilinearly."""
-    return e._apply("bar_col")
-
-
 def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
     """
     The canonical basis of model M (variant 'M'/'asc') or N ('N'/'des').
 
-    Returns (columns, mu): a map from each vertex z to the canonical basis
-    element expanded over the standard basis, and the table of x^-1
-    coefficients.  Triangularity is always verified; check_bar=True also
+    Returns (columns, mu): columns maps each vertex z to the canonical basis
+    element C_z over the standard basis, as a dict from vertex y to the
+    LaurentPoly coefficient of T_y, and mu is the table of x^-1
+    coefficients.  One GelfandVertex object stands for each vertex
+    throughout.  Triangularity is always verified; check_bar=True also
     certifies bar-invariance by ModuleTable.check_intertwining, at a cost
     linear in the column terms (about 0.02 s at n=7 and 0.2 s at n=8 for M,
     several times the recursion itself).  check_bar=None runs it for n <= 6.
@@ -841,10 +743,7 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
     cols = m.canonical_columns()
     sym = "M" if key == "asc" else "N"
     verts = [m.vertex(z) for z in range(len(cols))]  # one object per vertex, shared
-    out = {
-        verts[z]: ModuleElement({verts[v]: c for v, c in col.items()}, sym)
-        for z, col in enumerate(cols)
-    }
+    out = {verts[z]: {verts[v]: c for v, c in col.items()} for z, col in enumerate(cols)}
     mu = MuTable(sym, {
         (verts[y], verts[z]): v for z, col in enumerate(m.mu_columns()) for y, v in col.items()
     })

@@ -13,9 +13,9 @@ each generator a strict left ascent or descent, H_s moving w to s*w, and tau
 the left ascent set.  Multiplication by H_s, the bar involution and the KL
 basis are the Gelfand engine's column action, bar recursion and
 canonical-basis recursion on that table, so the check that KL cells are RS
-fibers exercises the same engine as the Gelfand W-graphs.  HeckeElement is
-the engine's one sparse element type (gelfand._TableElement), as
-ModuleElement is for the Gelfand models, keyed by one-line words.
+fibers exercises the same engine as the Gelfand W-graphs.  An element of
+the algebra is a column of that table: a dict from the index of w in
+`_regular(n).words` to the LaurentPoly coefficient of H_w.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations as _permutations
 
-from .gelfand import ASC_LT, DES_LT, ModuleTable, _TableElement
-from .laurent import ONE, LaurentPoly
+from .gelfand import ASC_LT, DES_LT, ModuleTable
 from .perm import Permutation
 
 DEFAULT_MAX_N = 6
@@ -33,42 +32,6 @@ DEFAULT_MAX_N = 6
 def _one_line(w) -> tuple:
     """The one-line word of a Permutation or of a sequence of values."""
     return w.word if isinstance(w, Permutation) else tuple(w)
-
-
-class HeckeElement(_TableElement):
-    """A finite Z[x,x^-1]-combination of standard basis elements H_w."""
-
-    __slots__ = ()
-
-    def __init__(self, terms=None):
-        super().__init__({_one_line(w): c for w, c in (terms or {}).items()})
-
-    @classmethod
-    def basis(cls, w) -> "HeckeElement":
-        return cls({w: ONE})
-
-    @classmethod
-    def unit(cls, n: int) -> "HeckeElement":
-        return cls.basis(tuple(range(1, n + 1)))
-
-    def coeff(self, w) -> LaurentPoly:
-        return self.terms.get(_one_line(w), LaurentPoly())
-
-    def _table(self) -> ModuleTable:
-        table = _regular(len(next(iter(self.terms))))
-        for w in self.terms:
-            if w not in table.index:
-                raise ValueError(f"{w} is not a permutation of [1..{table.n}]")
-        return table
-
-    def _word(self, w) -> tuple:
-        return w
-
-    def _new(self, terms: dict, other: "HeckeElement") -> "HeckeElement":
-        return HeckeElement(terms)
-
-    def _label(self, w) -> str:
-        return f"H{list(w)}"
 
 
 def _s_mul_word(i: int, word):
@@ -93,11 +56,6 @@ def _regular(n: int) -> ModuleTable:
     )
 
 
-def h_s_mul(i: int, h: HeckeElement) -> HeckeElement:
-    """Left multiplication by H_{s_i}."""
-    return h._apply("h_col", i)
-
-
 def reduced_word(w) -> tuple:
     """The lexicographically least reduced word of w."""
     word = _one_line(w)
@@ -110,11 +68,6 @@ def reduced_word(w) -> tuple:
                 break
         else:
             return tuple(letters)
-
-
-def h_bar(h: HeckeElement) -> HeckeElement:
-    """The bar involution, extended bar-semilinearly from the basis."""
-    return h._apply("bar_col")
 
 
 def kl_table(n: int):
@@ -135,14 +88,6 @@ def kl_table(n: int):
         (words[y], words[z]): m for z, col in enumerate(table.mu_columns()) for y, m in col.items()
     }
     return list(words), columns, mu
-
-
-def kl_basis(n: int, max_n: int = DEFAULT_MAX_N):
-    """The KL basis of H(S_n) as a map from words to HeckeElements."""
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the bound {max_n}; pass max_n to override")
-    _, columns, _ = kl_table(n)
-    return {w: HeckeElement(col) for w, col in columns.items()}
 
 
 def asc_left(word) -> frozenset:

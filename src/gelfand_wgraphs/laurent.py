@@ -36,13 +36,6 @@ class LaurentPoly:
         """Monomial coeff * x**exp."""
         return cls.from_nonzero({exp: coeff} if coeff != 0 else {})
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "LaurentPoly":
-        t = {}
-        for e, c in pairs:
-            t[e] = t.get(e, 0) + c
-        return cls(t)
-
     def items(self):
         return self._t.items()
 

@@ -154,19 +154,8 @@ class BumpingPath:
     cells: tuple
     inserted_values: tuple
 
-    @property
-    def final_row(self) -> int:
-        return len(self.cells)
-
-    @property
-    def new_cell(self):
-        return self.cells[-1]
-
     def col(self, j: int) -> int:
         return self.cells[j - 1][1]
-
-    def ivalue(self, j: int) -> int:
-        return self.inserted_values[j - 1]
 
 
 def bump(rows, x, path=None):

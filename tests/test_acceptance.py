@@ -31,7 +31,7 @@ from gelfand_wgraphs.gelfand import (
     lambda_shape,
     transfer_points,
 )
-from gelfand_wgraphs.hecke import h_bar, kl_basis, kl_cells
+from gelfand_wgraphs.hecke import _regular, kl_cells, kl_table
 from gelfand_wgraphs.laurent import ONE
 from gelfand_wgraphs.perm import (
     Involution,
@@ -279,11 +279,13 @@ def test_criterion_9_character_identity():
 def test_criterion_10_kl_cross_validation():
     with _Budget("criterion 10: KL basis and cells cross-validation, n<=5", 300):
         for n in range(1, 6):
-            kb = kl_basis(n)
+            table = _regular(n)
+            _, kb, _ = kl_table(n)
             for w, el in kb.items():
-                assert h_bar(el) == el, (n, w)
-                assert el.coeff(w) == ONE
-                for y, c in el.terms.items():
+                col = {table.index[y]: c for y, c in el.items()}
+                assert table.bar_col(col) == col, (n, w)
+                assert el[w] == ONE
+                for y, c in el.items():
                     assert all(v >= 0 for _, v in c.items()), (n, w, y)
                     if y != w:
                         assert word_length(y) < word_length(w)

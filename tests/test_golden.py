@@ -125,7 +125,7 @@ def test_canonical_basis_digest(what):
     _, n, variant = what.split()
     cols, mu = canonical_basis(int(n), variant)
     doc = (
-        sorted((z.word, sorted((y.word, c.to_pairs()) for y, c in col.terms.items()))
+        sorted((z.word, sorted((y.word, c.to_pairs()) for y, c in col.items()))
                for z, col in cols.items()),
         sorted((y.word, z.word, m) for (y, z), m in mu.entries.items()),
     )

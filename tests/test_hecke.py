@@ -1,13 +1,9 @@
-import re
 from itertools import permutations
 
 import pytest
 
 from gelfand_wgraphs.hecke import (
-    HeckeElement,
-    h_bar,
-    h_s_mul,
-    kl_basis,
+    _regular,
     kl_cells,
     kl_table,
     kl_wgraph,
@@ -18,44 +14,45 @@ from gelfand_wgraphs.perm import Permutation, word_length
 from gelfand_wgraphs.tableau import pq_rs
 
 
-def H(word):
-    return HeckeElement.basis(tuple(word))
+def H(word, c=ONE):
+    """c·H_w as a column of the regular table of S_n, n = len(word)."""
+    return {_regular(len(word)).index[tuple(word)]: c}
+
+
+def add(*cols):
+    """The sum of columns, zero coefficients dropped."""
+    out = {}
+    for col in cols:
+        for k, c in col.items():
+            out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
+
+
+def scale(col, p):
+    return {k: c * p for k, c in col.items()}
+
+
+def kl_columns(n):
+    """The KL basis from kl_table, each column keyed by index in _regular(n)."""
+    index = _regular(n).index
+    _, columns, _ = kl_table(n)
+    return {w: {index[y]: c for y, c in col.items()} for w, col in columns.items()}
 
 
 def test_h_s_mul_examples():
-    assert h_s_mul(1, H([1, 2, 3])) == H([2, 1, 3])
-    assert h_s_mul(1, H([2, 1, 3])) == H([1, 2, 3]) + H([2, 1, 3]).scale(X_MINUS_XINV)
-    assert h_s_mul(1, H([3, 1, 2])) == H([3, 2, 1])
+    R = _regular(3)
+    assert R.h_col(1, H([1, 2, 3])) == H([2, 1, 3])
+    assert R.h_col(1, H([2, 1, 3])) == add(H([1, 2, 3]), H([2, 1, 3], X_MINUS_XINV))
+    assert R.h_col(1, H([3, 1, 2])) == H([3, 2, 1])
     with pytest.raises(ValueError):
-        h_s_mul(3, H([2, 1, 3]))
-
-
-@pytest.mark.parametrize("h,bad", [
-    (H([1, 2]) + H([1, 2, 3]), "(1, 2, 3)"),  # terms of two degrees
-    (H([2, 3]), "(2, 3)"),                    # not a permutation of [1..2]
-])
-def test_words_outside_the_degree_are_refused(h, bad):
-    msg = "^" + re.escape(f"{bad} is not a permutation of [1..2]") + "$"
-    with pytest.raises(ValueError, match=msg):
-        h_s_mul(1, h)
-    with pytest.raises(ValueError, match=msg):
-        h_bar(h)
-
-
-def test_permutation_keys_are_keyed_by_their_words():
-    w = Permutation((2, 1, 3))
-    h = HeckeElement({w: X})
-    assert h.coeff(w) == X
-    assert h.coeff((2, 1, 3)) == X
-    assert h == HeckeElement.basis(w).scale(X)
-    assert repr(h) == "(x)*H[2, 1, 3]"
-    assert h_s_mul(1, h) == H([1, 2, 3]).scale(X) + h.scale(X_MINUS_XINV)
-    assert h_bar(h) == h_bar(H([2, 1, 3])).scale(X_INV)
+        R.h_col(3, H([2, 1, 3]))
 
 
 def test_h_s_mul_is_linear():
-    e = H([1, 2, 3]).scale(X) + H([2, 1, 3]).scale(X_INV)
-    assert h_s_mul(2, e) == h_s_mul(2, H([1, 2, 3])).scale(X) + h_s_mul(2, H([2, 1, 3])).scale(X_INV)
+    R = _regular(3)
+    e = add(H([1, 2, 3], X), H([2, 1, 3], X_INV))
+    want = add(scale(R.h_col(2, H([1, 2, 3])), X), scale(R.h_col(2, H([2, 1, 3])), X_INV))
+    assert R.h_col(2, e) == want
 
 
 def test_reduced_words():
@@ -76,59 +73,57 @@ def test_reduced_words():
 
 
 def test_h_bar_examples():
-    assert h_bar(H([1, 2])) == H([1, 2])
-    assert h_bar(H([2, 1])) == H([2, 1]) - H([1, 2]).scale(X_MINUS_XINV)
-    assert h_bar(H([1, 2]).scale(X)) == H([1, 2]).scale(X_INV)
+    R = _regular(2)
+    assert R.bar_col(H([1, 2])) == H([1, 2])
+    assert R.bar_col(H([2, 1])) == add(H([2, 1]), H([1, 2], -X_MINUS_XINV))
+    assert R.bar_col(H([1, 2], X)) == H([1, 2], X_INV)
 
 
 def test_h_bar_involution_and_twist():
+    R = _regular(4)
     for w in permutations(range(1, 5)):
         e = H(w)
-        assert h_bar(h_bar(e)) == e
+        be = R.bar_col(e)
+        assert R.bar_col(be) == e
         for i in range(1, 4):
-            lhs = h_bar(h_s_mul(i, e))
-            rhs = h_s_mul(i, h_bar(e)) - h_bar(e).scale(X_MINUS_XINV)
+            lhs = R.bar_col(R.h_col(i, e))
+            rhs = add(R.h_col(i, be), scale(be, -X_MINUS_XINV))
             assert lhs == rhs
 
 
 def test_kl_basis_examples():
-    kb = kl_basis(3)
-    assert kb[(1, 2, 3)] == H([1, 2, 3])
-    assert kb[(2, 1, 3)] == H([2, 1, 3]) + H([1, 2, 3]).scale(X_INV)
+    _, kb, _ = kl_table(3)
+    assert kb[(1, 2, 3)] == {(1, 2, 3): ONE}
+    assert kb[(2, 1, 3)] == {(2, 1, 3): ONE, (1, 2, 3): X_INV}
     # full n=3 table, frozen from the bar-invariance + triangularity oracle
     w0 = kb[(3, 2, 1)]
-    assert w0.coeff((3, 2, 1)) == ONE
-    assert w0.coeff((2, 3, 1)).to_pairs() == [[-1, 1]]
-    assert w0.coeff((3, 1, 2)).to_pairs() == [[-1, 1]]
-    assert w0.coeff((1, 3, 2)).to_pairs() == [[-2, 1]]
-    assert w0.coeff((2, 1, 3)).to_pairs() == [[-2, 1]]
-    assert w0.coeff((1, 2, 3)).to_pairs() == [[-3, 1]]
-
-
-def test_kl_basis_bound():
-    with pytest.raises(ValueError):
-        kl_basis(7)
+    assert w0[(3, 2, 1)] == ONE
+    assert w0[(2, 3, 1)].to_pairs() == [[-1, 1]]
+    assert w0[(3, 1, 2)].to_pairs() == [[-1, 1]]
+    assert w0[(1, 3, 2)].to_pairs() == [[-2, 1]]
+    assert w0[(2, 1, 3)].to_pairs() == [[-2, 1]]
+    assert w0[(1, 2, 3)].to_pairs() == [[-3, 1]]
+    assert len(w0) == 6
 
 
 def test_kl_basis_bar_invariant_and_unitriangular():
     for n in (2, 3, 4, 5):
-        kb = kl_basis(n)
-        for w, el in kb.items():
-            assert h_bar(el) == el
-            assert el.coeff(w) == ONE
-            for y, c in el.terms.items():
+        R = _regular(n)
+        for w, col in kl_columns(n).items():
+            assert R.bar_col(col) == col
+            assert col[R.index[w]] == ONE
+            for y, c in col.items():
                 assert all(v >= 0 for _, v in c.items())
-                if y != w:
-                    assert word_length(y) < word_length(w)
+                if R.words[y] != w:
+                    assert word_length(R.words[y]) < word_length(w)
                     assert c.in_neg_span()
 
 
 def test_kl_unique_given_triangularity():
     # perturbing any lower coefficient of a KL element breaks bar-invariance
-    kb = kl_basis(3)
-    el = kb[(2, 3, 1)]
-    bumped = el + H([1, 2, 3]).scale(X_INV)
-    assert h_bar(bumped) != bumped
+    el = kl_columns(3)[(2, 3, 1)]
+    bumped = add(el, H([1, 2, 3], X_INV))
+    assert _regular(3).bar_col(bumped) != bumped
 
 
 def test_mu_is_length_graded():

@@ -137,12 +137,12 @@ def test_insert_uninsert_round_trip():
         scaled = Tableau([[2 * v for v in row] for row in U.rows])
         for a in (1, 3, 11):
             out, path = rs_insert(scaled, a)
-            back, x = rs_uninsert(out, path.new_cell)
+            back, x = rs_uninsert(out, path.cells[-1])
             assert back == scaled and x == a
         for corner in scaled.corners():
             small, x = rs_uninsert(scaled, corner)
             out, path = rs_insert(small, x)
-            assert out == scaled and path.new_cell == corner
+            assert out == scaled and path.cells[-1] == corner
 
 
 def test_pq_rs_examples():
@@ -384,8 +384,7 @@ def test_bumping_path_shape_invariants():
             assert all(c1 >= c2 for c1, c2 in zip(cols, cols[1:]))
             vals = path.inserted_values
             assert list(vals) == sorted(vals) and len(set(vals)) == len(vals)
-            assert path.final_row == len(path.cells)
-            assert path.ivalue(1) == a
+            assert path.inserted_values[0] == a
             assert path.col(1) == path.cells[0][1]
 
 
