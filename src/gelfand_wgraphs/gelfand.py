@@ -314,7 +314,8 @@ class ModuleTable:
         self.cnj = {}   # i -> per-vertex index of the vertex H_{s_i} moves it to
         for i in range(1, n):
             cls_i = self.cls[i] = [classify(wd, i) for wd in self.words]
-            # the entries are the index's own int objects: weak k stay fixed
+            # the identity, made of the index's own ints (no new int per entry);
+            # weak k stay fixed
             cnj_i = self.cnj[i] = list(index.values())
             for wd, k in index.items():
                 if cnj_i[k] == k and cls_i[k] in (ASC_LT, DES_LT):
