@@ -684,6 +684,13 @@ def _nonzero(col: dict) -> dict:
     return {v: p for v, p in out.items() if p}
 
 
+# h_action(table, i, col) and bar_module(table, col) are the column
+# operations under the names perfbench/tracer.py wraps; they go when its
+# span list drops them (ROADMAP item 2)
+h_action = ModuleTable.h_col
+bar_module = ModuleTable.bar_col
+
+
 class Model(ModuleTable):
     """
     The Gelfand model M (variant 'asc') or N ('des') for one n: the engine

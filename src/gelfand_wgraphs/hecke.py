@@ -70,6 +70,14 @@ def reduced_word(w) -> tuple:
             return tuple(letters)
 
 
+def h_bar(n: int, col: dict) -> dict:
+    """
+    The bar involution on a column of `_regular(n)`.  Kept under the name
+    perfbench/tracer.py wraps until its span list drops it (ROADMAP item 2).
+    """
+    return _regular(n).bar_col(col)
+
+
 def kl_table(n: int):
     """
     Kazhdan-Lusztig coefficient columns and mu values for S_n.

@@ -37,6 +37,8 @@ from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions,
 from gelfand_wgraphs.tableau import Tableau, odd_lines, standard_tableaux
 from gelfand_wgraphs.wgraph import build_gamma, classify, graph_action, symmetrize_mu
 
+from column_ops import add, scale
+
 
 def inv(word):
     return Involution(word)
@@ -49,19 +51,6 @@ def T(rows):
 def E(z, c=ONE):
     """c·T_z as a column of the model of z: a dict from index to LaurentPoly."""
     return {_model(z.n, z.variant).index[z.word]: c}
-
-
-def add(*cols):
-    """The sum of columns, zero coefficients dropped."""
-    out = {}
-    for col in cols:
-        for k, c in col.items():
-            out[k] = out[k] + c if k in out else c
-    return {k: c for k, c in out.items() if c}
-
-
-def scale(col, p):
-    return {k: c * p for k, c in col.items()}
 
 
 def tables_text(n, variant):
@@ -182,6 +171,7 @@ def test_h_action_examples():
     assert _model(2, "des").h_col(1, E(zdes_id)) == E(zdes_id, X)
     with pytest.raises(ValueError):
         _model(4, "des").h_col(4, E(zd))
+    assert gelfand.h_action(_model(4, "des"), 2, E(zd)) == out
 
 
 def test_quadratic_and_braid_relations():
@@ -250,6 +240,7 @@ def test_bar_module_examples():
     m = _model(2, "asc")
     assert m.bar_col(E(z)) == E(z)
     assert m.bar_col(E(z, X)) == E(z, X_INV)
+    assert gelfand.bar_module(m, E(z, X)) == E(z, X_INV)
 
 
 def test_bar_module_involutive_and_compatible():
@@ -765,12 +756,3 @@ def test_cnj_takes_one_act_call_per_strict_pair(monkeypatch, variant):
     m = Model(9, variant)
     strict = sum(c in (ASC_LT, DES_LT) for cls_i in m.cls.values() for c in cls_i)
     assert len(calls) == 8624 and 2 * len(calls) == strict
-
-
-def test_cnj_is_an_involution_fixing_exactly_the_weak_positions():
-    tables = [_model(n, v) for n in range(1, 8) for v in ("asc", "des")] + [hecke._regular(5)]
-    for t in tables:
-        for i, cnj_i in t.cnj.items():
-            assert [cnj_i[u] for u in cnj_i] == list(range(len(cnj_i))), (t.n, i)
-            fixed = [u == k for k, u in enumerate(cnj_i)]
-            assert fixed == [c not in (ASC_LT, DES_LT) for c in t.cls[i]], (t.n, i)

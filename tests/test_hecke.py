@@ -4,6 +4,8 @@ import pytest
 
 from gelfand_wgraphs.hecke import (
     _regular,
+    _s_mul_word,
+    h_bar,
     kl_cells,
     kl_table,
     kl_wgraph,
@@ -13,23 +15,12 @@ from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV
 from gelfand_wgraphs.perm import Permutation, word_length
 from gelfand_wgraphs.tableau import pq_rs
 
+from column_ops import add, scale
+
 
 def H(word, c=ONE):
     """c·H_w as a column of the regular table of S_n, n = len(word)."""
     return {_regular(len(word)).index[tuple(word)]: c}
-
-
-def add(*cols):
-    """The sum of columns, zero coefficients dropped."""
-    out = {}
-    for col in cols:
-        for k, c in col.items():
-            out[k] = out[k] + c if k in out else c
-    return {k: c for k, c in out.items() if c}
-
-
-def scale(col, p):
-    return {k: c * p for k, c in col.items()}
 
 
 def kl_columns(n):
@@ -55,6 +46,13 @@ def test_h_s_mul_is_linear():
     assert R.h_col(2, e) == want
 
 
+def test_regular_cnj_is_left_multiplication_by_s_i():
+    for n in range(1, 6):
+        R = _regular(n)
+        for i, cnj_i in R.cnj.items():
+            assert cnj_i == [R.index[_s_mul_word(i, w)] for w in R.words], (n, i)
+
+
 def test_reduced_words():
     assert reduced_word((1, 2, 3)) == ()
     assert reduced_word((2, 1, 3)) == (1,)
@@ -77,6 +75,7 @@ def test_h_bar_examples():
     assert R.bar_col(H([1, 2])) == H([1, 2])
     assert R.bar_col(H([2, 1])) == add(H([2, 1]), H([1, 2], -X_MINUS_XINV))
     assert R.bar_col(H([1, 2], X)) == H([1, 2], X_INV)
+    assert h_bar(2, H([2, 1])) == R.bar_col(H([2, 1]))
 
 
 def test_h_bar_involution_and_twist():
