@@ -22,10 +22,10 @@ Indices i always range over [n-1] here even though vertex words live on
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 
 from .action import PackedAction
 from .beissinger import _p_map
@@ -781,7 +781,14 @@ def entries_up_to(full: Tableau, n: int) -> Tableau:
 
 
 def lambda_shape(z: GelfandVertex):
-    return hat_p(z).shape
+    """
+    The shape of hat_p(z), read off the p-map's rows with no second
+    tableau: the entries <= n form a prefix of each row (entries_up_to), so
+    a row's part is the bisection point of n in it.  The parts 0 come last
+    (a row that starts above n has only such rows below it), and are dropped.
+    """
+    rows = _p_map(z.word, z.variant == "asc").rows
+    return tuple(filter(None, map(bisect_right, rows, repeat(z.n))))
 
 
 def iota_line(T: Tableau, direction: str) -> Tableau:

@@ -60,15 +60,19 @@ def cycle_type(word) -> list:
 class Permutation:
     """
     A permutation of [n], stored as a tuple in one-line notation.
-    validate=False skips the sort that checks the word.
+    validate=False skips the checks of the word: every entry an int (not a
+    bool, not a float equal to one), and their sort is 1..n.
     """
 
     __slots__ = ("word",)
 
     def __init__(self, word, validate: bool = True):
         word = tuple(word)
-        if validate and sorted(word) != list(range(1, len(word) + 1)):
-            raise ValueError(f"{word} is not a permutation of [1..{len(word)}]")
+        if validate:
+            if list(map(type, word)).count(int) != len(word):
+                raise ValueError(f"{word} has an entry that is not an int")
+            if sorted(word) != list(range(1, len(word) + 1)):
+                raise ValueError(f"{word} is not a permutation of [1..{len(word)}]")
         object.__setattr__(self, "word", word)
 
     @classmethod

@@ -129,7 +129,7 @@ def _validate(rows, increase: bool):
         if r and len(row) > len(rows[r - 1]):
             raise ValueError(f"row lengths must weakly decrease, got {[len(x) for x in rows]}")
         for c, v in enumerate(row):
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # True == 1, but a bool is no entry
                 raise ValueError(f"entries must be positive integers, got {v!r}")
             if v in seen:
                 raise ValueError(f"duplicate entry {v}")

@@ -35,7 +35,7 @@ from itertools import islice
 from math import comb, prod
 
 from .action import PackedAction, relation_violations
-from .gelfand import GelfandVertex, _model, format_rows, lambda_shape
+from .gelfand import ASC_LT, GelfandVertex, _model, format_rows, lambda_shape
 from .perm import Permutation, cycle_type, word_conj_compare, word_conj_s
 
 
@@ -235,14 +235,34 @@ def cells(g: WGraph):
     succ = [[] for _ in range(g.size)]
     for (v, w) in g.omega:
         succ[v].append(w)
+    comps = sorted(_strong_components(succ))
+    whichcomp = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            whichcomp[v] = ci
+    cond = sorted({
+        (whichcomp[v], whichcomp[w])
+        for (v, w) in g.omega
+        if whichcomp[v] != whichcomp[w]
+    })
+    return comps, cond
 
-    index = [-1] * g.size
-    low = [0] * g.size
-    on_stack = [False] * g.size
+
+def _strong_components(succ):
+    """
+    The strongly connected components of the digraph on 0..len(succ)-1 with
+    successor lists succ, each as a sorted list, in the order Tarjan's
+    algorithm closes them (run iteratively, so deep graphs need no
+    recursion).
+    """
+    size = len(succ)
+    index = [-1] * size
+    low = [0] * size
+    on_stack = [False] * size
     stack = []
     comps = []
     counter = 0
-    for root in range(g.size):
+    for root in range(size):
         if index[root] != -1:
             continue
         work = [(root, 0)]
@@ -279,17 +299,7 @@ def cells(g: WGraph):
             if work:
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])
-    comps.sort()
-    whichcomp = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            whichcomp[v] = ci
-    cond = sorted({
-        (whichcomp[v], whichcomp[w])
-        for (v, w) in g.omega
-        if whichcomp[v] != whichcomp[w]
-    })
-    return comps, cond
+    return comps
 
 
 # -- combinatorial bidirected edges -------------------------------------------
@@ -344,26 +354,46 @@ def algebraic_bidirected_pairs(g: WGraph):
 def combinatorial_bidirected_pairs(n: int, variant: str):
     """
     All pairs related by the order-theoretic description, for any window i,
-    as sorted word pairs.
+    as sorted word pairs, read off the model's index tables with no word
+    conjugated.  For 1 < i < n and {s, t} = {i-1, i}, a vertex a pairs with
+    b = cnj[t][a] when
 
-    The description fixes the longer vertex: `_bidirected_words(a, b, i)`
-    needs b = t·a·t with t an ascent of a, which puts b exactly two lengths
-    above a (so the orientation with the longer word first never holds).
-    Testing every pair with a length gap of 2 therefore finds exactly the
-    conjugates t·a·t, t in {s_{i-1}, s_i}, that are vertices and pass the
-    comparisons; these are generated directly, O(|V| n) instead of
-    O(|V|^2).  The conjugate of a vertex need not be one, hence the lookup.
+        cls[t][a] == ASC_LT,  s not in tau(a),  s in tau(b),
+        length(b) == length(a) + 2.
+
+    These are _conj_partner's comparisons, which `combinatorial_bidirected`
+    states on words.  Let c(a, s) = word_conj_compare(a, s): +1 if
+    a(s) < a(s+1), 0 on the 2-cycle (s, s+1), else -1 (a has no fixed
+    point).  tau(a) is {s : a(s) < a(s+1)} in M (row) and also holds the
+    2-cycles (s, s+1) in N (col); the 2-cycle falls, a(s) = s+1 > a(s+1).
+    So in M, c(a, s) <= 0 iff s is not in tau(a), and in N, c(a, s) < 0 iff
+    s is not in tau(a): this is the test on a.  The test on b, c(b, s) > 0
+    in M and >= 0 in N, is its complement on b, s in tau(b).  The test
+    c(a, t) > 0 holds at the strict ascents (ASC_LT) and, in M only, at the
+    weak ascents (ASC_EQ: a(t), a(t+1) > n), which rise in M and fall in N.
+    At a weak ascent of M, t·a·t matches the two transfer points out of
+    order, so it leaves the ascending embedding's image and is no vertex;
+    at a strict ascent it is the vertex cnj[t][a].  The length test is the
+    one of the word scan: `_bidirected_words(a, b, i)` needs b = t·a·t with
+    t an ascent of a, which puts b exactly two lengths above a.  This is
+    O(|V| n), and every pair with a length gap of 2 that passes the word
+    comparisons is found (tests: _gap2_scan_pairs).
     """
     m = _model(n, "asc" if variant == "row" else "des")
-    row = variant == "row"
+    words, tau, length = m.words, m.tau, m.length
     out = set()
-    for a, wa in enumerate(m.words):
-        for i in range(2, n):
-            for s, t in ((i - 1, i), (i, i - 1)):
-                # the tests of _bidirected_words on the shorter vertex a
-                b = m.index.get(_conj_partner(wa, s, t, row))
-                if b is not None and m.length[b] == m.length[a] + 2:
-                    out.add(tuple(sorted((wa, m.words[b]))))
+    for t in range(1, n):
+        cnj_t = m.cnj[t]
+        up = [a for a, c in enumerate(m.cls[t]) if c == ASC_LT]
+        for s in (t - 1, t + 1):
+            if not 0 < s < n:
+                continue
+            for a in up:
+                if s not in tau[a]:
+                    b = cnj_t[a]
+                    if s in tau[b] and length[b] == length[a] + 2:
+                        wa, wb = words[a], words[b]
+                        out.add((wa, wb) if wa < wb else (wb, wa))
     return sorted(out)
 
 
@@ -400,6 +430,18 @@ def classify_graph(g: WGraph) -> ClassifyReport:
     Check, for one Gelfand graph: molecules are the shape fibers of the
     restricted insertion tableau; bidirected edges agree with their
     order-theoretic description; and every molecule is a cell.
+
+    Cells are found on the quotient by molecules: the digraph on the
+    molecules with an arrow (molecule(v), molecule(w)) for each omega edge
+    (v, w).  A bidirected edge is a 2-cycle, so its two ends lie in one
+    cell, and every cell is a union of molecules.  A path of omega edges
+    maps to a path of the quotient; conversely each quotient arrow comes
+    from an omega edge, and the vertices of one molecule reach each other
+    along bidirected edges, so a quotient path lifts to a path of omega
+    edges.  Hence two molecules share a cell exactly when they lie on a
+    cycle of the quotient, the quotient's strong components are the cells,
+    and the molecules are the cells exactly when each component is one
+    molecule.  A failed check names a witness.
     """
     if g.variant not in ("row", "col") or g.shapes is None:
         raise ValueError(f"need a row or column Gelfand graph with shapes, got {g!r}")
@@ -415,7 +457,8 @@ def classify_graph(g: WGraph) -> ClassifyReport:
     report.molecules_match_fibers = mols == fiber_parts
     if not report.molecules_match_fibers:
         report.counterexamples.append(
-            f"molecules differ from shape fibers: {len(mols)} vs {len(fiber_parts)} parts"
+            f"molecules differ from shape fibers: {len(mols)} vs {len(fiber_parts)} parts; "
+            + _fiber_witness(g, mols)
         )
 
     alg = algebraic_bidirected_pairs(g)
@@ -430,13 +473,95 @@ def classify_graph(g: WGraph) -> ClassifyReport:
             f"{len(missing)} combinatorial-only; first: {(extra + missing)[:1]}"
         )
 
-    parts, _ = cells(g)
-    report.cells_match_molecules = parts == mols
+    mol_of, parts = _molecule_quotient(g, mols)
+    report.cells_match_molecules = len(parts) == len(mols)
     if not report.cells_match_molecules:
         report.counterexamples.append(
-            f"cells differ from molecules: {len(parts)} cells vs {len(mols)} molecules"
+            f"cells differ from molecules: {len(parts)} cells vs {len(mols)} molecules; "
+            + _cycle_witness(g, mol_of, next(p for p in parts if len(p) > 1))
         )
     return report
+
+
+def _molecule_quotient(g: WGraph, mols):
+    """
+    The molecule (index into mols) of each vertex, and the strong
+    components of the quotient by molecules as lists of molecule indices:
+    the cells, one component per cell (classify_graph).
+    """
+    mol_of = [0] * g.size
+    for k, part in enumerate(mols):
+        for v in part:
+            mol_of[v] = k
+    succ = [[] for _ in mols]
+    for a, b in {(mol_of[v], mol_of[w]) for v, w in g.omega}:
+        if a != b:
+            succ[a].append(b)
+    return mol_of, _strong_components(succ)
+
+
+def _label(t) -> str:
+    return "(" + ",".join(map(str, t)) + ")"
+
+
+def _fiber_witness(g: WGraph, mols) -> str:
+    """
+    Two vertices of one molecule with different shapes, or, when every
+    molecule lies in one fiber, two vertices of one shape in different
+    molecules (the fibers then differ from the molecules only by a fiber
+    holding two of them).
+    """
+    word, shapes = g.vertices, g.shapes
+    for part in mols:
+        v = part[0]
+        for w in part[1:]:
+            if shapes[w] != shapes[v]:
+                return (f"{_label(word[v])} and {_label(word[w])} share a molecule "
+                        f"but have shapes {_label(shapes[v])} and {_label(shapes[w])}")
+    first = {}
+    for part in mols:
+        v = first.setdefault(shapes[part[0]], part[0])
+        if v != part[0]:
+            return (f"{_label(word[v])} and {_label(word[part[0]])} have shape "
+                    f"{_label(shapes[v])} but lie in different molecules")
+    raise ValueError("the molecules are the shape fibers")
+
+
+def _cycle_witness(g: WGraph, mol_of, comp) -> str:
+    """
+    A cycle of molecules inside comp, a strong component of the quotient
+    with at least two molecules, one omega edge v -> w (by word) per step:
+    the shortest one through the least molecule of comp, found breadth
+    first over the quotient arrows inside comp.
+    """
+    inside = set(comp)
+    step = {}  # quotient arrow -> its least omega edge
+    for v, w in sorted(g.omega):
+        a, b = mol_of[v], mol_of[w]
+        if a != b and a in inside and b in inside:
+            step.setdefault((a, b), (v, w))
+    succ = {}
+    for a, b in sorted(step):
+        succ.setdefault(a, []).append(b)
+    start = comp[0]
+    parent = {start: None}
+    queue = [start]
+    for a in queue:
+        for b in succ[a]:
+            if b == start:
+                path = [start]
+                while a is not None:
+                    path.append(a)
+                    a = parent[a]
+                path.reverse()  # start, ..., a, start
+                edges = (step[x, y] for x, y in zip(path, path[1:]))
+                return "cycle of molecules: " + ", ".join(
+                    f"{_label(g.vertices[v])} -> {_label(g.vertices[w])}" for v, w in edges
+                )
+            if b not in parent:
+                parent[b] = a
+                queue.append(b)
+    raise ValueError("comp is not a strong component with two molecules")
 
 
 # -- character of the specialized module ---------------------------------------

@@ -510,6 +510,15 @@ def test_lambda_shape_examples():
     assert lambda_shape(embed(inv([4, 2, 3, 1]), "des")) == (2, 1, 1)
 
 
+@pytest.mark.parametrize("variant", ["asc", "des"])
+def test_lambda_shape_is_the_shape_of_hat_p(variant):
+    # lambda_shape reads the p-map's rows; hat_p builds the restricted tableau
+    for n in range(1, 9):
+        for y in enumerate_involutions(n):
+            z = embed(y, variant)
+            assert lambda_shape(z) == hat_p(z).shape, z
+
+
 def test_iota_line_examples():
     assert iota_line(T([[1, 2, 3, 4], [5, 7], [6]]), "row") == T(
         [[1, 2, 3, 4, 11, 13], [5, 7, 9, 10, 12, 14], [6], [8]]

@@ -109,6 +109,15 @@ def test_conj_by_s_check_fires_as_the_full_check(monkeypatch, faulty):
     assert fired
 
 
+@pytest.mark.parametrize("word", [[2.0, 1.0, 3], [True, 2], [2, True], [1, 2.0, 3]])
+def test_entries_that_are_not_ints_are_refused(word):
+    # each sorts to 1..n by ==, as 2.0 == 2 and True == 1
+    for build in (Permutation, Involution):
+        with pytest.raises(ValueError, match="has an entry that is not an int"):
+            build(word)
+    assert Permutation(word, validate=False).word == tuple(word)  # unchecked by request
+
+
 def test_conj_by_s_out_of_range():
     with pytest.raises(ValueError):
         conj_by_s(P([2, 1]), 2)

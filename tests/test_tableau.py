@@ -83,6 +83,9 @@ def test_validation():
     assert T([[1, 2], [3, 4]]).is_standard() and F([[1, 2], [3, 4]]).is_standard()
     assert EMPTY.is_standard()
     assert not F([[1, 3]]).is_standard()  # entries not 1..n
+    # True == 1, but it is no entry: an unchecked tableau with it is not standard,
+    # so p_rbs_inverse refuses it rather than peel it like [[1, 2]]
+    assert not Tableau([[True, 2]], validate=False).is_standard()
     # entries 1..n in a partition shape, but a row or a column decreases
     for bad in ([[2, 1]], [[1, 2], [4, 3]], [[1, 4], [3, 2]],
                 [[2], [1]], [[1, 3, 4], [2], [6], [5]]):
@@ -100,6 +103,9 @@ def test_validation():
     ([[1, 2], [4, 3]], True, "row 2 is not strictly increasing: [4, 3]"),
     ([[2, 3], [1]], True, "column 1 is not strictly increasing"),
     ([[3, 1], [2]], True, "row 1 is not strictly increasing: [3, 1]"),  # the first of two faults
+    ([[True, 2]], True, "entries must be positive integers, got True"),  # True == 1
+    ([[1, 2.0]], True, "entries must be positive integers, got 2.0"),
+    ([[2, 1], [True]], False, "entries must be positive integers, got True"),
 ])
 def test_validation_messages(rows, increase, message):
     build = Tableau if increase else Tableau.filling

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import re
 import tracemalloc
 from itertools import permutations
 
@@ -9,10 +10,16 @@ import pytest
 
 from gelfand_wgraphs import wgraph
 from gelfand_wgraphs.cli import main
-from gelfand_wgraphs.gelfand import Model, ModuleTable, _model, embed, tables_json
+from gelfand_wgraphs.gelfand import ASC_LT, Model, ModuleTable, _model, embed, tables_json
 from gelfand_wgraphs.hecke import asc_right, kl_table, kl_wgraph, reduced_word
 from gelfand_wgraphs.laurent import ONE, X, X_INV, LaurentPoly
-from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions
+from gelfand_wgraphs.perm import (
+    Involution,
+    Permutation,
+    enumerate_involutions,
+    word_conj_compare,
+    word_conj_s,
+)
 from gelfand_wgraphs.wgraph import (
     WGraph,
     _bidirected_words,
@@ -399,6 +406,110 @@ def test_classify_reports_dropped_combinatorial_pair(monkeypatch, capsys):
                for line in rep.counterexamples)
     assert main(["graph", "classify", "--n", "4", "--variant", "row"]) == 1
     assert "bidirected=combinatorial: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("variant", ["row", "col"])
+def test_tau_scan_predicates_match_the_word_comparisons(variant):
+    # combinatorial_bidirected_pairs tests tau and cls where _conj_partner compares words
+    row = variant == "row"
+    for n in range(2, 8):
+        m = _model(n, "asc" if row else "des")
+        for a, wa in enumerate(m.words):
+            for s in range(1, n):
+                c = word_conj_compare(wa, s)
+                # the test on a; the test on b, c > 0 (row) or c >= 0 (col), is its complement
+                assert (s not in m.tau[a]) == (c <= 0 if row else c < 0), (n, wa, s)
+                # a rise whose conjugate is a vertex is exactly a strict ascent, moved by cnj
+                up = c > 0 and word_conj_s(wa, s) in m.index
+                assert up == (m.cls[s][a] == ASC_LT), (n, wa, s)
+                if up:
+                    assert m.words[m.cnj[s][a]] == word_conj_s(wa, s)
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("variant", ["row", "col"])
+def test_molecule_quotient_components_are_the_cells(variant, reduced):
+    for n in range(1, 8):
+        g = build_gamma(n, variant, reduced)
+        mols = molecules(g)
+        mol_of, comps = wgraph._molecule_quotient(g, mols)
+        assert all(mol_of[v] == k for k, part in enumerate(mols) for v in part)
+        parts = cells(g)[0]
+        assert len(comps) == len(parts), (n, variant, reduced)
+        assert sorted(sorted(v for k in comp for v in mols[k]) for comp in comps) == parts
+
+
+def _words(text):
+    """The vertex words or shapes written as (a,b,...) in a counterexample line."""
+    return [tuple(map(int, t.split(","))) for t in re.findall(r"\(([\d,]+)\)", text)]
+
+
+def _with(g, shapes=None, omega=None):
+    return WGraph(g.n, g.variant, g.reduced, g.vertices, g.tau,
+                  g.omega if omega is None else omega, g.shapes if shapes is None else shapes)
+
+
+def test_classify_names_a_vertex_pair_when_molecules_differ_from_fibers():
+    g = build_gamma(4, "row")
+    mols = molecules(g)
+    index = {w: k for k, w in enumerate(g.vertices)}
+    mol = next(part for part in mols if len(part) > 1)
+    other = next(part for part in mols if part != mol)
+
+    # a molecule split over two shapes
+    shapes = list(g.shapes)
+    shapes[mol[-1]] = (9,)
+    rep = classify_graph(_with(g, shapes=shapes))
+    assert not rep.molecules_match_fibers and rep.edges_match and rep.cells_match_molecules
+    [line] = rep.counterexamples
+    assert line.startswith(f"molecules differ from shape fibers: {len(mols)} vs {len(mols) + 1} parts; ")
+    assert "share a molecule but have shapes" in line
+    v, w, sv, sw = _words(line.split("; ")[1])
+    assert {index[v], index[w]} <= set(mol)
+    assert (sv, sw) == (shapes[index[v]], shapes[index[w]]) and sv != sw
+
+    # two molecules of one shape
+    shapes = list(g.shapes)
+    for u in other:
+        shapes[u] = g.shapes[mol[0]]
+    rep = classify_graph(_with(g, shapes=shapes))
+    assert not rep.molecules_match_fibers and rep.edges_match
+    [line] = rep.counterexamples
+    assert line.startswith(f"molecules differ from shape fibers: {len(mols)} vs {len(mols) - 1} parts; ")
+    assert "but lie in different molecules" in line
+    v, w, sh = _words(line.split("; ")[1])
+    assert shapes[index[v]] == shapes[index[w]] == sh
+    assert {index[v], index[w]} <= set(mol) | set(other)
+    assert not {index[v], index[w]} <= set(mol) and not {index[v], index[w]} <= set(other)
+
+
+@pytest.mark.parametrize("variant", ["row", "col"])
+def test_classify_names_a_cycle_of_molecules_when_cells_differ(variant):
+    g = build_gamma(6, variant)
+    mols = molecules(g)
+    parts, cond = cells(g)
+    # close a cycle through three cells, ci -> cj -> ck with no arrow ci -> ck,
+    # by one one-way edge from ck to ci: the cells merge, the molecules and the
+    # bidirected edges stay, and every cycle of molecules has at least 3 steps
+    w, v = next((w, v) for ci, cj in cond for cj2, ck in cond
+                if cj2 == cj and (ci, ck) not in cond
+                for w in parts[ck] for v in parts[ci]
+                if (v, w) not in g.omega and not g.tau[w] <= g.tau[v])
+    h = _with(g, omega={**g.omega, (w, v): 1})
+    assert (w, v) in h.omega
+    rep = classify_graph(h)
+    assert rep.molecules_match_fibers and rep.edges_match and not rep.cells_match_molecules
+    [line] = rep.counterexamples
+    assert line.startswith(f"cells differ from molecules: {len(cells(h)[0])} cells "
+                           f"vs {len(mols)} molecules; cycle of molecules: ")
+    index = {word: k for k, word in enumerate(g.vertices)}
+    mol_of = {u: k for k, part in enumerate(mols) for u in part}
+    steps = [tuple(index[word] for word in _words(step))
+             for step in line.split("cycle of molecules: ")[1].split(", ")]
+    assert len(steps) >= 3
+    for (a, b), (c, _) in zip(steps, steps[1:] + steps[:1]):
+        assert (a, b) in h.omega and mol_of[a] != mol_of[b] and mol_of[b] == mol_of[c]
+    assert len({mol_of[a] for a, _ in steps}) == len(steps)
 
 
 def test_character_trace_examples():
