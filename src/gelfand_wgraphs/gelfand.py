@@ -29,7 +29,7 @@ from itertools import compress, repeat
 
 from .action import PackedAction
 from .beissinger import _p_map
-from .laurent import ONE, X, X_INV, LaurentPoly
+from .laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
 from .perm import Involution, Permutation, involution_words, word_conj_s, word_length
 from .tableau import Tableau
 
@@ -172,15 +172,14 @@ def tau(z: GelfandVertex) -> frozenset:
 
 def tau_word(word, n: int, variant: str) -> frozenset:
     """
-    The ascent set feeding the W-graph: for the ascending variant the i with
-    z(i) < z(i+1); the descending variant also counts weak descents, i.e.
-    the i with l(s_i z s_i) >= l(z).
+    The ascent set feeding the W-graph, read off the word: for the ascending
+    variant the i with z(i) < z(i+1); the descending variant also counts
+    weak descents, i.e. the i with l(s_i z s_i) >= l(z).  Model derives the
+    same sets from its H_s rule (ModuleTable.tau).
     """
-    if variant == "asc":
-        return frozenset(i for i in range(1, n) if word[i - 1] < word[i])
+    des = variant != "asc"
     return frozenset(
-        i for i in range(1, n) if word[i - 1] < word[i] or word[i - 1] == i + 1
-    )
+        i for i in range(1, n) if word[i - 1] < word[i] or des and word[i - 1] == i + 1)
 
 
 def transfer_points(z: GelfandVertex) -> frozenset:
@@ -264,24 +263,25 @@ class ModuleTable:
     columns, mu entries, and memoized bar expansions.
 
     Basis vectors are indices into `words`, sorted by (length, word).  For a
-    generator i, `cls[i][k]` classifies i at vertex k: on ASC_LT and DES_LT
-    vertices H_{s_i} moves k to `cnj[i][k]` (DES_LT also adds (x - x^-1)
-    times k), and on ASC_EQ and DES_EQ vertices it scales k by `weak_asc`
-    or `weak_des`.  `tau[k]` is the ascent set that decides which lower
-    columns the recursion subtracts.  The Gelfand models are instances
-    (Model); so is the regular representation of H(S_n), with no weak
-    positions (hecke).
+    generator i, `cls[i][k]` classifies i at vertex k, and `cnj[i][k]` is
+    s_i·k at a strict position (k at a weak one).  `rule` states H_{s_i}
+    once, per class: the terms (to_s, d, a) a·x^d·T_{s·v} (to_s) or a·x^d·T_v
+    of H_{s_i}·T_v, which are T_{s·v}, T_{s·v} + (x - x^-1)·T_v and the weak
+    scalars times T_v.  `action_terms`, the move tables (_stepper) and `tau`
+    are built from it: tau[k] is [n-1] minus D(k), the i with
+    H_{s_i}·C_k = x·C_k, which (C_k being T_k plus x^-1 Z[x^-1] terms) are
+    the classes whose T_v term has top term x.  The Gelfand models are
+    instances (Model); so is the regular representation of H(S_n) (hecke).
 
     The table assumes that act(., i) is an involution on the strict
     positions of i, as z -> s_i·z·s_i and w -> s_i·w are, and builds
     `cnj[i]` from one `act` call per pair {k, cnj[i][k]}.
 
-    `action_terms` is the one rule for H_s on the table.  `h_col` applies it
-    to columns of LaurentPolys at any exponents, and barvec builds
-    bar(T_v) with it, so `bar_col` needs no key layout.  A column is a dict
-    from vertex index to LaurentPoly; it is the table's only form of a
-    module element.  `action()` is the same rule as a PackedAction, which
-    sizes its own key field, for the relation check.
+    `h_col` applies `action_terms` to columns of LaurentPolys at any
+    exponents, and barvec builds bar(T_v) with it, so `bar_col` needs no key
+    layout.  A column is a dict from vertex index to LaurentPoly; it is the
+    table's only form of a module element.  `action()` is the same terms as
+    a PackedAction, which sizes its own key field, for the relation check.
 
     The canonical-basis recursion keeps each finished column in a packed
     ColumnStore (`column_store`), a few bytes per term, whose key field has
@@ -301,7 +301,7 @@ class ModuleTable:
 
     picks = ("cost", "min", "max")
 
-    def __init__(self, n, words, classify, act, tau_of, weak=(None, None), pick="cost"):
+    def __init__(self, n, words, classify, act, weak=(None, None), pick="cost"):
         if pick not in self.picks:
             raise ValueError(f"pick must be one of {self.picks}, got {pick!r}")
         self.n = n
@@ -325,8 +325,17 @@ class ModuleTable:
             [i for i in range(1, n) if self.cls[i][k] == DES_LT]
             for k in range(len(self.words))
         ]
-        self.tau = [tau_of(wd) for wd in self.words]
-        self.weak_asc, self.weak_des = weak
+        at_v = (lambda p: () if p is None else tuple((False, e, c) for e, c in p.items()))
+        self.rule = {  # the (to_s, d, a) terms of H_{s_i}·T_v, by the class of i at v
+            ASC_LT: ((True, 0, 1),),
+            DES_LT: ((True, 0, 1),) + at_v(X_MINUS_XINV),
+            ASC_EQ: at_v(weak[0]),
+            DES_EQ: at_v(weak[1]),
+        }
+        down = [k for k, r in self.rule.items()  # the classes in D(v) (see above)
+                if max(((d, a) for to_s, d, a in r if not to_s), default=None) == (1, 1)]
+        self.tau = [frozenset(i for i in range(1, n) if self.cls[i][v] not in down)
+                    for v in range(len(self.words))]
         self._store = None
         self._mu_by_col = None
         self._barvecs = {}
@@ -339,28 +348,12 @@ class ModuleTable:
     def action_terms(self) -> dict:
         """
         Per generator i and vertex v, the (u, d, a) terms a·x^d·T_u of
-        H_{s_i}·T_v (PackedAction's `terms`): s·v at a strict ascent, s·v
-        plus (x - x^-1)·v at a strict descent, the weak scalar times v at a
-        weak position.
+        H_{s_i}·T_v (PackedAction's `terms`): `rule` at the class of i at v.
         """
         if self._terms is None:
-            weak = {
-                k: () if p is None else tuple(p.items())
-                for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))
-            }
-            terms = {}
-            for i in range(1, self.n):
-                cls_i, cnj_i = self.cls[i], self.cnj[i]
-                ti = []
-                for v, k in enumerate(cls_i):
-                    if k == ASC_LT:
-                        ti.append(((cnj_i[v], 0, 1),))
-                    elif k == DES_LT:
-                        ti.append(((cnj_i[v], 0, 1), (v, 1, 1), (v, -1, -1)))
-                    else:
-                        ti.append(tuple((v, e, c) for e, c in weak[k]))
-                terms[i] = ti
-            self._terms = terms
+            self._terms = {i: [tuple((u if to_s else v, d, a) for to_s, d, a in self.rule[k])
+                               for v, (k, u) in enumerate(zip(self.cls[i], self.cnj[i]))]
+                           for i in range(1, self.n)}
         return self._terms
 
     def action(self) -> PackedAction:
@@ -396,21 +389,27 @@ class ModuleTable:
         (y, m) in `lower` with i not in tau(y), C_v and C_y read from the
         store as they are: C = H_s + x^-1 for sign 1 and H_s - x for sign -1,
         s = s_i.  C is read from move tables, one per (i, sign) built on
-        first use: entry y lists, flat, the offset and multiplier pairs that
-        send c at a key of vertex y to multiplier·c at key + offset.  A
-        strict y has ((cnj[i][y] - y) << shift, 1), the move to s·y, then
-        (∓sign, sign) at an ascent/descent; a weak y has (d, a) per term
-        a·x^d of its scalar plus x^-1, or minus x: none or two in M and N.
+        first use: each class's `rule` plus x^-1 (sign 1) or minus x (sign
+        -1), merged once per class, then one tuple per vertex y listing,
+        flat, the (offset, multiplier) pairs that send c at a key of y to
+        multiplier·c at key + offset: the move to s·y first, at offset
+        ((cnj[i][y] - y) << shift) + d, then the terms at y, at offset d.  A
+        strict y has two pairs; a weak y has none or two in M and N.
         """
         shift, tau, tables, entries = store.shift, self.tau, {}, {}
 
         def moves(i: int, sign: int) -> list:
-            by, turn = (X_INV if sign == 1 else -X), {ASC_LT: -sign, DES_LT: sign}
-            weak = {k: () if p is None else sum((p + by).items(), ())
-                    for k, p in ((ASC_EQ, self.weak_asc), (DES_EQ, self.weak_des))}
+            lead, rest = {}, {}  # per class: the d of its move to s·y, if any; the pairs after it
+            for k, r in self.rule.items():
+                t = {}
+                for to_s, d, a in r + ((False, -sign, sign),):  # plus x^-1, or minus x
+                    t[to_s, d] = t.get((to_s, d), 0) + a
+                rest[k] = sum(((d, a) for (to_s, d), a in t.items() if a), ())
+                if r and r[0][0]:  # the rule's one move to s·y comes first
+                    lead[k], rest[k] = rest[k][0], rest[k][1:]
             return tables.setdefault((i, sign), [
                 entries.setdefault(m, m) for m in (  # equal entries share one tuple
-                    ((u - y) << shift, 1, turn[k], sign) if k in turn else weak[k]
+                    (((u - y) << shift) + lead[k],) + rest[k] if k in lead else rest[k]
                     for y, (k, u) in enumerate(zip(self.cls[i], self.cnj[i])))
             ])
 
@@ -591,17 +590,15 @@ class ModuleTable:
         Step 1 treats every omega term alike, those above v included, so no
         induction on length is needed and no term can break one.
 
-        Assumptions.  The proof takes `action_terms` to satisfy the
-        relations of H(S_n), and bar to be compatible with every H_s.
-        barvec builds bar(T_v) by that rule at one strict descent of v, so
-        compatibility at the others is what must be checked: the gelfand
-        suite checks it and the relations at n <= 5, and the tests check the
-        relations at n <= 8.  For the regular representation bar is the
-        algebra's own.  The certificate reads the same `cls`/`cnj` tables
-        and weak scalars as the recursion, so it cannot see an error in
-        those, only in what the recursion computed from them.  It tests every generator,
-        not only the one the recursion picked, against the graph built from
-        mu and tau.
+        Assumptions.  The proof takes `rule` to satisfy the relations of
+        H(S_n), and bar to be compatible with every H_s.  The relation check
+        on `action()` covers the rule the step applies: both, and tau, are
+        built from one `rule`, `cls` and `cnj`.  barvec builds bar(T_v) by
+        that rule at one strict descent of v, so compatibility at the others
+        is what must be checked: the gelfand suite checks it and the
+        relations at n <= 5, and the tests the relations at n <= 8.  For the
+        regular representation bar is the algebra's own.  Every generator is
+        tested against the graph of mu and tau, not only the one picked.
 
         (b) is checked with both sides moved to one, by the recursion's own
         step (_stepper) on the stored columns: (H_s - x)·C_v = 0 for i not
@@ -696,8 +693,8 @@ class Model(ModuleTable):
     The Gelfand model M (variant 'asc') or N ('des') for one n: the engine
     over the embedded involutions, with the descent classifications of
     _classify and the conjugation z -> s_i z s_i.  The index table is built
-    on bare words (involution_words, embed_word, tau_word), with no
-    Involution or GelfandVertex object per vertex.
+    on bare words (involution_words, embed_word), with no Involution or
+    GelfandVertex object per vertex; its tau equals tau_word's.
     """
 
     def __init__(self, n: int, variant: str, pick: str = "cost"):
@@ -712,7 +709,6 @@ class Model(ModuleTable):
             (embed_word(w, variant) for w in involution_words(n)),
             lambda wd, i: _classify(wd, n, i),
             word_conj_s,
-            lambda wd: tau_word(wd, n, variant),
             weak,
             pick,
         )
@@ -724,6 +720,13 @@ class Model(ModuleTable):
 @lru_cache(maxsize=None)
 def _model(n: int, variant: str) -> Model:
     return Model(n, variant)
+
+
+def _model_key(variant: str) -> str:
+    """The embedding of model M (variant 'M'/'asc') or N ('N'/'des')."""
+    if variant not in ("M", "N", "asc", "des"):
+        raise ValueError(f"variant must be 'M' or 'N', got {variant!r}")
+    return "asc" if variant in ("M", "asc") else "des"
 
 
 def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
@@ -741,9 +744,7 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
     pick is the recursion's pivot rule (ModuleTable.picks); the basis does
     not depend on it.
     """
-    key = {"M": "asc", "N": "des", "asc": "asc", "des": "des"}.get(variant)
-    if key is None:
-        raise ValueError(f"variant must be 'M' or 'N', got {variant!r}")
+    key = _model_key(variant)
     if check_bar is None:
         check_bar = n <= 6
     m = Model(n, key, pick=pick) if pick != "cost" else _model(n, key)
@@ -859,7 +860,7 @@ def tables_json(n: int, variant: str, fh) -> None:
     N).  The store and mu table are computed before the first
     write, so a failed self-check writes nothing.
     """
-    key = {"M": "asc", "N": "des", "asc": "asc", "des": "des"}[variant]
+    key = _model_key(variant)
     m = _model(n, key)
     store = m.column_store()
     shift = store.shift

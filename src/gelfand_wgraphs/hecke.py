@@ -9,13 +9,13 @@ x^-1 Z[x^-1]-combination of shorter basis elements.
 
 This module has no recursion of its own.  The regular representation is a
 gelfand.ModuleTable with no weak positions: words sorted by (length, word),
-each generator a strict left ascent or descent, H_s moving w to s*w, and tau
-the left ascent set.  Multiplication by H_s, the bar involution and the KL
-basis are the Gelfand engine's column action, bar recursion and
-canonical-basis recursion on that table, so the check that KL cells are RS
-fibers exercises the same engine as the Gelfand W-graphs.  An element of
-the algebra is a column of that table: a dict from the index of w in
-`_regular(n).words` to the LaurentPoly coefficient of H_w.
+each generator a strict left ascent or descent, H_s moving w to s*w, and tau,
+derived from that rule, the left ascent set.  Multiplication by H_s, the bar
+involution and the KL basis are the Gelfand engine's column action, bar
+recursion and canonical-basis recursion on that table, so the check that KL
+cells are RS fibers exercises the same engine as the Gelfand W-graphs.  An
+element of the algebra is a column of that table: a dict from the index of w
+in `_regular(n).words` to the LaurentPoly coefficient of H_w.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ def _regular(n: int) -> ModuleTable:
         _permutations(range(1, n + 1)),
         lambda w, i: ASC_LT if _left_ascent(w, i) else DES_LT,
         lambda w, i: _s_mul_word(i, w),
-        asc_left,
     )
 
 
@@ -96,10 +95,6 @@ def kl_table(n: int):
         (words[y], words[z]): m for z, col in enumerate(table.mu_columns()) for y, m in col.items()
     }
     return list(words), columns, mu
-
-
-def asc_left(word) -> frozenset:
-    return frozenset(i for i in range(1, len(word)) if _left_ascent(word, i))
 
 
 def asc_right(word) -> frozenset:

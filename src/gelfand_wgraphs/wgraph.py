@@ -89,6 +89,7 @@ class WGraph:
         self.omega = omega
         self.shapes = tuple(tuple(s) for s in shapes) if shapes is not None else None
         self._terms = None  # action_terms, built on first use
+        self._pairs = None  # bidirected_pairs, found on first use
         self._at_one = None  # the same at x = 1, for character_trace
 
     @property
@@ -99,13 +100,11 @@ class WGraph:
         """Sorted (v, w, weight) triples."""
         return list(_sorted_edges(self))
 
-    def bidirected_pairs(self):
-        """Sorted pairs {v < w} carrying nonzero weights in both directions."""
-        return sorted(
-            (v, w)
-            for (v, w) in self.omega
-            if v < w and (w, v) in self.omega
-        )
+    def bidirected_pairs(self) -> tuple:
+        """Sorted pairs {v < w} carrying nonzero weights in both directions, found once."""
+        if self._pairs is None:
+            self._pairs = tuple(sorted((v, w) for v, w in self.omega if v < w and (w, v) in self.omega))
+        return self._pairs
 
     def __eq__(self, other):
         return (
@@ -129,9 +128,7 @@ def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:
     descending (column) embedding's image, tau the matching ascent sets,
     and weights the symmetrized x^-1 coefficients of the canonical basis.
     """
-    if variant not in ("row", "col"):
-        raise ValueError(f"variant must be 'row' or 'col', got {variant!r}")
-    m = _model(n, "asc" if variant == "row" else "des")
+    m = _gamma_model(n, variant)
     omega = symmetrize_mu(m.mu_columns(), m.tau if reduced else None)
     shapes = [lambda_shape(m.vertex(k)) for k in range(len(m.words))]
     return WGraph(
@@ -143,6 +140,13 @@ def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:
         omega=omega,
         shapes=shapes,
     )
+
+
+def _gamma_model(n: int, variant: str):
+    """The model of the row (M) or column (N) graph."""
+    if variant not in ("row", "col"):
+        raise ValueError(f"variant must be 'row' or 'col', got {variant!r}")
+    return _model(n, "asc" if variant == "row" else "des")
 
 
 # -- defining relations -------------------------------------------------------
@@ -379,7 +383,7 @@ def combinatorial_bidirected_pairs(n: int, variant: str):
     O(|V| n), and every pair with a length gap of 2 that passes the word
     comparisons is found (tests: _gap2_scan_pairs).
     """
-    m = _model(n, "asc" if variant == "row" else "des")
+    m = _gamma_model(n, variant)
     words, tau, length = m.words, m.tau, m.length
     out = set()
     for t in range(1, n):

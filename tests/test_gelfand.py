@@ -12,7 +12,9 @@ from gelfand_wgraphs import gelfand, hecke, tableau
 from gelfand_wgraphs.action import PackedAction, relation_violations
 from gelfand_wgraphs.beissinger import p_cbs, p_rbs
 from gelfand_wgraphs.gelfand import (
+    ASC_EQ,
     ASC_LT,
+    DES_EQ,
     DES_LT,
     ColumnStore,
     DescentData,
@@ -30,6 +32,7 @@ from gelfand_wgraphs.gelfand import (
     lambda_shape,
     tables_json,
     tau,
+    tau_word,
     transfer_points,
 )
 from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
@@ -324,7 +327,7 @@ def test_store_self_check_catches_swapped_weak_scalars():
     # before any LaurentPoly column exists
     for n in (3, 4, 5):
         m = Model(n, "asc")
-        m.weak_asc, m.weak_des = m.weak_des, m.weak_asc
+        m.rule[ASC_EQ], m.rule[DES_EQ] = m.rule[DES_EQ], m.rule[ASC_EQ]
         with pytest.raises(RuntimeError, match="has a bad term"):
             m.mu_entries()
 
@@ -403,9 +406,9 @@ def test_long_vertex_keeps_the_8_bit_field():
         2, [w0, e],
         lambda wd, i: ASC_LT if wd == e else DES_LT,
         lambda wd, i: w0 if wd == e else e,
-        lambda wd: frozenset({1}) if wd == e else frozenset(),
     )
     assert m.length == [0, 276] and m.exp_bits == 8
+    assert m.tau == [frozenset({1}), frozenset()]  # e ascends at s_1, w0 descends
     store = m.column_store()
     assert (store.shift, store.bias) == (9, 256)
     assert m.canonical_columns()[1] == {1: ONE, 0: X_INV}
@@ -487,6 +490,28 @@ def test_tau_matches_length_characterization():
                 i for i in range(1, n)
                 if conj_compare(zd.involution, i) in ("higher", "equal")
             }
+
+
+def test_derived_tau_matches_tau_word():
+    # ModuleTable.tau comes from the H_s rule; tau_word reads the word
+    for n in range(1, 9):
+        for variant in ("asc", "des"):
+            m = _model(n, variant)
+            assert m.tau == [tau_word(w, n, variant) for w in m.words], (n, variant)
+
+
+@pytest.mark.parametrize("kind", ["M", "N", "regular"])
+def test_flipped_rule_reaches_every_consumer(monkeypatch, kind):
+    # -(x - x^-1) at a strict descent, set in the one rule: the relation
+    # check on action() and the recursion or its certificate both see it
+    good = hecke._regular(4) if kind == "regular" else _model(4, "asc" if kind == "M" else "des")
+    monkeypatch.setattr(gelfand, "X_MINUS_XINV", -X_MINUS_XINV)
+    m = hecke._regular.__wrapped__(4) if kind == "regular" else Model(4, good.variant)
+    assert m.rule[DES_LT] == ((True, 0, 1), (False, 1, -1), (False, -1, 1))
+    assert m.tau != good.tau  # a strict descent's T_v term now tops out at -x
+    assert "quadratic relation fails for s_1" in relation_violations(m.action())
+    with pytest.raises(RuntimeError, match=r"column \("):
+        m.check_intertwining()
 
 
 def test_transfer_points_examples():
@@ -578,6 +603,11 @@ def test_embedding_length_and_descent_identities():
             k = len(w.fixed_points())
             assert za.length() + k * (k - 1) == zd.length()
             assert descent_data(za) == descent_data(zd)
+
+
+def test_tables_json_rejects_a_graph_variant():
+    with pytest.raises(ValueError, match="variant must be 'M' or 'N', got 'row'"):
+        tables_json(3, "row", io.StringIO())
 
 
 def test_tables_json_schema():

@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 
 from gelfand_wgraphs.hecke import (
+    _left_ascent,
     _regular,
     _s_mul_word,
     h_bar,
@@ -51,6 +52,13 @@ def test_regular_cnj_is_left_multiplication_by_s_i():
         R = _regular(n)
         for i, cnj_i in R.cnj.items():
             assert cnj_i == [R.index[_s_mul_word(i, w)] for w in R.words], (n, i)
+
+
+def test_derived_tau_is_the_left_ascent_set():
+    for n in range(1, 7):
+        R = _regular(n)
+        want = [frozenset(i for i in range(1, n) if _left_ascent(w, i)) for w in R.words]
+        assert R.tau == want, n
 
 
 def test_reduced_words():

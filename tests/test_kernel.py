@@ -95,7 +95,6 @@ def two_vertex_table(weak_asc, weak_des):
         3, [b, a],
         lambda wd, i: (ASC_EQ, DES_EQ)[wd == b] if i == 1 else (ASC_LT, DES_LT)[wd == b],
         lambda wd, i: b if wd == a else a,
-        lambda wd: frozenset({1, 2}) if wd == a else frozenset({1}),
         (weak_asc, weak_des),
     )
 
@@ -111,6 +110,7 @@ def two_vertex_table(weak_asc, weak_des):
 def test_step_on_hand_built_weak_scalars(weak_asc, weak_des, sizes):
     table = two_vertex_table(weak_asc, weak_des)
     assert tuple(len((p + X_INV).to_pairs()) for p in (weak_asc, weak_des)) == sizes
+    assert table.tau == [frozenset({1, 2}), frozenset({1})]  # none of the scalars is x
     assert table.canonical_columns() == [{0: LaurentPoly({0: 1})},
                                          {1: LaurentPoly({0: 1}), 0: X_INV}]
     assert_steps_match(table)

@@ -351,6 +351,21 @@ def test_bidirected_edges_match_combinatorial():
             assert algebraic_bidirected_pairs(g) == combinatorial_bidirected_pairs(n, variant)
 
 
+@pytest.mark.parametrize("variant", ["M", "rows", "asc"])
+def test_combinatorial_pairs_reject_a_model_variant(variant):
+    with pytest.raises(ValueError, match=f"^variant must be 'row' or 'col', got '{variant}'$"):
+        combinatorial_bidirected_pairs(4, variant)
+
+
+def test_bidirected_pairs_are_found_once_per_graph():
+    # classify_graph reads them twice, through molecules and algebraic_bidirected_pairs
+    g = build_gamma(5, "row")
+    pairs = g.bidirected_pairs()
+    assert list(pairs) == sorted((v, w) for v, w in g.omega if v < w and (w, v) in g.omega)
+    assert g.bidirected_pairs() is pairs
+    assert classify_graph(g).ok and g.bidirected_pairs() is pairs
+
+
 def _gap2_scan_pairs(n, variant):
     """Reference: test every vertex pair whose lengths differ by 2, in every window."""
     m = _model(n, "asc" if variant == "row" else "des")
