@@ -151,6 +151,10 @@ def cmd_graph(args) -> int:
         for line in report.counterexamples:
             print(f"  {line}")
         return EXIT_OK if report.ok else EXIT_DOMAIN
+    if args.tables:
+        # the tables need the full column store; its mu then serves the graph,
+        # where the graph alone would take the truncated recursion's
+        wgraph._gamma_model(args.n, args.variant).column_store()
     g = wgraph.build_gamma(args.n, args.variant, reduced=reduced)
     if args.action == "build":
         _emit(wgraph.export_chunks(g, "json"), args.out)

@@ -172,12 +172,13 @@ def tau(z: GelfandVertex) -> frozenset:
 
 def tau_word(word, n: int, variant: str) -> frozenset:
     """
-    The ascent set feeding the W-graph, read off the word: for the ascending
-    variant the i with z(i) < z(i+1); the descending variant also counts
-    weak descents, i.e. the i with l(s_i z s_i) >= l(z).  Model derives the
-    same sets from its H_s rule (ModuleTable.tau).
+    The ascent set feeding the W-graph, read off the word: for model M
+    (variant 'M'/'asc') the i with z(i) < z(i+1); model N ('N'/'des') also
+    counts weak descents, i.e. the i with l(s_i z s_i) >= l(z).  Any other
+    variant raises _model_key's ValueError.  Model derives the same sets
+    from its H_s rule (ModuleTable.tau).
     """
-    des = variant != "asc"
+    des = _model_key(variant) == "des"
     return frozenset(
         i for i in range(1, n) if word[i - 1] < word[i] or des and word[i - 1] == i + 1)
 
@@ -256,6 +257,30 @@ class ColumnStore:
         self.ends.append(len(self.keys))
 
 
+class KeptColumns(ColumnStore):
+    """
+    The truncated driver's columns (ModuleTable._mu_driver), each kept only
+    as deep as its readers need, in the ColumnStore layout.  Every computed
+    column is appended, and `at[z]` names the copy that column z reads, so
+    a column computed again deeper replaces the one its readers see; the
+    older copy stays in the arrays, unread.
+    """
+
+    __slots__ = ("at",)
+
+    def __init__(self, size: int, exp_bits: int):
+        super().__init__(size, exp_bits)
+        self.at = [0] * size
+
+    def column(self, z: int):
+        return ColumnStore.column(self, self.at[z])
+
+    def keep(self, z: int) -> int:
+        """Make the column appended last column z's copy; returns its size."""
+        k = self.at[z] = len(self.ends) - 1
+        return self.ends[k] - (self.ends[k - 1] if k else 0)
+
+
 class ModuleTable:
     """
     The canonical-basis engine: a based Z[x,x^-1]-module with an action of
@@ -283,18 +308,29 @@ class ModuleTable:
     table's only form of a module element.  `action()` is the same terms as
     a PackedAction, which sizes its own key field, for the relation check.
 
-    The canonical-basis recursion keeps each finished column in a packed
-    ColumnStore (`column_store`), a few bytes per term, whose key field has
-    `exp_bits` = 8 exponent bits: exponents down to -254, where the
-    deepest stored term is x^-20 at n = 9 row and x^-15 at n = 10 col; a
-    deeper one is refused by name (_check_column).  The mu table is read off
-    the columns as they are computed.  The recursion and
-    `check_intertwining()`, which certifies the store's bar-invariance,
-    apply H_s + x^-1 and H_s - x to stored columns through one step kernel,
-    which reads per-vertex move tables (_stepper).  `canonical_columns()`
-    decodes the store into LaurentPoly dicts on each call; nothing on the
-    graph path or in the certificate calls it.  `pick` chooses the strict
-    descent the recursion expands a column by (see _compute_columns).
+    Two drivers run the canonical-basis recursion.  Both apply H_s + x^-1
+    and H_s - x to stored columns through one step kernel, which reads
+    per-vertex move tables (_stepper), and pass each column through one
+    self-check (_check_column).  Which one runs follows from what the
+    caller asks for:
+    - `column_store()` runs the full driver (_compute_columns): every
+      column to its last term, bottom-up, packed into a ColumnStore, a few
+      bytes per term, whose key field has `exp_bits` = 8 exponent bits:
+      exponents down to -254, where the deepest stored term is x^-20 at
+      n = 9 row and x^-15 at n = 10 col; a deeper one is refused by name.
+      The tables, `check_intertwining()` (which certifies the store's
+      bar-invariance) and `canonical_columns()` read it.
+    - `mu_columns()`, asked before any store, runs the truncated driver
+      (_mu_driver): the W-graph reads only the x^-1 coefficients, so each
+      column is kept only as deep as its readers need (at n = 9 row, 17 %
+      of the terms, and 57 % of the full driver's reads).
+    There are two because neither is best at both: the top-down driver
+    picks its strict descent before the sizes the cost pick compares
+    exist, and at full depth its static pick reads 22-34 % more terms
+    (n = 9 and 10).  A store made after a truncated mu table is checked against
+    it.  `canonical_columns()` decodes the store into LaurentPoly dicts on
+    each call; nothing on the graph path or in the certificate calls it.
+    `pick` chooses the strict descent a column is expanded by.
     """
 
     exp_bits = 8  # the store's exponent field (ColumnStore)
@@ -342,6 +378,7 @@ class ModuleTable:
         self._terms = None
         self._action = None
         self.term_reads = None  # store terms the recursion read, once computed
+        self.mu_counts = None  # the truncated driver's (terms read, kept, columns computed)
 
     # -- the H_{s_i} action ----------------------------------------------------
 
@@ -381,6 +418,20 @@ class ModuleTable:
 
     # -- canonical basis -----------------------------------------------------
 
+    def _step_terms(self, sign: int) -> dict:
+        """
+        Per class, the terms of C·T_v as a dict from (to_s, d) to its nonzero
+        a, the rule's move to s·v first: `rule` plus x^-1 (C = H_s + x^-1,
+        sign 1) or minus x (C = H_s - x, sign -1), merged.
+        """
+        out = {}
+        for k, r in self.rule.items():
+            t = {}
+            for to_s, d, a in r + ((False, -sign, sign),):
+                t[to_s, d] = t.get((to_s, d), 0) + a
+            out[k] = {key: a for key, a in t.items() if a}
+        return out
+
     def _stepper(self, store: ColumnStore):
         """
         The one column step that the recursion and the certificate share, on
@@ -400,12 +451,9 @@ class ModuleTable:
 
         def moves(i: int, sign: int) -> list:
             lead, rest = {}, {}  # per class: the d of its move to s·y, if any; the pairs after it
-            for k, r in self.rule.items():
-                t = {}
-                for to_s, d, a in r + ((False, -sign, sign),):  # plus x^-1, or minus x
-                    t[to_s, d] = t.get((to_s, d), 0) + a
-                rest[k] = sum(((d, a) for (to_s, d), a in t.items() if a), ())
-                if r and r[0][0]:  # the rule's one move to s·y comes first
+            for k, t in self._step_terms(sign).items():
+                rest[k] = sum(((d, a) for (to_s, d), a in t.items()), ())
+                if self.rule[k] and self.rule[k][0][0]:  # the rule's one move to s·y comes first
                     lead[k], rest[k] = rest[k][0], rest[k][1:]
             return tables.setdefault((i, sign), [
                 entries.setdefault(m, m) for m in (  # equal entries share one tuple
@@ -436,10 +484,12 @@ class ModuleTable:
 
     def _compute_columns(self):
         """
-        Fill the column store.  C_z = C_s·C_w - sum of mu(y, w)·C_y over the
-        y with s not in tau(y), where s = s_i is the picked strict descent of
-        z, w = s z s and C_s = H_s + x^-1: one _stepper step with sign 1.
-        _check_column packs C_z into the store.
+        The full driver: fill the column store, bottom-up, each column to
+        its last term (column_store() runs it; the class docstring says why
+        there is a second driver).  C_z = C_s·C_w - sum of mu(y, w)·C_y over
+        the y with s not in tau(y), where s = s_i is the picked strict
+        descent of z, w = s z s and C_s = H_s + x^-1: one _stepper step with
+        sign 1.  _check_column packs C_z into the store.
 
         Every strict descent gives the same column; they differ in how many
         stored terms the step reads, |C_w| plus the |C_y| it subtracts, all
@@ -476,21 +526,108 @@ class ModuleTable:
         self._mu_by_col = tuple(mu_by_col)
         self.term_reads = reads
 
-    def _check_column(self, z: int, col: dict, store: ColumnStore) -> dict:
+    def _mu_driver(self):
         """
-        Drop the zero terms of a computed column, run its self-checks and
-        append it to the store: the coefficient of z is exactly 1, every
-        other term has l(y) < l(z) and exponent <= -1, every exponent is at
-        least -(2**exp_bits - 2) and every coefficient fits 64 bits.  Returns
-        the column's mu entries, the x^-1 coefficients off the diagonal.  As
-        vertices are sorted by length, one max bounds the keys below z's
-        length, and one pass tests each exponent field and reads mu.  A
-        failed column is rescanned for its fault: not unitriangular, else
-        the last term too deep for the key field, else the first bad term.
+        The mu table alone, top-down, each column kept only as deep as its
+        readers need: mu_columns() runs it while no store has been asked for.
+        Column z at depth d is its terms at exponents -d and up.  Every
+        column is requested at depth 1, longest first.  C_z at depth d is
+        step(i, 1, w, ...) as in _compute_columns, and requests C_w at depth
+        d + r and each subtracted C_y at depth d first, through an explicit
+        stack.  r is the largest exponent shift of a term of C_s = H_s +
+        x^-1 (_step_terms, from `rule`; 1 for M, N and the regular table).
+        A column already kept deep enough is read as it is; one a later
+        reader needs deeper is computed again at that depth and replaces
+        the kept one (KeptColumns).  _check_column drops the terms below -d
+        and runs every self-check on the rest.  The columns T_z of the
+        vertices with no strict descent are kept whole.
+
+        Exactness.  Let C_w be exact at exponents -(d + r) and up, and each
+        C_y at -d and up.  A term x^e·T_u of C_w gives terms at exponents at
+        most e + r in C_s·C_w, so the missing terms of C_w (e < -(d + r))
+        give terms below -d only, and the missing terms of each C_y lie
+        below -d.  So C_z is exact at -d and up, and the dropped terms are
+        the only ones that can be incomplete.  mu(y, w) is the x^-1
+        coefficient of C_w, kept as d + r >= 1, so the subtracted y are the
+        full recursion's, and by induction on length every kept term is
+        exact.  Each column is kept at depth >= 1, so its mu entries are.
+
+        The strict descent: "min" and "max" as in _compute_columns; "cost"
+        needs the sizes of the columns it compares, which a top-down driver
+        does not have when it picks, so it takes the i whose w = s·z·s has
+        the fewest ascents |tau(w)| (the least such i on a tie).
+
+        Sets `mu_counts` to (terms read, terms kept, columns computed),
+        each T_z counted once.  Returns the kept columns and their depths
+        (for the tests; mu_columns() drops them).
+        """
+        V = len(self.words)
+        store = KeptColumns(V, self.exp_bits)
+        step = self._stepper(store)
+        tau, cnj, pick = self.tau, self.cnj, self.pick
+        r = max(d for t in self._step_terms(1).values() for _, d in t)
+        if pick == "cost":  # the fewest ascents at w (see above)
+            picks = [min(dlt, key=lambda j: len(tau[cnj[j][z]]), default=None)
+                     for z, dlt in enumerate(self.strict_descents)]
+        else:
+            picks = [(dlt[-1] if pick == "max" else dlt[0]) if dlt else None
+                     for dlt in self.strict_descents]
+        depth = [0] * V
+        sizes = [0] * V
+        mu_by_col = [None] * V
+        reads = computed = 0
+        for top in range(V - 1, -1, -1):
+            stack = [(top, 1)]
+            while stack:
+                z, d = stack[-1]
+                if depth[z] >= d:
+                    stack.pop()
+                    continue
+                i = picks[z]
+                if i is None:
+                    store.append([store.key(z, 0)], [1])
+                    sizes[z], depth[z], mu_by_col[z] = store.keep(z), float("inf"), {}
+                    computed += 1
+                    continue
+                w = cnj[i][z]
+                if depth[w] < d + r:
+                    stack.append((w, d + r))
+                    continue
+                lower = mu_by_col[w]
+                need = [(y, d) for y in lower if depth[y] < d and i not in tau[y]]
+                if need:
+                    stack += need
+                    continue
+                reads += sizes[w] + sum(sizes[y] for y in lower if i not in tau[y])
+                mu_by_col[z] = self._check_column(z, step(i, 1, w, lower.items()), store, d)
+                sizes[z], depth[z] = store.keep(z), d
+                computed += 1
+        self._mu_by_col = tuple(mu_by_col)
+        self.mu_counts = (reads, sum(sizes), computed)
+        return store, depth
+
+    def _check_column(self, z: int, col: dict, store: ColumnStore, depth=None) -> dict:
+        """
+        Drop the zero terms of a computed column (given a depth, also those
+        below x^-depth: the truncated driver's cut), run its self-checks on
+        the rest and append it to the store: the coefficient of z is exactly
+        1, every other term has l(y) < l(z) and exponent <= -1, every
+        exponent is at least -(2**exp_bits - 2) and every coefficient fits
+        64 bits.  Returns the column's mu entries, the x^-1 coefficients off
+        the diagonal.  As vertices are sorted by length, one max bounds the
+        keys below z's length, and one pass tests each exponent field and
+        reads mu.  A failed column is rescanned for its fault: not
+        unitriangular, else the last term too deep for the key field, else
+        the first bad term.
         """
         shift, bias, words, length = store.shift, store.bias, self.words, self.length
         field, top, diag = (1 << shift) - 1, bias - 1, store.key(z, 0)  # key & field: bias + e
-        keys, coefs = list(compress(col, col.values())), list(filter(None, col.values()))
+        if depth is None:
+            keys, coefs = list(compress(col, col.values())), list(filter(None, col.values()))
+        else:  # the nonzero terms at exponents -depth and up
+            low = bias - depth
+            keep = [c and k & field >= low for k, c in col.items()]
+            keys, coefs = list(compress(col, keep)), list(compress(col.values(), keep))
         if col.get(diag) == 1:
             p = keys.index(diag)
             keys[p] = -1  # the diagonal is the one key not below the bound
@@ -526,9 +663,22 @@ class ModuleTable:
         raise RuntimeError(f"column {words[z]} has a bad term at {words[bad]}: {c}")
 
     def column_store(self) -> ColumnStore:
-        """The canonical columns, packed (see ColumnStore)."""
+        """
+        The canonical columns, packed (see ColumnStore), from the full
+        driver.  If mu_columns() has already run the truncated driver, the
+        two mu tables are compared column by column, and a RuntimeError
+        names the first column where they differ; mu_columns() then returns
+        the full driver's dicts.
+        """
         if self._store is None:
+            mu = self._mu_by_col
             self._compute_columns()
+            if mu is not None:
+                bad = next((z for z, col in enumerate(self._mu_by_col) if col != mu[z]), None)
+                if bad is not None:
+                    raise RuntimeError(
+                        f"column {self.words[bad]} has other mu entries in the full recursion"
+                        " than in the truncated one")
         return self._store
 
     def canonical_columns(self) -> list:
@@ -550,9 +700,11 @@ class ModuleTable:
         The mu table as the recursion keeps it: entry z maps each y with
         mu(y, z) != 0 to mu(y, z), always with l(y) < l(z).  The dicts are the
         table's own, shared with every caller, and must not be changed.
+        They come from the column store if it has been made, else from the
+        truncated driver (_mu_driver), which holds no full column.
         """
         if self._mu_by_col is None:
-            self._compute_columns()
+            self._mu_driver()
         return self._mu_by_col
 
     def mu_entries(self) -> dict:

@@ -254,15 +254,26 @@ def test_unused_output_option_exits_2(tmp_path, capsys, action, option):
     assert not path.exists()
 
 
-def test_self_check_failure_exits_1(monkeypatch, capsys):
-    # both the Gelfand graphs and the KL tables run the one engine recursion
-    def broken(self):
+def test_self_check_failure_exits_1(monkeypatch, capsys, fresh_tables, tmp_path):
+    # the Gelfand graphs (the truncated recursion), their tables and the KL
+    # tables (the full recursion) all run the one column self-check
+    drivers = []
+
+    def broken(self, z, col, store, depth=None):
+        drivers.append("truncated" if depth else "full")
         raise RuntimeError("column (1, 2) is not unitriangular")
 
-    monkeypatch.setattr(gelfand.ModuleTable, "_compute_columns", broken)
-    gelfand._model.cache_clear()
-    hecke._regular.cache_clear()
-    for argv in (["graph", "build", "--n", "3", "--variant", "row"], ["kl", "--n", "3"]):
+    monkeypatch.setattr(gelfand.ModuleTable, "_check_column", broken)
+    tables = tmp_path / "t.json"
+    for argv, driver in (
+        (["graph", "classify", "--n", "3", "--variant", "row"], "truncated"),
+        (["graph", "build", "--n", "3", "--variant", "row"], "truncated"),
+        (["graph", "build", "--n", "3", "--variant", "row", "--tables", str(tables)], "full"),
+        (["kl", "--n", "3"], "full"),
+    ):
+        drivers.clear()
         code, out, err = run(capsys, *argv)
-        assert code == 1 and not out
+        assert code == 1 and not out, argv
         assert "not unitriangular" in err and "Traceback" not in err
+        assert drivers == [driver], argv
+    assert not tables.exists()

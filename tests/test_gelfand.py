@@ -342,18 +342,15 @@ class UnitArray(array):
 
 
 @pytest.mark.parametrize("variant", ["M", "N"])
-def test_store_widens_a_narrow_coefficient_type(monkeypatch, variant):
+def test_store_widens_a_narrow_coefficient_type(monkeypatch, fresh_tables, variant):
     # n=7 has coefficients 2 and 3 (M) or 2 (N): past the forced range of "b"
     text, mu = tables_text(7, variant), _model(7, "asc" if variant == "M" else "des").mu_entries()
-    _model.cache_clear()
+    _model.cache_clear()  # the model is built again under the patch
     monkeypatch.setattr(gelfand, "array", UnitArray)
-    try:
-        assert tables_text(7, variant) == text
-        m = _model(7, "asc" if variant == "M" else "des")
-        assert m.mu_entries() == mu and list(m.mu_entries()) == list(mu)
-        assert m.column_store().coefs.typecode == "h"
-    finally:
-        _model.cache_clear()
+    assert tables_text(7, variant) == text
+    m = _model(7, "asc" if variant == "M" else "des")
+    assert m.mu_entries() == mu and list(m.mu_entries()) == list(mu)
+    assert m.column_store().coefs.typecode == "h"
 
 
 def test_store_raises_when_no_coefficient_type_fits(monkeypatch):
@@ -440,25 +437,21 @@ def test_store_takes_at_most_8_bytes_per_term(variant):
     assert size <= 8 * len(store.keys)
 
 
-def test_graph_path_reads_the_store(monkeypatch):
+def test_graph_path_reads_the_store(monkeypatch, fresh_tables):
     def refuse(self):
         raise AssertionError("the LaurentPoly view was built")
 
-    _model.cache_clear()
-    try:
-        with monkeypatch.context() as mp:
-            mp.setattr(ModuleTable, "canonical_columns", refuse)
-            g = build_gamma(5, "row", reduced=False)
-            doc = json.loads(tables_text(5, "M"))
-        m = _model(5, "asc")
-        assert g.omega == symmetrize_mu(m.mu_entries())
-        view = m.canonical_columns()
-        assert doc["columns"] == {
-            str(z): [[y, col[y].to_pairs()] for y in sorted(col)]
-            for z, col in enumerate(view)
-        }
-    finally:
-        _model.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(ModuleTable, "canonical_columns", refuse)
+        g = build_gamma(5, "row", reduced=False)
+        doc = json.loads(tables_text(5, "M"))
+    m = _model(5, "asc")
+    assert g.omega == symmetrize_mu(m.mu_entries())
+    view = m.canonical_columns()
+    assert doc["columns"] == {
+        str(z): [[y, col[y].to_pairs()] for y in sorted(col)]
+        for z, col in enumerate(view)
+    }
 
 
 def test_omega_symmetric():
@@ -498,6 +491,20 @@ def test_derived_tau_matches_tau_word():
         for variant in ("asc", "des"):
             m = _model(n, variant)
             assert m.tau == [tau_word(w, n, variant) for w in m.words], (n, variant)
+
+
+def test_tau_word_takes_the_model_names():
+    # M/asc and N/des name one model each, as in canonical_basis and tables_json
+    word = (2, 1, 4, 3)  # 1 is a weak descent: an ascent in N only
+    assert tau_word(word, 2, "M") == tau_word(word, 2, "asc") == frozenset()
+    assert tau_word(word, 2, "N") == tau_word(word, 2, "des") == frozenset({1})
+    for n in range(1, 7):
+        for model, variant in (("M", "asc"), ("N", "des")):
+            m = _model(n, variant)
+            assert m.tau == [tau_word(w, n, model) for w in m.words], (n, model)
+    for bad in ("xyz", "row", "Asc"):
+        with pytest.raises(ValueError, match=f"variant must be 'M' or 'N', got '{bad}'"):
+            tau_word(word, 2, bad)
 
 
 @pytest.mark.parametrize("kind", ["M", "N", "regular"])
@@ -654,15 +661,13 @@ def test_tables_json_memory_stays_below_text_size(variant):
     assert peak < 5 * sink.chars
 
 
-def test_classify_validates_each_shape_tableau_once(monkeypatch):
-    # the p-map validates its tableau; hat_p restricts it without a second check
+def test_classify_validates_each_shape_tableau_once(monkeypatch, fresh_tables):
+    # the p-map validates its tableau; hat_p restricts it without a second
+    # check (fresh_tables also releases the n=9 models)
     calls = []
     validate = tableau._validate
     monkeypatch.setattr(tableau, "_validate", lambda *a, **k: calls.append(1) or validate(*a, **k))
-    try:
-        report = classify(9, "row")
-    finally:
-        _model.cache_clear()  # release the n=9 models
+    report = classify(9, "row")
     assert report.ok
     assert len(calls) == 2620  # |I_9|: one per vertex
 

@@ -30,7 +30,7 @@ def test_unknown_suite():
         run_suite("everything", 3)
 
 
-def test_gelfand_suite_reports_broken_action(monkeypatch):
+def test_gelfand_suite_reports_broken_action(monkeypatch, fresh_tables):
     # H_{s_2} doubled in the packed module action: the relations fail, and
     # so do the bar checks, which run on the same action; both are reported
     true_terms = gelfand.ModuleTable.action_terms
@@ -42,11 +42,7 @@ def test_gelfand_suite_reports_broken_action(monkeypatch):
         return terms
 
     monkeypatch.setattr(gelfand.ModuleTable, "action_terms", doubled)
-    gelfand._model.cache_clear()
-    try:
-        report = run_suite("gelfand", 3)
-    finally:
-        gelfand._model.cache_clear()
+    report = run_suite("gelfand", 3)
     failed = {c["name"]: c.get("detail", "") for c in report["checks"] if not c["passed"]}
     assert not report["passed"]
     assert "quadratic relation fails for s_2" in failed["quadratic and braid relations at n=3"]
@@ -54,7 +50,7 @@ def test_gelfand_suite_reports_broken_action(monkeypatch):
     assert "bar operator involutive and compatible at n=3" in failed
 
 
-def test_gelfand_suite_bar_check_sees_a_broken_bar(monkeypatch):
+def test_gelfand_suite_bar_check_sees_a_broken_bar(monkeypatch, fresh_tables):
     # bar(T_v) off by one in one LaurentPoly coefficient at the longest
     # vertex of I_3: the relations and the certificate never read bar(T_v),
     # so only the bar check can see it
@@ -68,11 +64,7 @@ def test_gelfand_suite_bar_check_sees_a_broken_bar(monkeypatch):
         return got
 
     monkeypatch.setattr(gelfand.ModuleTable, "barvec", broken)
-    gelfand._model.cache_clear()
-    try:
-        report = run_suite("gelfand", 3)
-    finally:
-        gelfand._model.cache_clear()
+    report = run_suite("gelfand", 3)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"bar operator involutive and compatible at n=3"}
 
