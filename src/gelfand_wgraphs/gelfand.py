@@ -281,6 +281,19 @@ class KeptColumns(ColumnStore):
         return self.ends[k] - (self.ends[k - 1] if k else 0)
 
 
+def _shared(keys, make=None) -> list:
+    """
+    One entry per key, in order, with equal keys sharing one object: the
+    first such key, or make(key) called once per distinct key.  A per-vertex
+    value with few distinct values (an ascent set, a shape) is then stored
+    once, not once per vertex; the callers treat the entries as read-only.
+    """
+    made = {}
+    if make is None:
+        return [made.setdefault(k, k) for k in keys]
+    return [made[k] if k in made else made.setdefault(k, make(k)) for k in keys]
+
+
 class ModuleTable:
     """
     The canonical-basis engine: a based Z[x,x^-1]-module with an action of
@@ -297,6 +310,12 @@ class ModuleTable:
     H_{s_i}·C_k = x·C_k, which (C_k being T_k plus x^-1 Z[x^-1] terms) are
     the classes whose T_v term has top term x.  The Gelfand models are
     instances (Model); so is the regular representation of H(S_n) (hecke).
+
+    `tau` and `strict_descents` (strict_descents[k] lists the i of class
+    DES_LT at k, ascending) are per-vertex lists with at most 2^(n-1)
+    distinct values (n = 11 col: 1,024 tau values for 35,696 vertices), so
+    equal values are one shared object (_shared).  They are read-only: a
+    caller that changed one would change it at every vertex sharing it.
 
     The table assumes that act(., i) is an involution on the strict
     positions of i, as z -> s_i·z·s_i and w -> s_i·w are, and builds
@@ -357,10 +376,10 @@ class ModuleTable:
                 if cnj_i[k] == k and cls_i[k] in (ASC_LT, DES_LT):
                     u = index[act(wd, i)]
                     cnj_i[k], cnj_i[u] = u, k
-        self.strict_descents = [
-            [i for i in range(1, n) if self.cls[i][k] == DES_LT]
-            for k in range(len(self.words))
-        ]
+        self.strict_descents = _shared(
+            (tuple(i for i in range(1, n) if self.cls[i][k] == DES_LT) for k in range(len(self.words))),
+            list,
+        )
         at_v = (lambda p: () if p is None else tuple((False, e, c) for e, c in p.items()))
         self.rule = {  # the (to_s, d, a) terms of H_{s_i}·T_v, by the class of i at v
             ASC_LT: ((True, 0, 1),),
@@ -370,8 +389,8 @@ class ModuleTable:
         }
         down = [k for k, r in self.rule.items()  # the classes in D(v) (see above)
                 if max(((d, a) for to_s, d, a in r if not to_s), default=None) == (1, 1)]
-        self.tau = [frozenset(i for i in range(1, n) if self.cls[i][v] not in down)
-                    for v in range(len(self.words))]
+        self.tau = _shared(frozenset(i for i in range(1, n) if self.cls[i][v] not in down)
+                           for v in range(len(self.words)))
         self._store = None
         self._mu_by_col = None
         self._barvecs = {}

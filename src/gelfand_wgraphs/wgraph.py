@@ -35,7 +35,7 @@ from itertools import islice
 from math import comb, prod
 
 from .action import PackedAction, relation_violations
-from .gelfand import ASC_LT, GelfandVertex, _model, format_rows, lambda_shape
+from .gelfand import ASC_LT, GelfandVertex, _model, _shared, format_rows, lambda_shape
 from .perm import Permutation, cycle_type, word_conj_compare, word_conj_s
 
 
@@ -71,6 +71,11 @@ class WGraph:
     nothing to drop is kept as given and shared with the caller, not copied
     (build_gamma's, made by symmetrize_mu with tau, is one); otherwise the
     graph keeps a filtered copy.  The caller's dict is never changed.
+
+    Equal tau sets are one frozenset, and equal shapes one tuple, whatever
+    the caller passed (build_gamma's tau is already shared; parse_wgraph's
+    is not): at most 2^(n-1) ascent sets and one shape per fiber, not one
+    of each per vertex.  Both are read-only.
     """
 
     def __init__(self, n, variant, reduced, vertices, tau, omega, shapes=None):
@@ -78,7 +83,7 @@ class WGraph:
         self.variant = variant
         self.reduced = bool(reduced)
         self.vertices = tuple(tuple(v) for v in vertices)
-        self.tau = tau = tuple(frozenset(t) for t in tau)
+        self.tau = tau = tuple(_shared(frozenset(t) for t in tau))
         reduced = self.reduced
         if 0 in omega.values() or reduced and any(tau[v] <= tau[w] for v, w in omega):
             omega = {
@@ -87,7 +92,7 @@ class WGraph:
                 if c and not (reduced and tau[v] <= tau[w])
             }
         self.omega = omega
-        self.shapes = tuple(tuple(s) for s in shapes) if shapes is not None else None
+        self.shapes = tuple(_shared(tuple(s) for s in shapes)) if shapes is not None else None
         self._terms = None  # action_terms, built on first use
         self._pairs = None  # bidirected_pairs, found on first use
         self._at_one = None  # the same at x = 1, for character_trace
@@ -130,7 +135,7 @@ def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:
     """
     m = _gamma_model(n, variant)
     omega = symmetrize_mu(m.mu_columns(), m.tau if reduced else None)
-    shapes = [lambda_shape(m.vertex(k)) for k in range(len(m.words))]
+    shapes = (lambda_shape(m.vertex(k)) for k in range(len(m.words)))  # WGraph keeps one per fiber
     return WGraph(
         n=n,
         variant=variant,
@@ -727,8 +732,8 @@ def parse_wgraph(text: str) -> WGraph:
         n=doc["n"],
         variant=doc["variant"],
         reduced=doc["reduced"],
-        vertices=[tuple(v) for v in doc["vertices"]],
-        tau=[frozenset(t) for t in doc["tau"]],
+        vertices=doc["vertices"],
+        tau=doc["tau"],
         omega={(v, w): c for v, w, c in doc["edges"]},
-        shapes=[tuple(s) for s in doc["shapes"]] if "shapes" in doc else None,
+        shapes=doc.get("shapes"),
     )

@@ -788,6 +788,22 @@ def test_word_index_table_matches_vertex_construction(variant):
         assert {k: getattr(m, k) for k in want} == want
 
 
+def assert_shared(values, bound):
+    """Equal values are one object, and there are at most `bound` of them."""
+    first = {}
+    for v in values:
+        assert first.setdefault(tuple(sorted(v)), v) is v
+    assert len(first) <= bound
+
+
+def test_tau_and_strict_descents_are_shared():
+    tables = [Model(n, v) for n in range(1, 9) for v in ("asc", "des")]
+    for m in tables + [hecke._regular(n) for n in range(1, 7)]:
+        assert_shared(m.tau, 2 ** (m.n - 1))
+        assert_shared(m.strict_descents, 2 ** (m.n - 1))
+        assert all(type(d) is list for d in m.strict_descents)
+
+
 @pytest.mark.parametrize("variant", ["asc", "des"])
 def test_cnj_takes_one_act_call_per_strict_pair(monkeypatch, variant):
     calls = []

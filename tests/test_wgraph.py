@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tracemalloc
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -679,6 +680,32 @@ def test_export_round_trip():
             assert parse_wgraph(export(g, "json")) == g
     with pytest.raises(ValueError):
         export(build_gamma(1, "row"), "yaml")
+
+
+def test_graph_shares_tau_and_shapes():
+    def distinct(values):
+        first = {}
+        assert all(first.setdefault(v, v) is v for v in values)
+        return len(first)
+
+    for n in range(1, 9):
+        for variant in ("row", "col"):
+            g = build_gamma(n, variant)
+            h = parse_wgraph(export(g, "json"))
+            assert distinct(g.shapes) == distinct(h.shapes)  # one shape object per fiber
+            assert distinct(g.tau) == distinct(h.tau) <= 2 ** (n - 1)
+
+
+def test_edge_weights_at_n_8_and_9():
+    # measured, not explained: the only weight other than 1 up to n = 9 is
+    # -1, on six reduced row edges at n = 9, each between two shapes
+    want = {(8, "row"): {1: 4230}, (8, "col"): {1: 3863},
+            (9, "row"): {1: 18461, -1: 6}, (9, "col"): {1: 16437}}
+    for (n, variant), weights in want.items():
+        g = build_gamma(n, variant)
+        assert Counter(g.omega.values()) == weights
+        assert all(g.shapes[v] != g.shapes[w] for (v, w), c in g.omega.items() if c != 1)
+    assert Counter(build_gamma(9, "row", reduced=False).omega.values()) == {1: 31226, -1: 12}
 
 
 def test_export_deterministic():
