@@ -195,6 +195,26 @@ class MuTable:
     entries: dict  # (y, z) vertex pair -> nonzero int, with l(y) < l(z)
 
 
+INT_CODES = "bhiq"  # signed integer typecodes, narrowest first
+
+
+def widened_fromlist(a: array, values: list, codes: str = INT_CODES) -> array:
+    """
+    The signed integer array a with values appended: a itself, or, while a
+    value does not fit, a copy in the next typecode of codes.  OverflowError
+    leaves a unchanged if none of them holds it.
+    """
+    while True:
+        try:
+            a.fromlist(values)  # on failure it keeps its old length
+            return a
+        except OverflowError:
+            k = codes.index(a.typecode) + 1
+            if k == len(codes):
+                raise
+            a = array(codes[k], a)
+
+
 class ColumnStore:
     """
     The finished canonical-basis columns of a ModuleTable, packed into flat
@@ -214,7 +234,7 @@ class ColumnStore:
     """
 
     __slots__ = ("shift", "bias", "keys", "coefs", "ends")
-    coef_codes = "bhiq"  # coefficient typecodes, narrowest first
+    coef_codes = INT_CODES  # coefficient typecodes, narrowest first
 
     def __init__(self, size: int, exp_bits: int):
         self.shift, self.bias = exp_bits + 1, 1 << exp_bits
@@ -243,16 +263,7 @@ class ColumnStore:
         `coef_codes` while a coefficient does not fit, and OverflowError
         leaves the store unchanged if none of them holds it.
         """
-        codes = self.coef_codes
-        while True:
-            try:
-                self.coefs.fromlist(coefs)  # on failure it keeps its old length
-                break
-            except OverflowError:
-                k = codes.index(self.coefs.typecode) + 1
-                if k == len(codes):
-                    raise
-                self.coefs = array(codes[k], self.coefs)
+        self.coefs = widened_fromlist(self.coefs, coefs, self.coef_codes)
         self.keys.fromlist(keys)  # the typecode holds every key below size << shift
         self.ends.append(len(self.keys))
 
@@ -787,17 +798,15 @@ class ModuleTable:
                 raise RuntimeError(f"column {words[v]} is not its standard basis vector")
             if {y: c for y, e, c in terms if e == -1} != mu_by_col[v]:
                 raise RuntimeError(f"column {words[v]} disagrees with its mu entries")
-        # per v, the (u, omega(v, u)) pairs; the reduced weights suffice, since
-        # step skips every u with tau(v) in tau(u) at an i in tau(v)
-        omega = [[] for _ in range(V)]
-        for (v, u), m in symmetrize_mu(mu_by_col, tau).items():
-            omega[v].append((u, m))
+        # row v of omega gives the (u, omega(v, u)) pairs; the reduced weights
+        # suffice, since step skips every u with tau(v) in tau(u) at an i in tau(v)
+        omega = symmetrize_mu(mu_by_col, tau)
         step = self._stepper(store)
         # the descent identities read only C_v, so they run first: a corrupted
         # column is then named by its own identity before a neighbour's reads it
         for sign in (-1, 1):
             for v in range(V):
-                lower = omega[v] if sign == 1 else ()
+                lower = list(zip(omega.targets(v), omega.weights(v))) if sign == 1 else ()
                 for i in range(1, self.n):
                     if (i in tau[v]) == (sign == 1) and any(step(i, sign, v, lower).values()):
                         raise RuntimeError(

@@ -29,48 +29,210 @@ literature; the descending set is the one matching the module it encodes).
 from __future__ import annotations
 
 import json
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, chain, islice, repeat
 from math import comb, prod
+from operator import le, sub
 
 from .action import PackedAction, relation_violations
-from .gelfand import ASC_LT, GelfandVertex, _model, _shared, format_rows, lambda_shape
+from .gelfand import (
+    ASC_LT,
+    INT_CODES,
+    GelfandVertex,
+    _model,
+    _shared,
+    format_rows,
+    lambda_shape,
+    widened_fromlist,
+)
 from .perm import Permutation, cycle_type, word_conj_compare, word_conj_s
 
 
-def symmetrize_mu(mu, tau=None) -> dict:
+class EdgeTable(Mapping):
     """
-    omega(v, w) = mu(v, w) + mu(w, v), zero entries dropped, in one pass over
-    mu: a dict from pairs (y, z) to mu(y, z), or the per-column dicts of
-    ModuleTable.mu_columns().  Given the ascent sets tau, the entries (v, w)
+    The weights omega of a W-graph in compressed-sparse-row form, with no
+    tuple, dict or int object per edge.  Row v, the edges (v, w), is the
+    slice start[v]:start[v+1] of `dst`, its targets w in strictly increasing
+    order ("i"), and of `wt`, the nonzero weights omega(v, w) in the
+    narrowest of gelfand.INT_CODES that holds them all (widened the way the
+    column store's coefficients are).  `start` holds |V| + 1 offsets.  Rows
+    are appended in vertex order.
+
+    The table is also a read-only Mapping from (v, w) to omega(v, w): its
+    len is the number of edges, it iterates the pairs in sorted order, a
+    lookup bisects row v, and it equals any mapping with the same items.
+    """
+
+    __slots__ = ("start", "dst", "wt")
+
+    def __init__(self):
+        self.start = array("q", [0])
+        self.dst = array("i")
+        self.wt = array(INT_CODES[0])
+
+    @property
+    def size(self) -> int:
+        """The number of rows, |V|."""
+        return len(self.start) - 1
+
+    def extend(self, targets: list, weights: list, lengths: list) -> None:
+        """
+        Append the next rows: their targets, each row's strictly increasing,
+        and nonzero weights, concatenated, and the length of each row.
+        """
+        self.wt = widened_fromlist(self.wt, weights)
+        ends = accumulate(lengths, initial=len(self.dst))
+        next(ends)  # the offset the table already ends with
+        self.dst.fromlist(targets)
+        self.start.extend(ends)
+
+    def targets(self, v: int) -> array:
+        """Row v's targets, increasing."""
+        return self.dst[self.start[v]:self.start[v + 1]]
+
+    def weights(self, v: int) -> array:
+        """Row v's weights, in the order of its targets."""
+        return self.wt[self.start[v]:self.start[v + 1]]
+
+    def triples(self):
+        """The (v, w, omega(v, w)) triples, sorted."""
+        for v in range(self.size):
+            for w, c in zip(self.targets(v), self.weights(v)):
+                yield v, w, c
+
+    def _find(self, key) -> int:
+        """The position of the edge key = (v, w) in dst, or -1."""
+        try:
+            v, w = key
+            if v < 0:
+                return -1
+            a, b = self.start[v], self.start[v + 1]
+            k = bisect_left(self.dst, w, a, b)
+        except (TypeError, ValueError, IndexError):
+            return -1
+        return k if k < b and self.dst[k] == w else -1
+
+    def __getitem__(self, key):
+        k = self._find(key)
+        if k < 0:
+            raise KeyError(key)
+        return self.wt[k]
+
+    def __iter__(self):
+        for v in range(self.size):
+            for w in self.targets(v):
+                yield v, w
+
+    def __len__(self) -> int:
+        return len(self.dst)
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeTable) and self.size == other.size:
+            return self.start == other.start and self.dst == other.dst and self.wt == other.wt
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self):
+        return f"EdgeTable(|V|={self.size}, |E|={len(self)})"
+
+
+def _packed(size: int, triples) -> EdgeTable:
+    """The EdgeTable on size vertices of (v, w, weight) triples in any order, each (v, w) once."""
+    rows = [[] for _ in range(size)]
+    for v, w, c in triples:
+        if not (0 <= v < size and 0 <= w < size):
+            raise ValueError(f"edge ({v}, {w}) is not between two of the {size} vertices")
+        rows[v].append((w, c))
+    table = EdgeTable()
+    for row in rows:
+        row.sort()
+    table.extend([w for row in rows for w, _ in row], [c for row in rows for _, c in row],
+                 [len(row) for row in rows])
+    return table
+
+
+_BUFFER = 1 << 14  # edges symmetrize_mu holds in lists before it packs them
+
+
+def symmetrize_mu(mu, tau=None):
+    """
+    omega(v, w) = mu(v, w) + mu(w, v), zero entries dropped, from the
+    per-column dicts of ModuleTable.mu_columns() as an EdgeTable (rows of
+    targets `dst` and weights `wt` at offsets `start`, read through a
+    read-only mapping view), or from a dict of pairs (y, z) to mu(y, z) as
+    a dict of the same kind.  Given the ascent sets tau, the entries (v, w)
     with tau(v) contained in tau(w) are never made: the reduced weights.
+
+    The columns hold nonzero mu(y, z) only for y < z (vertices are sorted
+    by length; a ValueError names a vertex where y >= z), so
+    omega(y, z) = omega(z, y) = mu(y, z), and two passes over them fill the
+    table with no tuple or dict per edge.  The first appends z and mu(y, z)
+    to y's lists of higher targets, in increasing z.  The second makes row
+    z from column z's own entries, its edges to lower y, sorted once,
+    followed by those lists, and packs the rows _BUFFER edges at a time.  A
+    pair dict may key its pairs by any vertex labels, in either order; it
+    is summed pair by pair.
     """
-    pairs = mu.items() if isinstance(mu, dict) else (
-        ((y, z), m) for z, col in enumerate(mu) for y, m in col.items()
-    )
-    out = {}
-    get = out.get
-    for k, m in pairs:
-        y, z = k
-        if tau is None or not tau[y] <= tau[z]:
-            out[k] = get(k, 0) + m
-        if tau is None or not tau[z] <= tau[y]:
-            k = z, y
-            out[k] = get(k, 0) + m
-    if 0 in out.values():  # never from the engine: it stores no zero, and no (y, z) twice
-        out = {k: c for k, c in out.items() if c}
-    return out
+    if isinstance(mu, dict):
+        out = {}
+        get = out.get
+        for k, m in mu.items():
+            y, z = k
+            if tau is None or not tau[y] <= tau[z]:
+                out[k] = get(k, 0) + m
+            if tau is None or not tau[z] <= tau[y]:
+                k = z, y
+                out[k] = get(k, 0) + m
+        return {k: c for k, c in out.items() if c}
+    size = len(mu)
+    up = [[] for _ in range(size)]  # per y, its higher targets z, increasing
+    up_wt = [[] for _ in range(size)]  # and their weights mu(y, z)
+    for z, col in enumerate(mu):
+        tz = tau[z] if tau is not None else None
+        for y, m in col.items():
+            if tz is None or not tau[y] <= tz:
+                up[y].append(z)
+                up_wt[y].append(m)
+    table = EdgeTable()
+    targets, weights, lengths = [], [], []
+    for z, col in enumerate(mu):
+        if tau is None:
+            low = list(col)
+        else:
+            tz = tau[z]
+            low = [y for y in col if not tz <= tau[y]]
+        low.sort()
+        higher = up[z]
+        if low and low[-1] >= z or higher and higher[0] <= z:
+            raise ValueError(f"mu(y, z) given with y >= z at vertex {z}")
+        targets += low
+        targets += higher
+        weights += map(col.__getitem__, low)
+        weights += up_wt[z]
+        lengths.append(len(low) + len(higher))
+        up[z] = up_wt[z] = None
+        if len(targets) > _BUFFER:
+            table.extend(targets, weights, lengths)
+            targets, weights, lengths = [], [], []
+    table.extend(targets, weights, lengths)
+    return table
 
 
 class WGraph:
     """
-    Vertex labels are one-line words; tau sets and omega weights are keyed
-    by vertex index.  Zero weights are dropped, and so, if reduced is set,
-    are the entries (v, w) with tau(v) contained in tau(w).  An omega with
-    nothing to drop is kept as given and shared with the caller, not copied
-    (build_gamma's, made by symmetrize_mu with tau, is one); otherwise the
-    graph keeps a filtered copy.  The caller's dict is never changed.
+    Vertex labels are one-line words; tau sets are keyed by vertex index,
+    and the weights are one EdgeTable, `omega`: compressed sparse rows, row
+    v the targets dst[start[v]:start[v+1]] and their weights
+    wt[start[v]:start[v+1]], which consumers read directly, and also a
+    read-only mapping view from index pairs (v, w) to omega(v, w).  Zero
+    weights are dropped, and so, if reduced is set, are the entries
+    (v, w) with tau(v) contained in tau(w).  An EdgeTable on the graph's
+    vertices with nothing to drop is kept as given (build_gamma's, made by
+    symmetrize_mu with tau, is one); any other mapping of pairs to weights
+    is packed into a new table, and the caller's is never changed.
 
     Equal tau sets are one frozenset, and equal shapes one tuple, whatever
     the caller passed (build_gamma's tau is already shared; parse_wgraph's
@@ -84,13 +246,17 @@ class WGraph:
         self.reduced = bool(reduced)
         self.vertices = tuple(tuple(v) for v in vertices)
         self.tau = tau = tuple(_shared(frozenset(t) for t in tau))
-        reduced = self.reduced
-        if 0 in omega.values() or reduced and any(tau[v] <= tau[w] for v, w in omega):
-            omega = {
-                (v, w): c
-                for (v, w), c in omega.items()
+        reduced, size = self.reduced, len(self.vertices)
+        if not (
+            isinstance(omega, EdgeTable)
+            and omega.size == size
+            and 0 not in omega.wt
+            and not (reduced and _has_inclusion(omega, tau))
+        ):
+            omega = _packed(size, (
+                (v, w, c) for (v, w), c in omega.items()
                 if c and not (reduced and tau[v] <= tau[w])
-            }
+            ))
         self.omega = omega
         self.shapes = tuple(_shared(tuple(s) for s in shapes)) if shapes is not None else None
         self._terms = None  # action_terms, built on first use
@@ -103,12 +269,24 @@ class WGraph:
 
     def edges(self):
         """Sorted (v, w, weight) triples."""
-        return list(_sorted_edges(self))
+        return list(self.omega.triples())
 
     def bidirected_pairs(self) -> tuple:
-        """Sorted pairs {v < w} carrying nonzero weights in both directions, found once."""
+        """
+        Sorted pairs {v < w} carrying nonzero weights in both directions,
+        found once: each w above v in row v whose row holds v, by bisection.
+        """
         if self._pairs is None:
-            self._pairs = tuple(sorted((v, w) for v, w in self.omega if v < w and (w, v) in self.omega))
+            start, dst = self.omega.start.tolist(), self.omega.dst
+            pairs = []
+            for v in range(self.size):
+                b = start[v + 1]
+                for w in dst[bisect_right(dst, v, start[v], b):b]:
+                    hi = start[w + 1]
+                    k = bisect_left(dst, v, start[w], hi)
+                    if k < hi and dst[k] == v:
+                        pairs.append((v, w))
+            self._pairs = tuple(pairs)
         return self._pairs
 
     def __eq__(self, other):
@@ -125,6 +303,13 @@ class WGraph:
             f"WGraph(n={self.n}, variant={self.variant!r}, reduced={self.reduced}, "
             f"|V|={self.size}, |E|={len(self.omega)})"
         )
+
+
+def _has_inclusion(omega: EdgeTable, tau) -> bool:
+    """Whether some edge (v, w) of the table has tau(v) contained in tau(w)."""
+    start = omega.start
+    sources = chain.from_iterable(map(repeat, tau, map(sub, islice(start, 1, None), start)))
+    return any(map(le, sources, map(tau.__getitem__, omega.dst)))
 
 
 def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:
@@ -165,9 +350,8 @@ def action_terms(g: WGraph) -> dict:
     tau(w).  Built once per graph.
     """
     if g._terms is None:
-        out = [[] for _ in range(g.size)]
-        for (v, w), c in g.omega.items():
-            out[v].append((w, c))
+        om = g.omega
+        out = [list(zip(om.targets(v), om.weights(v))) for v in range(g.size)]
         g._terms = {
             i: [
                 ((v, 1, 1),) if i not in t
@@ -241,9 +425,7 @@ def cells(g: WGraph):
     the condensation.  Components are sorted by least vertex; condensation
     edges point along the original arrows.
     """
-    succ = [[] for _ in range(g.size)]
-    for (v, w) in g.omega:
-        succ[v].append(w)
+    succ = [g.omega.targets(v) for v in range(g.size)]
     comps = sorted(_strong_components(succ))
     whichcomp = {}
     for ci, comp in enumerate(comps):
@@ -251,7 +433,8 @@ def cells(g: WGraph):
             whichcomp[v] = ci
     cond = sorted({
         (whichcomp[v], whichcomp[w])
-        for (v, w) in g.omega
+        for v, row in enumerate(succ)
+        for w in row
         if whichcomp[v] != whichcomp[w]
     })
     return comps, cond
@@ -496,16 +679,22 @@ def _molecule_quotient(g: WGraph, mols):
     """
     The molecule (index into mols) of each vertex, and the strong
     components of the quotient by molecules as lists of molecule indices:
-    the cells, one component per cell (classify_graph).
+    the cells, one component per cell (classify_graph).  Each molecule's
+    arcs are the set of molecules its rows reach, so no tuple is made per
+    edge.
     """
     mol_of = [0] * g.size
     for k, part in enumerate(mols):
         for v in part:
             mol_of[v] = k
-    succ = [[] for _ in mols]
-    for a, b in {(mol_of[v], mol_of[w]) for v, w in g.omega}:
-        if a != b:
-            succ[a].append(b)
+    get, targets = mol_of.__getitem__, g.omega.targets
+    succ = []
+    for a, part in enumerate(mols):
+        reach = set()
+        for v in part:
+            reach.update(map(get, targets(v)))
+        reach.discard(a)
+        succ.append(sorted(reach))
     return mol_of, _strong_components(succ)
 
 
@@ -545,7 +734,7 @@ def _cycle_witness(g: WGraph, mol_of, comp) -> str:
     """
     inside = set(comp)
     step = {}  # quotient arrow -> its least omega edge
-    for v, w in sorted(g.omega):
+    for v, w in g.omega:
         a, b = mol_of[v], mol_of[w]
         if a != b and a in inside and b in inside:
             step.setdefault((a, b), (v, w))
@@ -667,12 +856,6 @@ def export_chunks(g: WGraph, fmt: str):
     return ("".join(batch) for batch in iter(lambda: list(islice(pieces, _BATCH)), []))
 
 
-def _sorted_edges(g: WGraph):
-    """g.edges() one triple at a time: only the sorted keys are held."""
-    omega = g.omega
-    return ((v, w, omega[v, w]) for v, w in sorted(omega))
-
-
 def _json_pieces(g: WGraph):
     """
     The text json.dumps(doc, indent=1) gives for the document, one string
@@ -684,7 +867,7 @@ def _json_pieces(g: WGraph):
     fields = [
         ("vertices", g.vertices),
         ("tau", (sorted(t) for t in g.tau)),
-        ("edges", _sorted_edges(g)),
+        ("edges", g.omega.triples()),
     ]
     if g.shapes is not None:
         fields.append(("shapes", g.shapes))
@@ -717,9 +900,11 @@ def _dot_pieces(g: WGraph):
         if g.shapes is not None:
             label += "|" + ",".join(map(str, g.shapes[k]))
         yield f'  v{k} [label="{label}"];\n'
-    omega = g.omega
-    for v, w, c in _sorted_edges(g):
-        if (w, v) not in omega:
+    start, dst = g.omega.start, g.omega.dst
+    for v, w, c in g.omega.triples():
+        hi = start[w + 1]
+        k = bisect_left(dst, v, start[w], hi)  # is (w, v) in row w?
+        if k == hi or dst[k] != v:
             yield f'  v{v} -> v{w} [style=dashed, label="{c}"];\n'
         elif v < w:
             yield f'  v{v} -> v{w} [dir=both, label="{c}"];\n'

@@ -22,6 +22,7 @@ from gelfand_wgraphs.perm import (
     word_conj_s,
 )
 from gelfand_wgraphs.wgraph import (
+    EdgeTable,
     WGraph,
     _bidirected_words,
     algebraic_bidirected_pairs,
@@ -86,23 +87,36 @@ def symmetrize_then_filter(mu, tau, reduced):
     return out
 
 
+def assert_table_is(g, want):
+    """g's edge table holds exactly the dict want, row by row in sorted order."""
+    om = g.omega
+    assert isinstance(om, EdgeTable) and om.size == g.size
+    assert (om.start.typecode, om.dst.typecode) == ("q", "i") and om.start[0] == 0
+    assert om == want and len(om) == len(want) == om.start[-1] == len(om.wt)
+    assert g.edges() == [(v, w, want[v, w]) for v, w in sorted(want)]
+    for v in range(g.size):
+        row = list(om.targets(v))
+        assert all(a < b for a, b in zip(row, row[1:])), v  # strictly increasing
+
+
 @pytest.mark.parametrize("reduced", [True, False])
 @pytest.mark.parametrize("variant", ["row", "col"])
 def test_omega_equals_symmetrize_then_filter(variant, reduced):
-    for n in range(1, 8):
+    for n in range(1, 9):
         m = _model(n, "asc" if variant == "row" else "des")
         want = symmetrize_then_filter(m.mu_entries(), m.tau, reduced)
-        assert build_gamma(n, variant, reduced).omega == want, n
+        assert_table_is(build_gamma(n, variant, reduced), want)
 
 
 @pytest.mark.parametrize("reduced", [True, False])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_kl_omega_equals_symmetrize_then_filter(side, reduced):
-    g = kl_wgraph(4, side, reduced)
-    tau = g.tau if side == "left" else [asc_right(w) for w in g.vertices]
-    index = {w: k for k, w in enumerate(g.vertices)}
-    mu = {(index[y], index[z]): m for (y, z), m in kl_table(4)[2].items()}
-    assert g.omega == symmetrize_then_filter(mu, tau, reduced)
+    for n in range(1, 6):
+        g = kl_wgraph(n, side, reduced)
+        tau = g.tau if side == "left" else [asc_right(w) for w in g.vertices]
+        index = {w: k for k, w in enumerate(g.vertices)}
+        mu = {(index[y], index[z]): m for (y, z), m in kl_table(n)[2].items()}
+        assert_table_is(g, symmetrize_then_filter(mu, tau, reduced))
 
 
 def test_symmetrize_mu_takes_pairs_or_columns():
@@ -123,15 +137,43 @@ def test_wgraph_init_copies_only_to_drop():
     omega = {(0, 1): 1, (1, 0): 1, (0, 2): 1, (2, 0): 1, (1, 2): 0, (2, 1): 2}
     given = dict(omega)
     red = WGraph(3, "row", True, words, tau, omega)
+    assert isinstance(red.omega, EdgeTable)
     assert red.omega == {(0, 1): 1, (2, 0): 1, (2, 1): 2}
     raw = WGraph(3, "row", False, words, tau, omega)
     assert raw.omega == {k: c for k, c in given.items() if c}
     assert omega == given and list(omega) == list(given)  # the caller's dict is unchanged
-    # nothing to drop: the dict is kept as given
+    # an edge table with nothing to drop is kept as given
     assert WGraph(3, "row", True, words, tau, red.omega).omega is red.omega
     assert WGraph(3, "row", False, words, tau, raw.omega).omega is raw.omega
     g = build_gamma(5, "col")
     assert WGraph(5, "col", True, g.vertices, g.tau, g.omega).omega is g.omega
+    # one with inclusions to drop is packed anew, and left as it was
+    ungiven = (raw.omega.start.tolist(), raw.omega.dst.tolist(), raw.omega.wt.tolist())
+    again = WGraph(3, "row", True, words, tau, raw.omega)
+    assert again.omega is not raw.omega and again.omega == red.omega
+    assert (raw.omega.start.tolist(), raw.omega.dst.tolist(), raw.omega.wt.tolist()) == ungiven
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) is not between two of the 3 vertices"):
+        WGraph(3, "row", False, words, tau, {(0, 3): 1})
+
+
+def test_edge_table_widens_its_weights_and_misses_absent_pairs():
+    tau = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+    g = WGraph(3, "row", False, [(1,), (2,), (3,)], tau, {(0, 1): 300, (2, 0): -200, (0, 2): 1})
+    om = g.omega
+    assert om.wt.typecode == "h"  # 300 and -200 do not fit the narrowest typecode
+    assert om[0, 1] == 300 and om[2, 0] == -200 and om[0, 2] == 1
+    assert dict(om) == {(0, 1): 300, (0, 2): 1, (2, 0): -200}
+    assert list(om) == [(0, 1), (0, 2), (2, 0)] and len(om) == 3
+    assert parse_wgraph(export(g, "json")) == g
+    for absent in ((1, 0), (2, 1), (0, 0), (3, 0), (-1, 2), (0, -1), "ab", (0, 1, 2), None):
+        assert absent not in om and om.get(absent) is None
+        with pytest.raises(KeyError):
+            om[absent]
+    with pytest.raises(TypeError):
+        om[0, 1] = 2  # read-only
+    assert symmetrize_mu([{}, {}]) == {} and len(symmetrize_mu([])) == 0
+    with pytest.raises(ValueError, match="y >= z"):
+        symmetrize_mu([{1: 1}, {}])
 
 
 def test_graph_tables_and_certificate_read_the_mu_columns(monkeypatch):
@@ -647,8 +689,8 @@ def test_export_chunks_stream_the_document(tmp_path):
 
 
 def test_export_chunks_memory():
-    # the whole text is never held: the peak is the sorted edge keys and one
-    # batch of rows, where export() holds the text and its pieces (about 2x)
+    # the whole text is never held: the peak is one batch of rows, read off the
+    # edge table in order, where export() holds the text and its pieces (about 2x)
     g = build_gamma(9, "col")
     for fmt in ("json", "dot"):
         size = len(export(g, fmt))
@@ -674,7 +716,7 @@ def test_export_dot_edge_styles():
 
 
 def test_export_round_trip():
-    for n in (1, 2, 3, 4):
+    for n in range(1, 8):
         for variant in ("row", "col"):
             g = build_gamma(n, variant)
             assert parse_wgraph(export(g, "json")) == g
