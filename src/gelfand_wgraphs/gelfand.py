@@ -120,18 +120,16 @@ def inverse_embed(word, n: int) -> Involution:
     ))
 
 
-def has_visible_descent_above(word, n: int) -> bool:
-    """A visible descent is an i with z(i+1) < min(i, z(i)); scan i > n."""
-    return any(word[i] < min(i, word[i - 1]) for i in range(n + 1, len(word)))
-
-
 def in_asc_image(word, n: int) -> bool:
-    """Membership test for the ascending image by the visible-descent criterion."""
+    """
+    Membership test for the ascending image by the visible-descent
+    criterion: no fixed point, and no visible descent i > n, that is no
+    i > n with z(i+1) < min(i, z(i)).
+    """
     w = tuple(word)
-    inv = Involution(Permutation(w))
-    if inv.fixed_points():
+    if Involution(Permutation(w)).fixed_points():
         return False
-    return not has_visible_descent_above(w, n)
+    return not any(w[i] < min(i, w[i - 1]) for i in range(n + 1, len(w)))
 
 
 @dataclass(frozen=True)

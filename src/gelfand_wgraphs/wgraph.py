@@ -157,14 +157,13 @@ def _packed(size: int, triples) -> EdgeTable:
 _BUFFER = 1 << 14  # edges symmetrize_mu holds in lists before it packs them
 
 
-def symmetrize_mu(mu, tau=None):
+def symmetrize_mu(mu, tau=None) -> EdgeTable:
     """
     omega(v, w) = mu(v, w) + mu(w, v), zero entries dropped, from the
-    per-column dicts of ModuleTable.mu_columns() as an EdgeTable (rows of
-    targets `dst` and weights `wt` at offsets `start`, read through a
-    read-only mapping view), or from a dict of pairs (y, z) to mu(y, z) as
-    a dict of the same kind.  Given the ascent sets tau, the entries (v, w)
-    with tau(v) contained in tau(w) are never made: the reduced weights.
+    per-column dicts of ModuleTable.mu_columns() (column z maps each y to
+    mu(y, z)), as an EdgeTable.  Given the ascent sets tau, the entries
+    (v, w) with tau(v) contained in tau(w) are never made: the reduced
+    weights.
 
     The columns hold nonzero mu(y, z) only for y < z (vertices are sorted
     by length; a ValueError names a vertex where y >= z), so
@@ -172,21 +171,8 @@ def symmetrize_mu(mu, tau=None):
     table with no tuple or dict per edge.  The first appends z and mu(y, z)
     to y's lists of higher targets, in increasing z.  The second makes row
     z from column z's own entries, its edges to lower y, sorted once,
-    followed by those lists, and packs the rows _BUFFER edges at a time.  A
-    pair dict may key its pairs by any vertex labels, in either order; it
-    is summed pair by pair.
+    followed by those lists, and packs the rows _BUFFER edges at a time.
     """
-    if isinstance(mu, dict):
-        out = {}
-        get = out.get
-        for k, m in mu.items():
-            y, z = k
-            if tau is None or not tau[y] <= tau[z]:
-                out[k] = get(k, 0) + m
-            if tau is None or not tau[z] <= tau[y]:
-                k = z, y
-                out[k] = get(k, 0) + m
-        return {k: c for k, c in out.items() if c}
     size = len(mu)
     up = [[] for _ in range(size)]  # per y, its higher targets z, increasing
     up_wt = [[] for _ in range(size)]  # and their weights mu(y, z)
@@ -232,7 +218,9 @@ class WGraph:
     (v, w) with tau(v) contained in tau(w).  An EdgeTable on the graph's
     vertices with nothing to drop is kept as given (build_gamma's, made by
     symmetrize_mu with tau, is one); any other mapping of pairs to weights
-    is packed into a new table, and the caller's is never changed.
+    is packed into a new table, and the caller's is never changed.  Edges,
+    the bidirected ones (bidirected_pairs) included, are vertex-index pairs
+    throughout; the words only label vertices in exports and in witnesses.
 
     Equal tau sets are one frozenset, and equal shapes one tuple, whatever
     the caller passed (build_gamma's tau is already shared; parse_wgraph's
@@ -535,20 +523,12 @@ def combinatorial_bidirected(y: GelfandVertex, z: GelfandVertex, i: int) -> bool
     return _bidirected_words(y.word, z.word, i, row=y.variant == "asc")
 
 
-def algebraic_bidirected_pairs(g: WGraph):
-    """Bidirected edges of the graph as sorted word pairs."""
-    return sorted(
-        tuple(sorted((g.vertices[v], g.vertices[w])))
-        for v, w in g.bidirected_pairs()
-    )
-
-
 def combinatorial_bidirected_pairs(n: int, variant: str):
     """
     All pairs related by the order-theoretic description, for any window i,
-    as sorted word pairs, read off the model's index tables with no word
-    conjugated.  For 1 < i < n and {s, t} = {i-1, i}, a vertex a pairs with
-    b = cnj[t][a] when
+    as sorted vertex-index pairs (a, b) of the model, read off its index
+    tables with no word conjugated.  For 1 < i < n and {s, t} = {i-1, i}, a
+    vertex a pairs with b = cnj[t][a] when
 
         cls[t][a] == ASC_LT,  s not in tau(a),  s in tau(b),
         length(b) == length(a) + 2.
@@ -569,10 +549,12 @@ def combinatorial_bidirected_pairs(n: int, variant: str):
     one of the word scan: `_bidirected_words(a, b, i)` needs b = t·a·t with
     t an ascent of a, which puts b exactly two lengths above a.  This is
     O(|V| n), and every pair with a length gap of 2 that passes the word
-    comparisons is found (tests: _gap2_scan_pairs).
+    comparisons is found (tests: _gap2_scan_pairs).  Vertices are sorted
+    by length, so a < b.  A pair can pass for more than one (s, t) (in N,
+    two generators t can conjugate a to one b), and it is kept once.
     """
     m = _gamma_model(n, variant)
-    words, tau, length = m.words, m.tau, m.length
+    tau, length = m.tau, m.length
     out = set()
     for t in range(1, n):
         cnj_t = m.cnj[t]
@@ -584,8 +566,7 @@ def combinatorial_bidirected_pairs(n: int, variant: str):
                 if s not in tau[a]:
                     b = cnj_t[a]
                     if s in tau[b] and length[b] == length[a] + 2:
-                        wa, wb = words[a], words[b]
-                        out.add((wa, wb) if wa < wb else (wb, wa))
+                        out.add((a, b))
     return sorted(out)
 
 
@@ -634,8 +615,13 @@ def classify_graph(g: WGraph) -> ClassifyReport:
     cycle of the quotient, the quotient's strong components are the cells,
     and the molecules are the cells exactly when each component is one
     molecule.  A failed check names a witness.
+
+    The bidirected edges are compared as vertex-index pairs, so the graph's
+    vertices must be its model's words in the model's order, as build_gamma
+    and parse_wgraph(export(...)) give them; any other graph is refused.
     """
-    if g.variant not in ("row", "col") or g.shapes is None:
+    if (g.variant not in ("row", "col") or g.shapes is None
+            or g.vertices != tuple(_gamma_model(g.n, g.variant).words)):
         raise ValueError(f"need a row or column Gelfand graph with shapes, got {g!r}")
     report = ClassifyReport(g.n, g.variant, g.reduced)
 
@@ -653,16 +639,17 @@ def classify_graph(g: WGraph) -> ClassifyReport:
             + _fiber_witness(g, mols)
         )
 
-    alg = algebraic_bidirected_pairs(g)
+    alg = g.bidirected_pairs()
     comb = combinatorial_bidirected_pairs(g.n, g.variant)
-    report.edges_match = alg == comb
+    report.edges_match = list(alg) == comb
     if not report.edges_match:
         alg_set, comb_set = set(alg), set(comb)
         extra = [p for p in alg if p not in comb_set]
         missing = [p for p in comb if p not in alg_set]
+        first = [(g.vertices[v], g.vertices[w]) for v, w in (extra + missing)[:1]]
         report.counterexamples.append(
             f"bidirected edges disagree: {len(extra)} algebraic-only, "
-            f"{len(missing)} combinatorial-only; first: {(extra + missing)[:1]}"
+            f"{len(missing)} combinatorial-only; first: {first}"
         )
 
     mol_of, parts = _molecule_quotient(g, mols)

@@ -1,4 +1,8 @@
-"""Sums and scalar multiples of module columns (dicts from index to LaurentPoly), for the tests."""
+"""
+Sums and scalar multiples of module columns (dicts from index to LaurentPoly),
+and the reference symmetrization of a mu table keyed by vertex pairs, for the
+tests.
+"""
 
 
 def add(*cols):
@@ -12,3 +16,20 @@ def add(*cols):
 
 def scale(col, p):
     return {k: c * p for k, c in col.items()}
+
+
+def symmetrize_then_filter(mu, tau, reduced):
+    """
+    The weights as they were built before the one-pass table: the whole
+    symmetrized mu table (a dict of pairs (y, z) to mu(y, z), in either
+    order), then its zeros dropped, then, if reduced, the entries (v, w)
+    with tau(v) contained in tau(w).
+    """
+    out = {}
+    for (y, z), m in mu.items():
+        out[(y, z)] = out.get((y, z), 0) + m
+        out[(z, y)] = out.get((z, y), 0) + m
+    out = {k: c for k, c in out.items() if c}
+    if reduced:
+        out = {(v, w): c for (v, w), c in out.items() if not tau[v] <= tau[w]}
+    return out

@@ -40,7 +40,7 @@ from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions,
 from gelfand_wgraphs.tableau import Tableau, odd_lines, standard_tableaux
 from gelfand_wgraphs.wgraph import build_gamma, classify, graph_action, symmetrize_mu
 
-from column_ops import add, scale
+from column_ops import add, scale, symmetrize_then_filter
 
 
 def inv(word):
@@ -446,7 +446,7 @@ def test_graph_path_reads_the_store(monkeypatch, fresh_tables):
         g = build_gamma(5, "row", reduced=False)
         doc = json.loads(tables_text(5, "M"))
     m = _model(5, "asc")
-    assert g.omega == symmetrize_mu(m.mu_entries())
+    assert g.omega == symmetrize_then_filter(m.mu_entries(), m.tau, False)
     view = m.canonical_columns()
     assert doc["columns"] == {
         str(z): [[y, col[y].to_pairs()] for y in sorted(col)]
@@ -458,9 +458,11 @@ def test_omega_symmetric():
     for n in (3, 4, 5):
         for variant in ("M", "N"):
             _, mu = canonical_basis(n, variant, check_bar=False)
-            om = symmetrize_mu(mu.entries)
+            m = _model(n, "asc" if variant == "M" else "des")
+            om = symmetrize_mu(m.mu_columns())
             for (y, z), v in om.items():
                 assert om[(z, y)] == v and v != 0
+            assert {(m.vertex(y), m.vertex(z)): v for y, z, v in om.triples() if y < z} == mu.entries
 
 
 def test_tau_examples():

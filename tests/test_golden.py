@@ -37,7 +37,7 @@ import pytest
 from gelfand_wgraphs import hecke
 from gelfand_wgraphs.beissinger import p_cbs, p_rbs, psi
 from gelfand_wgraphs.cli import main
-from gelfand_wgraphs.gelfand import Model, canonical_basis, tables_json
+from gelfand_wgraphs.gelfand import Model, _model, canonical_basis, tables_json
 from gelfand_wgraphs.perm import enumerate_involutions
 from gelfand_wgraphs.wgraph import build_gamma, combinatorial_bidirected_pairs, export
 
@@ -73,7 +73,9 @@ def test_engine_output_digest(what, capsys, tmp_path):
         assert main(["verify", "--suite", suite, "--n", n]) == 0
         text = capsys.readouterr().out
     elif kind == "pairs":
-        text = json.dumps(combinatorial_bidirected_pairs(int(n), variant[0]))
+        words = _model(int(n), "asc" if variant[0] == "row" else "des").words
+        pairs = combinatorial_bidirected_pairs(int(n), variant[0])
+        text = json.dumps(sorted(sorted((words[a], words[b])) for a, b in pairs))
     elif kind == "graph":
         text = export(build_gamma(int(n), variant[0]), "json")
     elif kind == "insert":

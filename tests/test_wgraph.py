@@ -25,7 +25,6 @@ from gelfand_wgraphs.wgraph import (
     EdgeTable,
     WGraph,
     _bidirected_words,
-    algebraic_bidirected_pairs,
     build_gamma,
     cells,
     character_check,
@@ -43,6 +42,8 @@ from gelfand_wgraphs.wgraph import (
     symmetrize_mu,
     verify_axioms,
 )
+
+from column_ops import symmetrize_then_filter
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -69,22 +70,6 @@ def test_reduced_flag_filters_inclusions():
     assert dropped
     for v, w in dropped:
         assert graw.tau[v] <= graw.tau[w]
-
-
-def symmetrize_then_filter(mu, tau, reduced):
-    """
-    The weights as they were built before the one-pass table: the whole
-    symmetrized mu table, then its zeros dropped, then, if reduced, the
-    entries (v, w) with tau(v) contained in tau(w).
-    """
-    out = {}
-    for (y, z), m in mu.items():
-        out[(y, z)] = out.get((y, z), 0) + m
-        out[(z, y)] = out.get((z, y), 0) + m
-    out = {k: c for k, c in out.items() if c}
-    if reduced:
-        out = {(v, w): c for (v, w), c in out.items() if not tau[v] <= tau[w]}
-    return out
 
 
 def assert_table_is(g, want):
@@ -119,14 +104,13 @@ def test_kl_omega_equals_symmetrize_then_filter(side, reduced):
         assert_table_is(g, symmetrize_then_filter(mu, tau, reduced))
 
 
-def test_symmetrize_mu_takes_pairs_or_columns():
-    # mu(y, z) and mu(z, y) both given add up, and a zero sum is dropped
-    assert symmetrize_mu({(0, 1): 2, (1, 0): -2, (0, 2): 1, (1, 2): 0}) == {(0, 2): 1, (2, 0): 1}
+def test_symmetrize_mu_matches_the_oracle_on_columns():
     columns = [{}, {0: 1}, {0: -1, 1: 3}]
     pairs = {(0, 1): 1, (0, 2): -1, (1, 2): 3}
-    assert symmetrize_mu(columns) == symmetrize_mu(pairs)
     tau = [frozenset({1}), frozenset(), frozenset({1, 2})]
-    assert symmetrize_mu(columns, tau) == symmetrize_mu(pairs, tau) == {
+    table = symmetrize_mu(columns)
+    assert isinstance(table, EdgeTable) and table == symmetrize_then_filter(pairs, tau, False)
+    assert symmetrize_mu(columns, tau) == symmetrize_then_filter(pairs, tau, True) == {
         (0, 1): 1, (2, 0): -1, (2, 1): 3}
 
 
@@ -388,10 +372,25 @@ def test_combinatorial_bidirected_examples():
 
 
 def test_bidirected_edges_match_combinatorial():
-    for n in (2, 3, 4, 5):
+    for n in range(2, 9):
         for variant in ("row", "col"):
             g = build_gamma(n, variant)
-            assert algebraic_bidirected_pairs(g) == combinatorial_bidirected_pairs(n, variant)
+            assert list(g.bidirected_pairs()) == combinatorial_bidirected_pairs(n, variant)
+
+
+def test_a_pair_two_generators_reach_is_kept_once():
+    # in N, t = 1 and t = 3 both conjugate a to b, each with s = 2 in the window
+    m = _model(4, "des")
+    a = m.words.index((3, 4, 1, 2, 6, 5, 8, 7))
+    b = m.words.index((4, 3, 2, 1, 6, 5, 8, 7))
+    for t in (1, 3):
+        assert m.cls[t][a] == ASC_LT and m.cnj[t][a] == b
+    assert 2 not in m.tau[a] and 2 in m.tau[b] and m.length[b] == m.length[a] + 2
+    assert combinatorial_bidirected_pairs(4, "col").count((a, b)) == 1
+    for n in range(2, 9):
+        for variant in ("row", "col"):
+            pairs = combinatorial_bidirected_pairs(n, variant)
+            assert pairs == sorted(set(pairs)) and all(v < w for v, w in pairs), (n, variant)
 
 
 @pytest.mark.parametrize("variant", ["M", "rows", "asc"])
@@ -401,7 +400,7 @@ def test_combinatorial_pairs_reject_a_model_variant(variant):
 
 
 def test_bidirected_pairs_are_found_once_per_graph():
-    # classify_graph reads them twice, through molecules and algebraic_bidirected_pairs
+    # classify_graph reads them twice, through molecules and against the pair rule
     g = build_gamma(5, "row")
     pairs = g.bidirected_pairs()
     assert list(pairs) == sorted((v, w) for v, w in g.omega if v < w and (w, v) in g.omega)
@@ -429,7 +428,10 @@ def _gap2_scan_pairs(n, variant):
 @pytest.mark.parametrize("variant", ["row", "col"])
 def test_conjugate_candidates_match_gap2_scan(variant):
     for n in range(2, 8):
-        assert combinatorial_bidirected_pairs(n, variant) == _gap2_scan_pairs(n, variant), n
+        words = _model(n, "asc" if variant == "row" else "des").words
+        pairs = combinatorial_bidirected_pairs(n, variant)
+        got = sorted(tuple(sorted((words[a], words[b]))) for a, b in pairs)
+        assert got == _gap2_scan_pairs(n, variant), n
 
 
 def test_classify_small():
@@ -454,14 +456,31 @@ def test_classify_graph_is_classify_on_a_given_graph():
             classify_graph(other)
 
 
+@pytest.mark.parametrize("variant", ["row", "col"])
+def test_classify_graph_needs_the_models_vertex_order(variant):
+    g = build_gamma(5, variant)
+    assert classify_graph(parse_wgraph(export(g, "json"))) == classify_graph(g)
+    # the same graph with its vertices in reverse order: index v becomes last - v
+    last = g.size - 1
+    reversed_omega = {(last - v, last - w): c for (v, w), c in g.omega.items()}
+    moved = WGraph(g.n, g.variant, g.reduced, g.vertices[::-1], g.tau[::-1], reversed_omega,
+                   g.shapes[::-1])
+    with pytest.raises(ValueError, match="^need a row or column Gelfand graph with shapes"):
+        classify_graph(moved)
+
+
 def test_classify_reports_dropped_combinatorial_pair(monkeypatch, capsys):
     real = wgraph.combinatorial_bidirected_pairs
     monkeypatch.setattr(wgraph, "combinatorial_bidirected_pairs",
                         lambda n, variant: real(n, variant)[1:])
     rep = classify(4, "row")
     assert rep.edges_match is False and rep.ok is False
-    assert any("1 algebraic-only, 0 combinatorial-only" in line
-               for line in rep.counterexamples)
+    words = build_gamma(4, "row").vertices
+    a, b = real(4, "row")[0]  # named by its words
+    assert rep.counterexamples == [
+        "bidirected edges disagree: 1 algebraic-only, 0 combinatorial-only; "
+        f"first: {[(words[a], words[b])]}"
+    ]
     assert main(["graph", "classify", "--n", "4", "--variant", "row"]) == 1
     assert "bidirected=combinatorial: FAIL" in capsys.readouterr().out
 
