@@ -152,8 +152,8 @@ def cmd_graph(args) -> int:
             print(f"  {line}")
         return EXIT_OK if report.ok else EXIT_DOMAIN
     if args.tables:
-        # the tables need the full column store; its mu then serves the graph,
-        # where the graph alone would take the truncated recursion's
+        # the tables need the recursion's full run; its mu then serves the
+        # graph, which alone would take the truncated run
         wgraph._gamma_model(args.n, args.variant).column_store()
     g = wgraph.build_gamma(args.n, args.variant, reduced=reduced)
     if args.action == "build":

@@ -229,9 +229,15 @@ class ColumnStore:
     vertex's field.  `coefs` holds the nonzero integer
     coefficients in the narrowest of `coef_codes` that has held every column
     so far.
+
+    `at[z]` names the appended column that column z reads, z itself until
+    keep(z) repoints it, so a store filled in vertex order reads as above.
+    The truncated run (ModuleTable._recursion) appends every column it
+    computes and keeps the last copy of each; an older copy of a column
+    computed again deeper stays in the arrays, unread.
     """
 
-    __slots__ = ("shift", "bias", "keys", "coefs", "ends")
+    __slots__ = ("shift", "bias", "keys", "coefs", "ends", "at")
     coef_codes = INT_CODES  # coefficient typecodes, narrowest first
 
     def __init__(self, size: int, exp_bits: int):
@@ -239,6 +245,7 @@ class ColumnStore:
         self.keys = array("i" if size << self.shift < 1 << 31 else "q")
         self.coefs = array(self.coef_codes[0])
         self.ends = array("q")
+        self.at = array("q", range(size))
 
     def key(self, v: int, e: int) -> int:
         """The packed key of x^e·T_v."""
@@ -246,7 +253,8 @@ class ColumnStore:
 
     def column(self, z: int):
         """Column z's keys and coefficients, as two array slices."""
-        a, b = self.ends[z - 1] if z else 0, self.ends[z]
+        k = self.at[z]
+        a, b = self.ends[k - 1] if k else 0, self.ends[k]
         return self.keys[a:b], self.coefs[a:b]
 
     def terms(self, z: int):
@@ -264,25 +272,6 @@ class ColumnStore:
         self.coefs = widened_fromlist(self.coefs, coefs, self.coef_codes)
         self.keys.fromlist(keys)  # the typecode holds every key below size << shift
         self.ends.append(len(self.keys))
-
-
-class KeptColumns(ColumnStore):
-    """
-    The truncated driver's columns (ModuleTable._mu_driver), each kept only
-    as deep as its readers need, in the ColumnStore layout.  Every computed
-    column is appended, and `at[z]` names the copy that column z reads, so
-    a column computed again deeper replaces the one its readers see; the
-    older copy stays in the arrays, unread.
-    """
-
-    __slots__ = ("at",)
-
-    def __init__(self, size: int, exp_bits: int):
-        super().__init__(size, exp_bits)
-        self.at = [0] * size
-
-    def column(self, z: int):
-        return ColumnStore.column(self, self.at[z])
 
     def keep(self, z: int) -> int:
         """Make the column appended last column z's copy; returns its size."""
@@ -336,28 +325,25 @@ class ModuleTable:
     table's only form of a module element.  `action()` is the same terms as
     a PackedAction, which sizes its own key field, for the relation check.
 
-    Two drivers run the canonical-basis recursion.  Both apply H_s + x^-1
-    and H_s - x to stored columns through one step kernel, which reads
-    per-vertex move tables (_stepper), and pass each column through one
-    self-check (_check_column).  Which one runs follows from what the
-    caller asks for:
-    - `column_store()` runs the full driver (_compute_columns): every
-      column to its last term, bottom-up, packed into a ColumnStore, a few
-      bytes per term, whose key field has `exp_bits` = 8 exponent bits:
-      exponents down to -254, where the deepest stored term is x^-20 at
-      n = 9 row and x^-15 at n = 10 col; a deeper one is refused by name.
-      The tables, `check_intertwining()` (which certifies the store's
-      bar-invariance) and `canonical_columns()` read it.
-    - `mu_columns()`, asked before any store, runs the truncated driver
-      (_mu_driver): the W-graph reads only the x^-1 coefficients, so each
-      column is kept only as deep as its readers need (at n = 9 row, 17 %
-      of the terms, and 57 % of the full driver's reads).
-    There are two because neither is best at both: the top-down driver
-    picks its strict descent before the sizes the cost pick compares
-    exist, and at full depth its static pick reads 22-34 % more terms
-    (n = 9 and 10).  A store made after a truncated mu table is checked against
-    it.  `canonical_columns()` decodes the store into LaurentPoly dicts on
-    each call; nothing on the graph path or in the certificate calls it.
+    One driver runs the canonical-basis recursion (_recursion).  It applies
+    H_s + x^-1 to stored columns through one step kernel, which reads
+    per-vertex move tables (_stepper), and passes each column through one
+    self-check (_check_column).  How it runs follows from what the caller
+    asks for:
+    - `column_store()` runs it in full: every column to its last term,
+      bottom-up, packed into a ColumnStore, a few bytes per term, whose key
+      field has `exp_bits` = 8 exponent bits: exponents down to -254, where
+      the deepest stored term is x^-20 at n = 9 row and x^-15 at n = 10
+      col; a deeper one is refused by name.  The tables,
+      `check_intertwining()` (which certifies the store's bar-invariance)
+      and `canonical_columns()` read it.
+    - `mu_columns()`, asked before any store, runs it truncated, top-down:
+      the W-graph reads only the x^-1 coefficients, so each column is kept
+      only as deep as its readers need (at n = 9 row, 17 % of the terms,
+      and 57 % of the full run's reads).
+    A store made after a truncated mu table is checked against it.
+    `canonical_columns()` decodes the store into LaurentPoly dicts on each
+    call; nothing on the graph path or in the certificate calls it.
     `pick` chooses the strict descent a column is expanded by.
     """
 
@@ -405,8 +391,8 @@ class ModuleTable:
         self._barvecs = {}
         self._terms = None
         self._action = None
-        self.term_reads = None  # store terms the recursion read, once computed
-        self.mu_counts = None  # the truncated driver's (terms read, kept, columns computed)
+        self.term_reads = None  # store terms the full run read, once computed
+        self.mu_counts = None  # the truncated run's (terms read, kept, columns computed)
 
     # -- the H_{s_i} action ----------------------------------------------------
 
@@ -510,65 +496,29 @@ class ModuleTable:
 
         return step
 
-    def _compute_columns(self):
+    def _recursion(self, full: bool):
         """
-        The full driver: fill the column store, bottom-up, each column to
-        its last term (column_store() runs it; the class docstring says why
-        there is a second driver).  C_z = C_s·C_w - sum of mu(y, w)·C_y over
+        The canonical-basis recursion: column_store() runs it in full,
+        mu_columns() truncated.  C_z = C_s·C_w - sum of mu(y, w)·C_y over
         the y with s not in tau(y), where s = s_i is the picked strict
         descent of z, w = s z s and C_s = H_s + x^-1: one _stepper step with
-        sign 1.  _check_column packs C_z into the store.
-
-        Every strict descent gives the same column; they differ in how many
-        stored terms the step reads, |C_w| plus the |C_y| it subtracts, all
-        known when z is reached.  pick="cost" takes the i that reads fewest
-        (the least such i on a tie); "min" and "max" take the least and the
-        greatest strict descent, and serve as oracles.  `term_reads` is the
-        total over all columns.
-        """
-        V = len(self.words)
-        store = ColumnStore(V, self.exp_bits)
-        step = self._stepper(store)
-        tau, cnj, pick = self.tau, self.cnj, self.pick
-        sizes = []  # terms per finished column
-        reads = 0
-        mu_by_col = [None] * V
-        for z in range(V):
-            dlt = self.strict_descents[z]
-            if not dlt:
-                store.append([store.key(z, 0)], [1])
-                sizes.append(1)
-                mu_by_col[z] = {}
-                continue
-            cost = None
-            for j in dlt if pick == "cost" else (dlt[-1] if pick == "max" else dlt[0],):
-                wj = cnj[j][z]
-                cj = sizes[wj] + sum(sizes[y] for y in mu_by_col[wj] if j not in tau[y])
-                if cost is None or cj < cost:
-                    i, cost = j, cj
-            reads += cost
-            w = cnj[i][z]
-            mu_by_col[z] = self._check_column(z, step(i, 1, w, mu_by_col[w].items()), store)
-            sizes.append(store.ends[z] - (store.ends[z - 1] if z else 0))
-        self._store = store
-        self._mu_by_col = tuple(mu_by_col)
-        self.term_reads = reads
-
-    def _mu_driver(self):
-        """
-        The mu table alone, top-down, each column kept only as deep as its
-        readers need: mu_columns() runs it while no store has been asked for.
-        Column z at depth d is its terms at exponents -d and up.  Every
-        column is requested at depth 1, longest first.  C_z at depth d is
-        step(i, 1, w, ...) as in _compute_columns, and requests C_w at depth
-        d + r and each subtracted C_y at depth d first, through an explicit
-        stack.  r is the largest exponent shift of a term of C_s = H_s +
-        x^-1 (_step_terms, from `rule`; 1 for M, N and the regular table).
-        A column already kept deep enough is read as it is; one a later
-        reader needs deeper is computed again at that depth and replaces
-        the kept one (KeptColumns).  _check_column drops the terms below -d
-        and runs every self-check on the rest.  The columns T_z of the
+        sign 1, which _check_column checks and appends to the store.  Column
+        z at depth d is its terms at exponents -d and up.  C_z at depth d
+        needs C_w at depth d + r and each subtracted C_y at depth d, which
+        an explicit stack requests first.  r is the largest exponent shift
+        of a term of C_s (_step_terms, from `rule`; 1 for M, N and the
+        regular table).  A column already kept deep enough is read as it
+        is; one a later reader needs deeper is computed again at that depth
+        and replaces the kept one (ColumnStore.keep).  The columns T_z of the
         vertices with no strict descent are kept whole.
+        - Full run: every column is requested at full depth, bottom-up, and
+          kept whole.  Every column below z is whole when z is reached, so
+          the stack never holds more than z and no column is computed twice.
+          Sets `term_reads`, the stored terms the steps read.
+        - Truncated run: every column is requested at depth 1, longest
+          first, and _check_column drops the terms below -d.  Sets
+          `mu_counts` to (terms read, terms kept, columns computed), each
+          T_z counted once.
 
         Exactness.  Let C_w be exact at exponents -(d + r) and up, and each
         C_y at -d and up.  A term x^e·T_u of C_w gives terms at exponents at
@@ -580,43 +530,62 @@ class ModuleTable:
         full recursion's, and by induction on length every kept term is
         exact.  Each column is kept at depth >= 1, so its mu entries are.
 
-        The strict descent: "min" and "max" as in _compute_columns; "cost"
-        needs the sizes of the columns it compares, which a top-down driver
-        does not have when it picks, so it takes the i whose w = s·z·s has
-        the fewest ascents |tau(w)| (the least such i on a tie).
+        The strict descent.  Every strict descent gives the same column;
+        they differ in how many stored terms the step reads, |C_w| plus the
+        |C_y| it subtracts.  "min" and "max" take the least and the greatest
+        strict descent in both runs, and serve as oracles.  "cost" in the
+        full run takes the i that reads fewest, from the finished sizes (the
+        least such i on a tie).  The truncated run picks before the sizes
+        it would compare exist, so its "cost" takes the i whose w has the
+        fewest ascents |tau(w)| (the least such i on a tie).  That is why
+        the runs go in opposite orders: at full depth that static pick
+        reads 22-34 % more terms (n = 9 and 10), and top-down no sizes
+        exist yet to pick by.
 
-        Sets `mu_counts` to (terms read, terms kept, columns computed),
-        each T_z counted once.  Returns the kept columns and their depths
-        (for the tests; mu_columns() drops them).
+        Returns the store and the depths the columns are kept at (for the
+        tests; column_store() keeps the store).
         """
         V = len(self.words)
-        store = KeptColumns(V, self.exp_bits)
+        store = ColumnStore(V, self.exp_bits)
         step = self._stepper(store)
         tau, cnj, pick = self.tau, self.cnj, self.pick
         r = max(d for t in self._step_terms(1).values() for _, d in t)
-        if pick == "cost":  # the fewest ascents at w (see above)
-            picks = [min(dlt, key=lambda j: len(tau[cnj[j][z]]), default=None)
-                     for z, dlt in enumerate(self.strict_descents)]
-        else:
-            picks = [(dlt[-1] if pick == "max" else dlt[0]) if dlt else None
-                     for dlt in self.strict_descents]
+        whole = float("inf")
         depth = [0] * V
         sizes = [0] * V
         mu_by_col = [None] * V
+
+        def cost(j: int, z: int) -> int:
+            """The stored terms the step for column z at strict descent j reads."""
+            w = cnj[j][z]
+            return sizes[w] + sum(sizes[y] for y in mu_by_col[w] if j not in tau[y])
+
+        if pick != "cost":
+            picks = [(dlt[-1] if pick == "max" else dlt[0]) if dlt else None
+                     for dlt in self.strict_descents]
+        elif not full:  # the fewest ascents at w (see above)
+            picks = [min(dlt, key=lambda j: len(tau[cnj[j][z]]), default=None)
+                     for z, dlt in enumerate(self.strict_descents)]
+        else:  # the fewest reads, picked when z is reached (see above)
+            picks = None
         reads = computed = 0
-        for top in range(V - 1, -1, -1):
-            stack = [(top, 1)]
+        for top in range(V) if full else range(V - 1, -1, -1):
+            stack = [(top, whole if full else 1)]
             while stack:
                 z, d = stack[-1]
                 if depth[z] >= d:
                     stack.pop()
                     continue
-                i = picks[z]
-                if i is None:
+                dlt = self.strict_descents[z]
+                if not dlt:
                     store.append([store.key(z, 0)], [1])
-                    sizes[z], depth[z], mu_by_col[z] = store.keep(z), float("inf"), {}
+                    sizes[z], depth[z], mu_by_col[z] = store.keep(z), whole, {}
                     computed += 1
                     continue
+                if picks is None:  # the least i of least cost, c its reads
+                    c, i = min([(cost(j, z), j) for j in dlt])
+                else:
+                    i, c = picks[z], None
                 w = cnj[i][z]
                 if depth[w] < d + r:
                     stack.append((w, d + r))
@@ -626,27 +595,31 @@ class ModuleTable:
                 if need:
                     stack += need
                     continue
-                reads += sizes[w] + sum(sizes[y] for y in lower if i not in tau[y])
-                mu_by_col[z] = self._check_column(z, step(i, 1, w, lower.items()), store, d)
+                reads += cost(i, z) if c is None else c
+                col = step(i, 1, w, lower.items())
+                mu_by_col[z] = self._check_column(z, col, store, None if full else d)
                 sizes[z], depth[z] = store.keep(z), d
                 computed += 1
         self._mu_by_col = tuple(mu_by_col)
-        self.mu_counts = (reads, sum(sizes), computed)
+        if full:
+            self._store, self.term_reads = store, reads
+        else:
+            self.mu_counts = (reads, sum(sizes), computed)
         return store, depth
 
     def _check_column(self, z: int, col: dict, store: ColumnStore, depth=None) -> dict:
         """
         Drop the zero terms of a computed column (given a depth, also those
-        below x^-depth: the truncated driver's cut), run its self-checks on
-        the rest and append it to the store: the coefficient of z is exactly
-        1, every other term has l(y) < l(z) and exponent <= -1, every
-        exponent is at least -(2**exp_bits - 2) and every coefficient fits
-        64 bits.  Returns the column's mu entries, the x^-1 coefficients off
-        the diagonal.  As vertices are sorted by length, one max bounds the
-        keys below z's length, and one pass tests each exponent field and
-        reads mu.  A failed column is rescanned for its fault: not
-        unitriangular, else the last term too deep for the key field, else
-        the first bad term.
+        below x^-depth: the truncated run's cut; the full run gives none),
+        run its self-checks on the rest and append it to the store: the
+        coefficient of z is exactly 1, every other term has l(y) < l(z) and
+        exponent <= -1, every exponent is at least -(2**exp_bits - 2) and
+        every coefficient fits 64 bits.  Returns the column's mu entries,
+        the x^-1 coefficients off the diagonal.  As vertices are sorted by
+        length, one max bounds the keys below z's length, and one pass tests
+        each exponent field and reads mu.  A failed column is rescanned for
+        its fault: not unitriangular, else the last term too deep for the
+        key field, else the first bad term.
         """
         shift, bias, words, length = store.shift, store.bias, self.words, self.length
         field, top, diag = (1 << shift) - 1, bias - 1, store.key(z, 0)  # key & field: bias + e
@@ -692,15 +665,15 @@ class ModuleTable:
 
     def column_store(self) -> ColumnStore:
         """
-        The canonical columns, packed (see ColumnStore), from the full
-        driver.  If mu_columns() has already run the truncated driver, the
+        The canonical columns, packed (see ColumnStore), from the full run
+        of the recursion.  If mu_columns() has already run it truncated, the
         two mu tables are compared column by column, and a RuntimeError
         names the first column where they differ; mu_columns() then returns
-        the full driver's dicts.
+        the full run's dicts.
         """
         if self._store is None:
             mu = self._mu_by_col
-            self._compute_columns()
+            self._recursion(full=True)
             if mu is not None:
                 bad = next((z for z, col in enumerate(self._mu_by_col) if col != mu[z]), None)
                 if bad is not None:
@@ -729,10 +702,10 @@ class ModuleTable:
         mu(y, z) != 0 to mu(y, z), always with l(y) < l(z).  The dicts are the
         table's own, shared with every caller, and must not be changed.
         They come from the column store if it has been made, else from the
-        truncated driver (_mu_driver), which holds no full column.
+        truncated run of the recursion, which holds no full column.
         """
         if self._mu_by_col is None:
-            self._mu_driver()
+            self._recursion(full=False)
         return self._mu_by_col
 
     def mu_entries(self) -> dict:

@@ -1,9 +1,12 @@
 """
-The truncated recursion (ModuleTable._mu_driver), which mu_columns() runs
-while no column store has been asked for: its mu table against the full
-recursion's, its kept columns against the full columns cut at their depth,
-the cross-check column_store() makes between the two, and a hand-built
-table whose weak scalar moves an exponent by two.
+The two runs of the one canonical-basis recursion (ModuleTable._recursion):
+the truncated run, which mu_columns() takes while no column store has been
+asked for, and the full run, which column_store() takes.  The truncated mu
+table against the full one, the kept columns against the full columns cut
+at their depth, the full run computing each column once in vertex order,
+the cross-check column_store() makes between the two, mu_columns() served
+by a store made first, and a hand-built table whose weak scalar moves an
+exponent by two.
 """
 
 import re
@@ -49,7 +52,7 @@ def test_truncated_mu_is_the_full_mu_on_the_regular_table(n):
 def test_kept_columns_are_the_full_columns_cut_at_their_depth(kind):
     for n in range(1, 8 if kind != "regular" else 6):
         t = fresh(kind, n)
-        kept, depth = t._mu_driver()
+        kept, depth = t._recursion(full=False)
         full = fresh(kind, n).column_store()
         for z in range(len(t.words)):
             want = sorted(term for term in full.terms(z) if term[1] >= -depth[z])
@@ -61,10 +64,29 @@ def test_kept_columns_are_the_full_columns_cut_at_their_depth(kind):
 def test_a_column_is_computed_again_deeper():
     # at n=7 M, 9 columns are read deeper than when they were first computed
     m = Model(7, "asc")
-    kept, _ = m._mu_driver()
+    kept, _ = m._recursion(full=False)
     reads, terms, computed = m.mu_counts
     assert computed == len(m.words) + 9
     assert len(kept.ends) == computed and len(kept.keys) > terms  # the older copies stay
+
+
+@pytest.mark.parametrize("kind", ["M", "N", "regular"])
+def test_the_full_run_computes_each_column_once_in_vertex_order(kind):
+    for n in range(1, 8 if kind != "regular" else 6):
+        t = fresh(kind, n)
+        store, depth = t._recursion(full=True)
+        V = len(t.words)
+        assert len(store.ends) == V and list(store.at) == list(range(V)), (kind, n)
+        assert depth == [float("inf")] * V and t.mu_counts is None
+
+
+def test_a_store_made_first_serves_the_mu_table():
+    # graph build --tables makes the store before the graph reads mu
+    m = Model(7, "des")
+    store = m.column_store()
+    mu = m.mu_columns()
+    assert m.mu_counts is None and mu is m._mu_by_col and m.column_store() is store
+    assert mu == fresh("N", 7).mu_columns()
 
 
 def test_the_store_cross_checks_the_truncated_mu():
@@ -110,7 +132,7 @@ def s3_and_one_more():
 def test_a_weak_scalar_x2_reads_its_column_two_deeper():
     t, e, w0, z = s3_and_one_more()
     assert max(d for terms in t._step_terms(1).values() for _, d in terms) == 2
-    kept, depth = t._mu_driver()
+    kept, depth = t._recursion(full=False)
     iw0, iz, ie = t.index[w0], t.index[z], t.index[e]
     assert depth[iz] == 1 and depth[iw0] == 3 and (ie, -3, 1) in kept.terms(iw0)
     truncated, full = truncated_then_full(s3_and_one_more()[0])
