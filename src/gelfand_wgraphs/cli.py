@@ -28,6 +28,7 @@ GRAPH_CAP = 8
 GRAPH_OUTPUTS = {"build": ("out", "dot", "tables"), "molecules": ("out", "dot"),
                  "cells": ("out", "dot"), "classify": ()}
 PSI_CAP = 10  # --cycles and --fixed-points enumerate I_n; one --orbit can take |I_n| steps
+KL_CAP = 6  # kl and the kl suite enumerate S_n
 EXIT_OK, EXIT_DOMAIN, EXIT_PARSE, EXIT_CAP = 0, 1, 2, 3
 
 
@@ -51,7 +52,10 @@ def _load_tableau(text: str) -> Tableau:
         raise ParseFailure(f"tableau is not valid JSON: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseFailure("tableau JSON must be an array of arrays")
-    return Tableau(rows)
+    try:
+        return Tableau(rows)
+    except ValueError as exc:
+        raise ParseFailure(str(exc)) from exc
 
 
 def _inv_json(y: Involution) -> dict:
@@ -178,9 +182,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the kl suite enumerates S_m up to m = n, like `gwg kl`; the others
-    # build the Gelfand graphs or enumerate I_n, like `gwg graph`
-    cap = hecke.DEFAULT_MAX_N if args.suite in ("kl", "all") else GRAPH_CAP
+    # kl and all run the kl suite, like `gwg kl`; the others build graphs or enumerate I_n
+    cap = KL_CAP if args.suite in ("kl", "all") else GRAPH_CAP
     if _over_cap(args, cap):
         return EXIT_CAP
     report = suites.run_suite(args.suite, args.n)
@@ -189,7 +192,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kl(args) -> int:
-    if _over_cap(args, hecke.DEFAULT_MAX_N):
+    if _over_cap(args, KL_CAP):
         return EXIT_CAP
     words, columns, mu = hecke.kl_table(args.n)
     doc = {
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(suites.SUITES) + ("all",))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--force", action="store_true",
-                   help=f"lift the n<={hecke.DEFAULT_MAX_N} cap of kl and all, "
+                   help=f"lift the n<={KL_CAP} cap of kl and all, "
                         f"n<={GRAPH_CAP} of the other suites")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kl", help="export Kazhdan-Lusztig tables as JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--force", action="store_true",
-                   help=f"lift the n<={hecke.DEFAULT_MAX_N} cap")
+                   help=f"lift the n<={KL_CAP} cap")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_kl)
     return parser

@@ -359,7 +359,7 @@ class ModuleTable:
         keyed = sorted((word_length(wd), wd) for wd in words)
         self.words = [wd for _, wd in keyed]
         self.length = [ln for ln, _ in keyed]
-        self.index = index = {wd: k for k, wd in enumerate(self.words)}
+        index = {wd: k for k, wd in enumerate(self.words)}
         self.cls = {}   # i -> per-vertex classification
         self.cnj = {}   # i -> per-vertex index of the vertex H_{s_i} moves it to
         for i in range(1, n):
@@ -880,7 +880,7 @@ def _model_key(variant: str) -> str:
     return "asc" if variant in ("M", "asc") else "des"
 
 
-def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
+def canonical_basis(n: int, variant: str, check_bar=None):
     """
     The canonical basis of model M (variant 'M'/'asc') or N ('N'/'des').
 
@@ -892,13 +892,11 @@ def canonical_basis(n: int, variant: str, check_bar=None, pick: str = "cost"):
     certifies bar-invariance by ModuleTable.check_intertwining, at a cost
     linear in the column terms (about 0.02 s at n=7 and 0.2 s at n=8 for M,
     several times the recursion itself).  check_bar=None runs it for n <= 6.
-    pick is the recursion's pivot rule (ModuleTable.picks); the basis does
-    not depend on it.
     """
     key = _model_key(variant)
     if check_bar is None:
         check_bar = n <= 6
-    m = Model(n, key, pick=pick) if pick != "cost" else _model(n, key)
+    m = _model(n, key)
     if check_bar:
         m.check_intertwining()
     cols = m.canonical_columns()

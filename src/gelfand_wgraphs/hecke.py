@@ -26,8 +26,6 @@ from itertools import permutations as _permutations
 from .gelfand import ASC_LT, DES_LT, ModuleTable
 from .perm import Permutation
 
-DEFAULT_MAX_N = 6
-
 
 def _one_line(w) -> tuple:
     """The one-line word of a Permutation or of a sequence of values."""
@@ -102,14 +100,12 @@ def asc_right(word) -> frozenset:
     return frozenset(i for i in range(1, len(word)) if word[i - 1] < word[i])
 
 
-def kl_wgraph(n: int, side: str, reduced: bool = True, max_n: int = DEFAULT_MAX_N):
+def kl_wgraph(n: int, side: str, reduced: bool = True):
     """The left or right Kazhdan-Lusztig W-graph of S_n."""
     from .wgraph import WGraph, symmetrize_mu
 
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the bound {max_n}; pass max_n to override")
     table = _regular(n)
     tau = table.tau if side == "left" else [asc_right(w) for w in table.words]
     return WGraph(
@@ -122,10 +118,10 @@ def kl_wgraph(n: int, side: str, reduced: bool = True, max_n: int = DEFAULT_MAX_
     )
 
 
-def kl_cells(n: int, side: str, max_n: int = DEFAULT_MAX_N):
+def kl_cells(n: int, side: str):
     """Cells of the left/right KL graph, as lists of one-line words."""
     from .wgraph import cells
 
-    g = kl_wgraph(n, side, reduced=True, max_n=max_n)
+    g = kl_wgraph(n, side, reduced=True)
     parts, _ = cells(g)
     return [[g.vertices[v] for v in part] for part in parts]

@@ -203,7 +203,7 @@ def suite_kl(n: int) -> dict:
             for p, pq in rs.items():
                 fibers.setdefault(pq[which].rows, []).append(p)
             want = sorted(sorted(v) for v in fibers.values())
-            got = sorted(sorted(c) for c in hecke.kl_cells(m, side, max_n=max(m, hecke.DEFAULT_MAX_N)))
+            got = sorted(sorted(c) for c in hecke.kl_cells(m, side))
             _check(checks, f"{side} KL cells = RS fibers at n={m}", got == want)
     return _wrap("kl", n, checks)
 

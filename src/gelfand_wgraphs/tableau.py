@@ -86,9 +86,6 @@ class Tableau:
     def entries(self):
         return {v for row in self.rows for v in row}
 
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[r - 1][c - 1]
-
     def is_standard(self) -> bool:
         """
         Entries 1..n, increasing along rows and columns.  Once the increase
@@ -153,9 +150,6 @@ class BumpingPath:
 
     cells: tuple
     inserted_values: tuple
-
-    def col(self, j: int) -> int:
-        return self.cells[j - 1][1]
 
 
 def bump(rows, x, path=None):

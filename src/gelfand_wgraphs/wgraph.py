@@ -34,9 +34,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice
 from math import comb, prod
-from operator import le, sub
 
 from .action import PackedAction, relation_violations
 from .gelfand import (
@@ -65,14 +64,17 @@ class EdgeTable(Mapping):
     The table is also a read-only Mapping from (v, w) to omega(v, w): its
     len is the number of edges, it iterates the pairs in sorted order, a
     lookup bisects row v, and it equals any mapping with the same items.
+    `reduced_by` is the tau the table was reduced by (it holds no edge
+    (v, w) with tau(v) contained in tau(w)), or None.
     """
 
-    __slots__ = ("start", "dst", "wt")
+    __slots__ = ("start", "dst", "wt", "reduced_by")
 
     def __init__(self):
         self.start = array("q", [0])
         self.dst = array("i")
         self.wt = array(INT_CODES[0])
+        self.reduced_by = None
 
     @property
     def size(self) -> int:
@@ -163,7 +165,7 @@ def symmetrize_mu(mu, tau=None) -> EdgeTable:
     per-column dicts of ModuleTable.mu_columns() (column z maps each y to
     mu(y, z)), as an EdgeTable.  Given the ascent sets tau, the entries
     (v, w) with tau(v) contained in tau(w) are never made: the reduced
-    weights.
+    weights, and the table records tau as `reduced_by`.
 
     The columns hold nonzero mu(y, z) only for y < z (vertices are sorted
     by length; a ValueError names a vertex where y >= z), so
@@ -204,6 +206,7 @@ def symmetrize_mu(mu, tau=None) -> EdgeTable:
             table.extend(targets, weights, lengths)
             targets, weights, lengths = [], [], []
     table.extend(targets, weights, lengths)
+    table.reduced_by = tau
     return table
 
 
@@ -216,9 +219,10 @@ class WGraph:
     read-only mapping view from index pairs (v, w) to omega(v, w).  Zero
     weights are dropped, and so, if reduced is set, are the entries
     (v, w) with tau(v) contained in tau(w).  An EdgeTable on the graph's
-    vertices with nothing to drop is kept as given (build_gamma's, made by
-    symmetrize_mu with tau, is one); any other mapping of pairs to weights
-    is packed into a new table, and the caller's is never changed.  Edges,
+    vertices with no zero weight is kept as given if the graph is unreduced
+    or the table's `reduced_by` is its tau (build_gamma's is one; a compare
+    of |V| shared sets); any other mapping of pairs to weights is packed
+    into a new table, and the caller's is never changed.  Edges,
     the bidirected ones (bidirected_pairs) included, are vertex-index pairs
     throughout; the words only label vertices in exports and in witnesses.
 
@@ -239,12 +243,13 @@ class WGraph:
             isinstance(omega, EdgeTable)
             and omega.size == size
             and 0 not in omega.wt
-            and not (reduced and _has_inclusion(omega, tau))
+            and (not reduced or tuple(omega.reduced_by or ()) == tau)
         ):
             omega = _packed(size, (
                 (v, w, c) for (v, w), c in omega.items()
                 if c and not (reduced and tau[v] <= tau[w])
             ))
+            omega.reduced_by = tau if reduced else None
         self.omega = omega
         self.shapes = tuple(_shared(tuple(s) for s in shapes)) if shapes is not None else None
         self._terms = None  # action_terms, built on first use
@@ -254,10 +259,6 @@ class WGraph:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def edges(self):
-        """Sorted (v, w, weight) triples."""
-        return list(self.omega.triples())
 
     def bidirected_pairs(self) -> tuple:
         """
@@ -291,13 +292,6 @@ class WGraph:
             f"WGraph(n={self.n}, variant={self.variant!r}, reduced={self.reduced}, "
             f"|V|={self.size}, |E|={len(self.omega)})"
         )
-
-
-def _has_inclusion(omega: EdgeTable, tau) -> bool:
-    """Whether some edge (v, w) of the table has tau(v) contained in tau(w)."""
-    start = omega.start
-    sources = chain.from_iterable(map(repeat, tau, map(sub, islice(start, 1, None), start)))
-    return any(map(le, sources, map(tau.__getitem__, omega.dst)))
 
 
 def build_gamma(n: int, variant: str, reduced: bool = True) -> WGraph:

@@ -1,7 +1,7 @@
 """
 Sums and scalar multiples of module columns (dicts from index to LaurentPoly),
-and the reference symmetrization of a mu table keyed by vertex pairs, for the
-tests.
+the index of each vertex word of an engine table, and the reference
+symmetrization of a mu table keyed by vertex pairs, for the tests.
 """
 
 
@@ -16,6 +16,11 @@ def add(*cols):
 
 def scale(col, p):
     return {k: c * p for k, c in col.items()}
+
+
+def vertex_index(table):
+    """A dict from each vertex word of a ModuleTable to its index."""
+    return {wd: k for k, wd in enumerate(table.words)}
 
 
 def symmetrize_then_filter(mu, tau, reduced):

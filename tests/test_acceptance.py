@@ -61,6 +61,8 @@ from gelfand_wgraphs.wgraph import (
     verify_axioms,
 )
 
+from column_ops import vertex_index
+
 
 class _Budget:
     def __init__(self, name, seconds):
@@ -280,9 +282,10 @@ def test_criterion_10_kl_cross_validation():
     with _Budget("criterion 10: KL basis and cells cross-validation, n<=5", 300):
         for n in range(1, 6):
             table = _regular(n)
+            index = vertex_index(table)
             _, kb, _ = kl_table(n)
             for w, el in kb.items():
-                col = {table.index[y]: c for y, c in el.items()}
+                col = {index[y]: c for y, c in el.items()}
                 assert table.bar_col(col) == col, (n, w)
                 assert el[w] == ONE
                 for y, c in el.items():

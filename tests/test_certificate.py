@@ -15,6 +15,8 @@ import pytest
 from gelfand_wgraphs import hecke
 from gelfand_wgraphs.gelfand import ColumnStore, Model, ModuleTable, canonical_basis
 
+from column_ops import vertex_index
+
 
 def table_of(kind, n):
     """A table with its columns computed: corruptions are made after the build."""
@@ -79,7 +81,7 @@ def assert_named(kind, table, bad, z):
     msg = verdict(bad)
     assert msg is not None
     word = re.fullmatch(r"column (\(.*?\)) fails the W-graph action of s_\d+", msg)
-    v = table.index[ast.literal_eval(word.group(1))]
+    v = vertex_index(table)[ast.literal_eval(word.group(1))]
     mu = table._mu_by_col
     assert v == z or kind == "M" and (z in mu[v] or v in mu[z]), msg
 
@@ -169,7 +171,8 @@ def test_bumped_kl_element_fails_both_checks():
     # the KL element of 231 plus x^-1·H_123, as in
     # test_hecke.py::test_kl_unique_given_triangularity
     t = hecke._regular(3)
-    z, y = t.index[(2, 3, 1)], t.index[(1, 2, 3)]
+    index = vertex_index(t)
+    z, y = index[(2, 3, 1)], index[(1, 2, 3)]
     assert (y, -1) not in {(u, e) for u, e, _ in t.column_store().terms(z)}
     bad = corrupted(t, z, y, -1, 1)
     assert not bar_invariant(bad)

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from gelfand_wgraphs import beissinger, gelfand, hecke, suites
-from gelfand_wgraphs.cli import main
+from gelfand_wgraphs import beissinger, gelfand, suites
+from gelfand_wgraphs.cli import KL_CAP, main
 from gelfand_wgraphs.perm import Involution
 
 
@@ -41,6 +41,13 @@ def test_insert_exit_codes(capsys):
     assert code == 2 and err
     code, _, _ = run(capsys, "insert", "--algo", "rbs", "--tableau", "[[1,2]]", "--pair", "x,y")
     assert code == 2
+    # JSON arrays of arrays that are not tableaux -> 2, with Tableau's message
+    for text, msg in (('[["a"]]', "entries must be positive integers"),
+                      ("[[2,1]]", "row 1 is not strictly increasing"),
+                      ("[[]]", "empty rows are not allowed"),
+                      ("[[1],[2,3]]", "row lengths must weakly decrease")):
+        code, out, err = run(capsys, "insert", "--algo", "rs", "--tableau", text, "--value", "4")
+        assert code == 2 and not out and msg in err, text
     # domain precondition (duplicate entry) -> 1
     code, _, err = run(capsys, "insert", "--algo", "rs", "--tableau", "[[1,2]]", "--value", "2")
     assert code == 1 and err
@@ -171,7 +178,7 @@ def test_verify_kl_cap_and_force(monkeypatch, capsys):
     for suite in ("kl", "all"):
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", "7")
         assert code == 3 and not out
-        assert f"exceeds the default cap {hecke.DEFAULT_MAX_N}" in err and "--force" in err
+        assert f"exceeds the default cap {KL_CAP}" in err and "--force" in err
     code, out, _ = run(capsys, "verify", "--suite", "kl", "--n", "5")
     assert code == 0 and json.loads(out)["passed"] is True
     # the other suites cap at the graph cap

@@ -18,6 +18,8 @@ from gelfand_wgraphs import hecke
 from gelfand_wgraphs.gelfand import ASC_EQ, ASC_LT, DES_EQ, DES_LT, Model, ModuleTable
 from gelfand_wgraphs.laurent import X_INV, LaurentPoly
 
+from column_ops import vertex_index
+
 
 def fresh(kind, n):
     """A new table, not the cached one: model M, model N or the regular representation."""
@@ -133,7 +135,8 @@ def test_a_weak_scalar_x2_reads_its_column_two_deeper():
     t, e, w0, z = s3_and_one_more()
     assert max(d for terms in t._step_terms(1).values() for _, d in terms) == 2
     kept, depth = t._recursion(full=False)
-    iw0, iz, ie = t.index[w0], t.index[z], t.index[e]
+    index = vertex_index(t)
+    iw0, iz, ie = index[w0], index[z], index[e]
     assert depth[iz] == 1 and depth[iw0] == 3 and (ie, -3, 1) in kept.terms(iw0)
     truncated, full = truncated_then_full(s3_and_one_more()[0])
     assert truncated == full and full[iz] == {iw0: 1, ie: 1}

@@ -43,7 +43,7 @@ from gelfand_wgraphs.wgraph import (
     verify_axioms,
 )
 
-from column_ops import symmetrize_then_filter
+from column_ops import symmetrize_then_filter, vertex_index
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -78,7 +78,7 @@ def assert_table_is(g, want):
     assert isinstance(om, EdgeTable) and om.size == g.size
     assert (om.start.typecode, om.dst.typecode) == ("q", "i") and om.start[0] == 0
     assert om == want and len(om) == len(want) == om.start[-1] == len(om.wt)
-    assert g.edges() == [(v, w, want[v, w]) for v, w in sorted(want)]
+    assert list(om.triples()) == [(v, w, want[v, w]) for v, w in sorted(want)]
     for v in range(g.size):
         row = list(om.targets(v))
         assert all(a < b for a, b in zip(row, row[1:])), v  # strictly increasing
@@ -138,6 +138,21 @@ def test_wgraph_init_copies_only_to_drop():
     assert (raw.omega.start.tolist(), raw.omega.dst.tolist(), raw.omega.wt.tolist()) == ungiven
     with pytest.raises(ValueError, match=r"edge \(0, 3\) is not between two of the 3 vertices"):
         WGraph(3, "row", False, words, tau, {(0, 3): 1})
+
+
+def test_wgraph_keeps_a_table_only_when_reduced_by_its_tau():
+    words = [(1,), (2,), (3,)]
+    tau = [frozenset({1}), frozenset(), frozenset({1, 2})]
+    red = WGraph(3, "row", True, words, tau, {(0, 1): 1, (2, 0): 1, (2, 1): 2}).omega
+    assert red.reduced_by == tuple(tau)
+    # under another tau, (0, 1) is an inclusion: the table is packed anew without it
+    other = [frozenset({1}), frozenset({1}), frozenset({1, 2})]
+    g = WGraph(3, "row", True, words, other, red)
+    assert g.omega is not red and g.omega == {(2, 0): 1, (2, 1): 2}
+    assert g.omega.reduced_by == tuple(other) and red == {(0, 1): 1, (2, 0): 1, (2, 1): 2}
+    m = _model(5, "des")
+    assert tuple(symmetrize_mu(m.mu_columns(), m.tau).reduced_by) == build_gamma(5, "col").tau
+    assert symmetrize_mu(m.mu_columns()).reduced_by is None
 
 
 def test_edge_table_widens_its_weights_and_misses_absent_pairs():
@@ -491,13 +506,14 @@ def test_tau_scan_predicates_match_the_word_comparisons(variant):
     row = variant == "row"
     for n in range(2, 8):
         m = _model(n, "asc" if row else "des")
+        index = vertex_index(m)
         for a, wa in enumerate(m.words):
             for s in range(1, n):
                 c = word_conj_compare(wa, s)
                 # the test on a; the test on b, c > 0 (row) or c >= 0 (col), is its complement
                 assert (s not in m.tau[a]) == (c <= 0 if row else c < 0), (n, wa, s)
                 # a rise whose conjugate is a vertex is exactly a strict ascent, moved by cnj
-                up = c > 0 and word_conj_s(wa, s) in m.index
+                up = c > 0 and word_conj_s(wa, s) in index
                 assert up == (m.cls[s][a] == ASC_LT), (n, wa, s)
                 if up:
                     assert m.words[m.cnj[s][a]] == word_conj_s(wa, s)
@@ -662,7 +678,7 @@ def export_reference(g):
         "reduced": g.reduced,
         "vertices": [list(v) for v in g.vertices],
         "tau": [sorted(t) for t in g.tau],
-        "edges": [[v, w, c] for v, w, c in g.edges()],
+        "edges": [[v, w, c] for v, w, c in g.omega.triples()],
     }
     if g.shapes is not None:
         doc["shapes"] = [list(s) for s in g.shapes]
