@@ -16,7 +16,6 @@ with the transpose of the other yields the permutation psi of I_n.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .perm import (
@@ -26,38 +25,16 @@ from .perm import (
     enumerate_involutions,
     involution_count,
 )
-from .tableau import Tableau, _transpose_rows, bump, unbump
+from .tableau import Tableau, _transpose_rows, bump, transpose, unbump
 
 
-def _column_bump(rows, x):
-    """
-    Schensted insertion by column bumping, in place on a list of rows: x
-    displaces the first entry greater than it in column 1, which bumps into
-    column 2, and so on.  Returns the (row, col) of the added box.
-    """
-    c = 1
-    while True:
-        col = [row[c - 1] for row in rows if len(row) >= c]
-        k = bisect_right(col, x)
-        if k == len(col):
-            if k < len(rows):
-                if len(rows[k]) != c - 1:
-                    raise ValueError("column insertion left a gap")
-                rows[k].append(x)
-            else:
-                rows.append([x])
-            return k + 1, c
-        x, rows[k][c - 1] = rows[k][c - 1], x
-        c += 1
-
-
-def _insert_pair(rows, a: int, b: int, row: bool, bumper):
+def _insert_pair(rows, a: int, b: int, row: bool):
     """
     Insert the pair (a, b), a <= b, into a list of rows in place.
 
-    For a < b, a is inserted by `bumper` (bump or _column_bump) into a new
-    box (r, c); a fixed point counts as a new box at (0, 0).  Then b goes at
-    the end of row r+1 if `row`, else at the end of column c+1.
+    For a < b, a is row-bumped into a new box (r, c); a fixed point counts
+    as a new box at (0, 0).  Then b goes at the end of row r+1 if `row`,
+    else at the end of column c+1.
 
     The column target is the first row that does not reach column c+1, and
     it is found by a scan up from row r.  The input rows have a partition
@@ -68,7 +45,7 @@ def _insert_pair(rows, a: int, b: int, row: bool, bumper):
     the row above the new box can be shorter than c.  For a fixed point the
     target is past the last row.
     """
-    r, c = bumper(rows, a) if a < b else (0, 0)
+    r, c = bump(rows, a) if a < b else (0, 0)
     if row:
         target = r
     else:
@@ -83,14 +60,14 @@ def _insert_pair(rows, a: int, b: int, row: bool, bumper):
         rows.append([b])
 
 
-def _insert(T: Tableau, a: int, b: int, row: bool, bumper) -> Tableau:
+def _insert(T: Tableau, a: int, b: int, row: bool) -> Tableau:
     if a > b:
         raise ValueError(f"need a <= b, got ({a},{b})")
     entries = T.entries()
     if a in entries or b in entries:
         raise ValueError(f"pair ({a},{b}) collides with existing entries")
     rows = [list(r) for r in T.rows]
-    _insert_pair(rows, a, b, row, bumper)
+    _insert_pair(rows, a, b, row)
     return Tableau.filling(rows)
 
 
@@ -103,21 +80,22 @@ def rbs_insert(T: Tableau, a: int, b: int) -> Tableau:
     returned as a filling; along the p_rbs insertion order it is always
     partially standard.
     """
-    return _insert(T, a, b, True, bump)
+    return _insert(T, a, b, True)
 
 
 def cbs_insert(T: Tableau, a: int, b: int, variant: str = "standard") -> Tableau:
     """
     Column Beissinger insertion of (a, b), a <= b.
 
-    The standard variant row-inserts a and appends b below the next column;
-    the transposed variant column-inserts a and appends b to the next row,
-    so that it agrees with the standard variant conjugated by transpose.
+    The standard variant row-inserts a and appends b below the next column.
+    The transposed variant is the standard one conjugated by transpose; on a
+    partially standard T that column-inserts a and appends b to the next
+    row, and on a filling it is defined as the conjugate.
     """
     if variant == "standard":
-        return _insert(T, a, b, False, bump)
+        return _insert(T, a, b, False)
     if variant == "transposed":
-        return _insert(T, a, b, True, _column_bump)
+        return transpose(_insert(transpose(T), a, b, False))
     raise ValueError(f"variant must be 'standard' or 'transposed', got {variant!r}")
 
 
@@ -136,7 +114,7 @@ def _p_map(word, row: bool) -> Tableau:
     rows = []
     for b, a in enumerate(word, 1):
         if a <= b:
-            _insert_pair(rows, a, b, row, bump)
+            _insert_pair(rows, a, b, row)
     return Tableau(rows)
 
 

@@ -191,21 +191,34 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_DOMAIN
 
 
+def _kl_chunks(table) -> Iterator[str]:
+    """
+    The `gwg kl` document of the regular representation `table`, the text
+    json.dumps gives for {"n": n, "basis": {word: [[y, [[e, c], ...]], ...]},
+    "mu": [[y, w, mu(y, w)], ...]}, one basis column at a time.  Each column
+    is read from the packed store, its vertices y in word order, each with
+    its pairs in increasing e; mu is sorted.
+    """
+    words, store = table.words, table.column_store()
+    sep = "" if table.n < 10 else ","
+    yield '{"n": %d, "basis": {' % table.n
+    for z, w in enumerate(words):
+        pairs = {}
+        for y, e, c in store.terms(z):
+            pairs.setdefault(y, []).append([e, c])
+        col = [[list(words[y]), sorted(pairs[y])] for y in sorted(pairs, key=words.__getitem__)]
+        yield '%s"%s": %s' % (", " if z else "", sep.join(map(str, w)), json.dumps(col))
+    mu = sorted([list(words[y]), list(words[z]), m]
+                for z, col in enumerate(table.mu_columns()) for y, m in col.items())
+    yield '}, "mu": %s}' % json.dumps(mu)
+
+
 def cmd_kl(args) -> int:
     if _over_cap(args, KL_CAP):
         return EXIT_CAP
-    words, columns, mu = hecke.kl_table(args.n)
-    doc = {
-        "n": args.n,
-        "basis": {
-            "".join(map(str, w)) if args.n < 10 else ",".join(map(str, w)): [
-                [list(y), columns[w][y].to_pairs()] for y in sorted(columns[w])
-            ]
-            for w in words
-        },
-        "mu": sorted([list(y), list(w), m] for (y, w), m in mu.items()),
-    }
-    _emit(doc, args.out)
+    table = hecke._regular(args.n)
+    table.column_store()  # the full recursion, so a failed self-check writes nothing
+    _emit(_kl_chunks(table), args.out)
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,7 +83,9 @@ def test_filling_input_errors():
     F = Tableau.filling
     with pytest.raises(ValueError, match="appending to column 4 would not give a tableau"):
         cbs_insert(F([[5, 4], [3, 2]]), 1, 7)
-    with pytest.raises(ValueError, match="column insertion left a gap"):
+    # the transposed variant is the standard one on the transpose, whose
+    # column target check passes here and leaves rows the filling rejects
+    with pytest.raises(ValueError, match=r"row lengths must weakly decrease, got \[3, 1, 2\]"):
         cbs_insert(F([[2, 7, 3], [6]]), 1, 4, "transposed")
     with pytest.raises(ValueError, match=r"row lengths must weakly decrease, got \[3, 1, 2\]"):
         cbs_insert(F([[3, 7], [4], [1]]), 2, 5)
@@ -107,16 +110,46 @@ def test_p_maps_reject_a_corrupted_bump(monkeypatch):
         p_cbs(y)
 
 
-def test_transposed_variant_is_transpose_conjugate():
-    # checked along every p-map insertion order up to n=7, where the native
-    # column-bumping path is exercised against the row implementation
+def test_transposed_variant_folds_to_the_transposed_p_cbs():
+    # the transposed variant along the p-map insertion order builds the
+    # transpose of p_cbs(y), which the p-map reaches through _insert_pair
     for n in range(1, 8):
         for y in enumerate_involutions(n):
             U = EMPTY
             for a, b in cycles_sorted(y):
-                lhs = cbs_insert(U, a, b, "transposed")
-                assert lhs == transpose(cbs_insert(transpose(U), a, b, "standard"))
-                U = lhs
+                U = cbs_insert(U, a, b, "transposed")
+            assert U == transpose(p_cbs(y))
+
+
+def transposed_outcomes():
+    """
+    One line per case: the transposed variant on every standard tableau of
+    size s <= 6, relabelled through each increasing map into 1..s+3, with
+    every pair a <= b of the three free labels, in that nesting order.  A
+    line is repr of the result's rows or "ValueError: " and the message.
+    """
+    for s in range(7):
+        for U in standard_tableaux(s):
+            for image in combinations(range(1, s + 4), s):
+                V = Tableau([[image[v - 1] for v in row] for row in U.rows])
+                free = sorted(set(range(1, s + 4)) - set(image))
+                for a, b in combinations_with_replacement(free, 2):
+                    try:
+                        yield repr(cbs_insert(V, a, b, "transposed").rows) + "\n"
+                    except ValueError as exc:
+                        yield f"ValueError: {exc}\n"
+
+
+def test_transposed_variant_outcomes_digest():
+    # recorded while the transposed variant ran a column-bumping kernel of
+    # its own, before it became the standard variant conjugated by transpose
+    h = hashlib.sha256()
+    count = 0
+    for line in transposed_outcomes():
+        h.update(line.encode())
+        count += 1
+    assert count == 49770
+    assert h.hexdigest() == "3e8ffaa09d0388e58839305d0d97343519854c29de360467aa217ecdc02f302a"
 
 
 def test_p_rbs_examples():

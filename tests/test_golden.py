@@ -37,7 +37,7 @@ import pytest
 from gelfand_wgraphs import hecke
 from gelfand_wgraphs.beissinger import p_cbs, p_rbs, psi
 from gelfand_wgraphs.cli import main
-from gelfand_wgraphs.gelfand import Model, _model, canonical_basis, tables_json
+from gelfand_wgraphs.gelfand import Model, ModuleTable, _model, canonical_basis, tables_json
 from gelfand_wgraphs.perm import enumerate_involutions
 from gelfand_wgraphs.wgraph import build_gamma, combinatorial_bidirected_pairs, export
 
@@ -92,6 +92,19 @@ def test_engine_output_digest(what, capsys, tmp_path):
         tables_json(int(n), variant[0], fh)
         text = json.dumps(json.loads(fh.getvalue()), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[what]
+
+
+def test_kl_export_streams_from_the_column_store(monkeypatch, capsys, fresh_tables):
+    # `gwg kl` reads the packed store column by column; neither the decoded
+    # LaurentPoly columns nor the word-keyed kl_table may be built whole
+    def whole(*args):
+        raise AssertionError("the KL export built the whole basis")
+
+    monkeypatch.setattr(ModuleTable, "canonical_columns", whole)
+    monkeypatch.setattr(hecke, "kl_table", whole)
+    assert main(["kl", "--n", "5"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["kl 5"]
 
 
 STORES = {
