@@ -199,7 +199,7 @@ def rs_insert(T: Tableau, a: int):
     Row-bumping insertion of a into T.  Returns the new tableau and the
     bumping path; a must be a positive integer not already in T.
     """
-    if not isinstance(a, int) or a < 1:
+    if type(a) is not int or a < 1:
         raise ValueError(f"entries must be positive integers, got {a!r}")
     if a in T.entries():
         raise ValueError(f"{a} already occurs in the tableau")

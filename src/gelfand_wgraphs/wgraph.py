@@ -11,8 +11,8 @@ commutation relations.  That action is given once per graph as its terms
 (`action_terms`) and applied one sparse integer column at a time, with no
 dense matrix and no LaurentPoly arithmetic: the relation check
 (action.relation_violations) runs it on packed (vertex, exponent) keys
-(`graph_action`, an action.PackedAction), and the x = 1 character on
-columns keyed by vertex alone, where x is gone.
+(`graph_action`, an action.PackedAction), and the x = 1 character reads
+the same terms with their exponents dropped, on columns keyed by vertex.
 
 Weights with tau(v) contained in tau(w) never enter that action, so a graph
 and its "reduced" version (those weights dropped) define the same module.
@@ -229,7 +229,8 @@ class WGraph:
     Equal tau sets are one frozenset, and equal shapes one tuple, whatever
     the caller passed (build_gamma's tau is already shared; parse_wgraph's
     is not): at most 2^(n-1) ascent sets and one shape per fiber, not one
-    of each per vertex.  Both are read-only.
+    of each per vertex.  Both are read-only.  action_terms and
+    bidirected_pairs are kept on the graph once made.
     """
 
     def __init__(self, n, variant, reduced, vertices, tau, omega, shapes=None):
@@ -254,7 +255,6 @@ class WGraph:
         self.shapes = tuple(_shared(tuple(s) for s in shapes)) if shapes is not None else None
         self._terms = None  # action_terms, built on first use
         self._pairs = None  # bidirected_pairs, found on first use
-        self._at_one = None  # the same at x = 1, for character_trace
 
     @property
     def size(self) -> int:
@@ -403,23 +403,43 @@ def molecules(g: WGraph):
 
 def cells(g: WGraph):
     """
-    Strongly connected components of the weighted digraph, plus the edges of
-    the condensation.  Components are sorted by least vertex; condensation
-    edges point along the original arrows.
+    The cells, the strong components of the digraph of omega edges, sorted
+    by least vertex, and the condensation's edges, along the arrows.
+
+    They are the strong components of the quotient by molecules (an arrow
+    (molecule(v), molecule(w)) per omega edge (v, w)), each molecule
+    replaced by its vertices.  A bidirected edge is a 2-cycle, so every
+    cell is a union of molecules.  A path of omega edges maps to a quotient
+    path; conversely each quotient arrow comes from an omega edge and a
+    molecule's vertices reach each other along bidirected edges, so a
+    quotient path lifts.  A molecule's arrows are the set of molecules its
+    rows reach, so no tuple is made per edge.
     """
-    succ = [g.omega.targets(v) for v in range(g.size)]
-    comps = sorted(_strong_components(succ))
-    whichcomp = {}
+    mols = molecules(g)
+    mol_of = [0] * g.size
+    for k, part in enumerate(mols):
+        for v in part:
+            mol_of[v] = k
+    get, targets = mol_of.__getitem__, g.omega.targets
+    succ = []
+    for a, part in enumerate(mols):
+        reach = set()
+        for v in part:
+            reach.update(map(get, targets(v)))
+        reach.discard(a)
+        succ.append(sorted(reach))
+    comps = sorted(_strong_components(succ))  # by least molecule, so by least vertex
+    cell_of = [0] * len(mols)
     for ci, comp in enumerate(comps):
-        for v in comp:
-            whichcomp[v] = ci
+        for a in comp:
+            cell_of[a] = ci
     cond = sorted({
-        (whichcomp[v], whichcomp[w])
-        for v, row in enumerate(succ)
-        for w in row
-        if whichcomp[v] != whichcomp[w]
+        (cell_of[a], cell_of[b])
+        for a, row in enumerate(succ)
+        for b in row
+        if cell_of[a] != cell_of[b]
     })
-    return comps, cond
+    return [sorted(v for a in comp for v in mols[a]) for comp in comps], cond
 
 
 def _strong_components(succ):
@@ -427,7 +447,7 @@ def _strong_components(succ):
     The strongly connected components of the digraph on 0..len(succ)-1 with
     successor lists succ, each as a sorted list, in the order Tarjan's
     algorithm closes them (run iteratively, so deep graphs need no
-    recursion).
+    recursion).  cells runs it on the quotient by molecules.
     """
     size = len(succ)
     index = [-1] * size
@@ -596,19 +616,8 @@ def classify_graph(g: WGraph) -> ClassifyReport:
     """
     Check, for one Gelfand graph: molecules are the shape fibers of the
     restricted insertion tableau; bidirected edges agree with their
-    order-theoretic description; and every molecule is a cell.
-
-    Cells are found on the quotient by molecules: the digraph on the
-    molecules with an arrow (molecule(v), molecule(w)) for each omega edge
-    (v, w).  A bidirected edge is a 2-cycle, so its two ends lie in one
-    cell, and every cell is a union of molecules.  A path of omega edges
-    maps to a path of the quotient; conversely each quotient arrow comes
-    from an omega edge, and the vertices of one molecule reach each other
-    along bidirected edges, so a quotient path lifts to a path of omega
-    edges.  Hence two molecules share a cell exactly when they lie on a
-    cycle of the quotient, the quotient's strong components are the cells,
-    and the molecules are the cells exactly when each component is one
-    molecule.  A failed check names a witness.
+    order-theoretic description; and every molecule is a cell (the cells
+    are unions of molecules, see `cells`).  A failed check names a witness.
 
     The bidirected edges are compared as vertex-index pairs, so the graph's
     vertices must be its model's words in the model's order, as build_gamma
@@ -646,37 +655,14 @@ def classify_graph(g: WGraph) -> ClassifyReport:
             f"{len(missing)} combinatorial-only; first: {first}"
         )
 
-    mol_of, parts = _molecule_quotient(g, mols)
-    report.cells_match_molecules = len(parts) == len(mols)
+    parts, _ = cells(g)
+    report.cells_match_molecules = parts == mols
     if not report.cells_match_molecules:
         report.counterexamples.append(
             f"cells differ from molecules: {len(parts)} cells vs {len(mols)} molecules; "
-            + _cycle_witness(g, mol_of, next(p for p in parts if len(p) > 1))
+            + _cycle_witness(g, mols, parts)
         )
     return report
-
-
-def _molecule_quotient(g: WGraph, mols):
-    """
-    The molecule (index into mols) of each vertex, and the strong
-    components of the quotient by molecules as lists of molecule indices:
-    the cells, one component per cell (classify_graph).  Each molecule's
-    arcs are the set of molecules its rows reach, so no tuple is made per
-    edge.
-    """
-    mol_of = [0] * g.size
-    for k, part in enumerate(mols):
-        for v in part:
-            mol_of[v] = k
-    get, targets = mol_of.__getitem__, g.omega.targets
-    succ = []
-    for a, part in enumerate(mols):
-        reach = set()
-        for v in part:
-            reach.update(map(get, targets(v)))
-        reach.discard(a)
-        succ.append(sorted(reach))
-    return mol_of, _strong_components(succ)
 
 
 def _label(t) -> str:
@@ -706,13 +692,24 @@ def _fiber_witness(g: WGraph, mols) -> str:
     raise ValueError("the molecules are the shape fibers")
 
 
-def _cycle_witness(g: WGraph, mol_of, comp) -> str:
+def _cycle_witness(g: WGraph, mols, parts) -> str:
     """
-    A cycle of molecules inside comp, a strong component of the quotient
-    with at least two molecules, one omega edge v -> w (by word) per step:
-    the shortest one through the least molecule of comp, found breadth
-    first over the quotient arrows inside comp.
+    A cycle of molecules inside the cell of parts (the cells, sorted by
+    least vertex) with the least vertex among those of two or more
+    molecules, one omega edge v -> w (by word) per step: the shortest one
+    through the cell's least molecule, found breadth first over the
+    quotient arrows inside the cell.
     """
+    mol_of = [0] * g.size
+    for k, part in enumerate(mols):
+        for v in part:
+            mol_of[v] = k
+    for part in parts:
+        comp = sorted({mol_of[v] for v in part})
+        if len(comp) > 1:
+            break
+    else:
+        raise ValueError("every cell is one molecule")
     inside = set(comp)
     step = {}  # quotient arrow -> its least omega edge
     for v, w in g.omega:
@@ -740,7 +737,7 @@ def _cycle_witness(g: WGraph, mol_of, comp) -> str:
             if b not in parent:
                 parent[b] = a
                 queue.append(b)
-    raise ValueError("comp is not a strong component with two molecules")
+    raise ValueError("the cell is not strongly connected")
 
 
 # -- character of the specialized module ---------------------------------------
@@ -751,24 +748,16 @@ def character_trace(g: WGraph, w: Permutation) -> int:
     Trace of the graph's module action at x = 1, at the group element w:
     each basis vector goes through the letters of a reduced word of w, last
     letter first, as an integer column keyed by vertex, and its own
-    coefficient is summed.  At x = 1 a generator's terms at one vertex merge
-    into one integer per target vertex; those tables come from
-    action_terms, so they are built once per graph.
+    coefficient is summed.  The letters act by action_terms with x = 1, so
+    each term's exponent is dropped; a generator's terms at one vertex have
+    distinct targets, so none merge.
     """
     from .hecke import reduced_word
 
     if w.n != g.n:
         raise ValueError(f"permutation of degree {w.n} on a W-graph for S_{g.n}")
-    if g._at_one is None:
-        g._at_one = {}
-        for i, ti in action_terms(g).items():
-            table = g._at_one[i] = []
-            for tv in ti:
-                at1 = {}
-                for u, _, a in tv:
-                    at1[u] = at1.get(u, 0) + a
-                table.append(tuple((u, a) for u, a in at1.items() if a))
-    tables = [g._at_one[i] for i in reduced_word(w)[::-1]]
+    terms = action_terms(g)
+    tables = [terms[i] for i in reduced_word(w)[::-1]]
     total = 0
     for v in range(g.size):
         col = {v: 1}
@@ -776,7 +765,7 @@ def character_trace(g: WGraph, w: Permutation) -> int:
             out = {}
             get = out.get
             for u, c in col.items():
-                for t, a in table[u]:
+                for t, _, a in table[u]:
                     out[t] = get(t, 0) + a * c
             col = {t: c for t, c in out.items() if c}
         total += col.get(v, 0)

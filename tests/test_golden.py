@@ -25,7 +25,10 @@ self-check onto one pass; they pin the stored term order as well as the
 terms.  The canonical bases of both models at n=6 ("basis 6 M", "basis 6 N":
 each column's vertex words with their coefficient pairs, then the mu entries
 by word) were recorded before the element types were removed and
-canonical_basis returned ModuleElements.
+canonical_basis returned ModuleElements.  The n=7 `gwg graph molecules` and
+`gwg graph cells` documents of both variants, reduced and with --no-reduced,
+and repr(kl_cells(6, side)) for both sides were recorded before cells were
+found on the quotient by molecules.
 """
 
 import hashlib
@@ -145,3 +148,29 @@ def test_canonical_basis_digest(what):
         sorted((y.word, z.word, m) for (y, z), m in mu.entries.items()),
     )
     assert hashlib.sha256(repr(doc).encode()).hexdigest() == BASES[what]
+
+
+PARTS = {
+    "molecules 7 row": "d6a12ab0f7974a49880c9487ac1f837382e266da8a41de569d55b10304d7c59c",
+    "molecules 7 row unreduced": "0e8a83fd15b3a753ed83e6d0941d7886d50ef57ce686258499a33c953507a721",
+    "molecules 7 col": "f920b308af42c9a5d2af5e1a022695e9fdba82f6acb99101b5cbd8a9fdd67d2f",
+    "molecules 7 col unreduced": "0c8ecba038d489d8e369bbdd75dc94f53e5c03947424992ca71ac61f8a043097",
+    "cells 7 row": "eabd6bad1447d54f7fd05bc39784ddba635f82859fa7c54f865245dc4e040939",
+    "cells 7 row unreduced": "50bd669ed10195b02b10abd81857fdba83ba42c56ef5149b1a07d9c1d0244133",
+    "cells 7 col": "58099551289746d49c550aad8b43f23d531e6c1121788fbdd9332d4b3e30e339",
+    "cells 7 col unreduced": "778cb6bc8b6fff06759435c8a8dfbd2d2c6744d35ca36807bd978bb914995080",
+    "kl_cells 6 left": "8cd228a7bae02b3b71bb4a61622fae7dd58772a47f3c1d364822ec96a6447519",
+    "kl_cells 6 right": "da7a0c27355d1c946cc20811497494cd63f722946855e9ed3dbe464a5d4817eb",
+}
+
+
+@pytest.mark.parametrize("what", PARTS)
+def test_molecule_and_cell_digest(what, capsys):
+    kind, n, side, *unreduced = what.split()
+    if kind == "kl_cells":
+        text = repr(hecke.kl_cells(int(n), side))
+    else:  # "<molecules|cells> <n> <variant> [unreduced]": the document gwg prints
+        flags = ["--no-reduced"] if unreduced else []
+        assert main(["graph", kind, "--n", n, "--variant", side, *flags]) == 0
+        text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == PARTS[what]

@@ -125,9 +125,9 @@ def test_rs_insert_examples():
     assert rs_insert(EMPTY, 5)[0] == T([[5]])
     with pytest.raises(ValueError):
         rs_insert(T([[1, 3]]), 3)
-    for bad in (0, -4, 2.5):
+    for bad in (0, -4, 2.5, True):  # into a tableau without 1, so True meets no duplicate check
         with pytest.raises(ValueError, match="entries must be positive integers"):
-            rs_insert(T([[1]]), bad)
+            rs_insert(T([[2, 3]]), bad)
 
 
 def test_rs_uninsert_examples():

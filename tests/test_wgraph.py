@@ -519,17 +519,43 @@ def test_tau_scan_predicates_match_the_word_comparisons(variant):
                     assert m.words[m.cnj[s][a]] == word_conj_s(wa, s)
 
 
+def _cells_by_reachability(g):
+    """The cells and condensation of g from mutual reachability, by breadth-first search from every vertex."""
+    reach = []
+    for v in range(g.size):
+        seen, queue = {v}, [v]
+        for u in queue:
+            for w in g.omega.targets(u):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach.append(seen)
+    parts = sorted({tuple(sorted(w for w in reach[v] if v in reach[w])) for v in range(g.size)})
+    cell = {v: ci for ci, part in enumerate(parts) for v in part}
+    cond = sorted({(cell[v], cell[w]) for v, w in g.omega if cell[v] != cell[w]})
+    return [list(part) for part in parts], cond
+
+
 @pytest.mark.parametrize("reduced", [True, False])
+def test_cells_are_the_mutual_reachability_classes(reduced):
+    graphs = [build_gamma(n, variant, reduced) for n in range(1, 7) for variant in ("row", "col")]
+    graphs += [kl_wgraph(n, side, reduced) for n in range(1, 5) for side in ("left", "right")]
+    for g in graphs:
+        assert cells(g) == _cells_by_reachability(g), g
+
+
 @pytest.mark.parametrize("variant", ["row", "col"])
-def test_molecule_quotient_components_are_the_cells(variant, reduced):
-    for n in range(1, 8):
-        g = build_gamma(n, variant, reduced)
-        mols = molecules(g)
-        mol_of, comps = wgraph._molecule_quotient(g, mols)
-        assert all(mol_of[v] == k for k, part in enumerate(mols) for v in part)
-        parts = cells(g)[0]
-        assert len(comps) == len(parts), (n, variant, reduced)
-        assert sorted(sorted(v for k in comp for v in mols[k]) for comp in comps) == parts
+def test_cells_merging_molecules_are_the_mutual_reachability_classes(variant):
+    # an arrow back along a condensation edge merges cells that hold several molecules
+    g = build_gamma(6, variant)
+    parts, cond = cells(g)
+    merged = 0
+    for ci, cj in cond:
+        omega = {**g.omega, (parts[cj][-1], parts[ci][0]): 1}
+        h = WGraph(g.n, g.variant, False, g.vertices, g.tau, omega)
+        assert cells(h) == _cells_by_reachability(h), (ci, cj)
+        merged += len(cells(h)[0]) < len(molecules(h))
+    assert merged
 
 
 def _words(text):
