@@ -544,6 +544,33 @@ def test_cells_are_the_mutual_reachability_classes(reduced):
         assert cells(g) == _cells_by_reachability(g), g
 
 
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("variant", ["row", "col"])
+def test_molecule_quotient_components_are_the_cells(variant, reduced):
+    # the quotient by molecules, built here from omega, has one strong
+    # component per cell, holding exactly that cell's molecules
+    for n in range(1, 8):
+        g = build_gamma(n, variant, reduced)
+        mols = molecules(g)
+        mol_of = {v: k for k, part in enumerate(mols) for v in part}
+        assert sorted(mol_of) == list(range(g.size))
+        succ = [set() for _ in mols]
+        for v, w in g.omega:
+            succ[mol_of[v]].add(mol_of[w])
+        reach = []
+        for a in range(len(mols)):
+            seen, queue = {a}, [a]
+            for b in queue:
+                for c in succ[b] - seen:
+                    seen.add(c)
+                    queue.append(c)
+            reach.append(seen)
+        comps = {frozenset(b for b in reach[a] if a in reach[b]) for a in range(len(mols))}
+        parts = cells(g)[0]
+        assert len(comps) == len(parts), (n, variant, reduced)
+        assert sorted(sorted(v for k in comp for v in mols[k]) for comp in comps) == parts
+
+
 @pytest.mark.parametrize("variant", ["row", "col"])
 def test_cells_merging_molecules_are_the_mutual_reachability_classes(variant):
     # an arrow back along a condensation edge merges cells that hold several molecules
