@@ -30,7 +30,7 @@ from itertools import compress, repeat
 from .action import PackedAction
 from .beissinger import _p_map
 from .laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
-from .perm import Involution, Permutation, involution_words, word_conj_s, word_length
+from .perm import Involution, involution_words, word_conj_s, word_length
 from .tableau import Tableau
 
 # classification of an index i in [n-1] at a vertex z
@@ -56,18 +56,18 @@ class GelfandVertex:
         if validate:
             if len(word) != 2 * n:
                 raise ValueError(f"vertex word must have length 2n={2*n}")
-            inv = Involution(Permutation(word))
+            inv = Involution(word)
             if inv.fixed_points():
                 raise ValueError("vertex must be fixed-point-free")
             if embed(inverse_embed(word, n), variant).word != word:
                 raise ValueError(f"{word} is not in the image of the {variant} embedding")
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "variant", variant)
+        self.word = word
+        self.n = n
+        self.variant = variant
 
     @property
     def involution(self) -> Involution:
-        return Involution(Permutation(self.word))
+        return Involution(self.word)
 
     def __call__(self, i: int) -> int:
         return self.word[i - 1]
@@ -115,9 +115,7 @@ def embed_word(word, mode: str) -> tuple:
 
 def inverse_embed(word, n: int) -> Involution:
     """Collapse a vertex word back to I_n: transfer points become fixed points."""
-    return Involution(Permutation(
-        word[i - 1] if word[i - 1] <= n else i for i in range(1, n + 1)
-    ))
+    return Involution(word[i - 1] if word[i - 1] <= n else i for i in range(1, n + 1))
 
 
 def in_asc_image(word, n: int) -> bool:
@@ -127,7 +125,7 @@ def in_asc_image(word, n: int) -> bool:
     i > n with z(i+1) < min(i, z(i)).
     """
     w = tuple(word)
-    if Involution(Permutation(w)).fixed_points():
+    if Involution(w).fixed_points():
         return False
     return not any(w[i] < min(i, w[i - 1]) for i in range(n + 1, len(w)))
 

@@ -73,7 +73,7 @@ class Permutation:
                 raise ValueError(f"{word} has an entry that is not an int")
             if sorted(word) != list(range(1, len(word) + 1)):
                 raise ValueError(f"{word} is not a permutation of [1..{len(word)}]")
-        object.__setattr__(self, "word", word)
+        self.word = word
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -118,25 +118,25 @@ class Permutation:
         return f"Permutation({list(self.word)})"
 
 
-class Involution:
+class Involution(Permutation):
     """
-    A self-inverse permutation.  validate=False trusts a caller that has
-    built the word as a product of disjoint transpositions, as the peel of
-    an inverse Beissinger map does, and skips the sort and the inversion.
+    A self-inverse permutation.  It equals only an Involution.  A raw word is
+    checked as a Permutation's is; a Permutation or an Involution already
+    holds a checked word, so only the involution check runs on it.
+    validate=False trusts a caller that has built the word as a product of
+    disjoint transpositions, as the peel of an inverse Beissinger map does,
+    and skips the sort and the inversion.
     """
 
-    __slots__ = ("perm",)
+    __slots__ = ()
 
-    def __init__(self, perm, validate: bool = True):
-        if not isinstance(perm, Permutation):
-            perm = Permutation(perm, validate)
-        if validate and not perm.is_involution():
-            raise ValueError(f"{list(perm.word)} is not an involution")
-        object.__setattr__(self, "perm", perm)
-
-    @classmethod
-    def identity(cls, n: int) -> "Involution":
-        return cls(Permutation.identity(n))
+    def __init__(self, word, validate: bool = True):
+        if isinstance(word, Permutation):
+            self.word = word.word
+        else:
+            super().__init__(word, validate)
+        if validate and not self.is_involution():
+            raise ValueError(f"{list(self.word)} is not an involution")
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Involution":
@@ -150,18 +150,7 @@ class Involution:
                 raise ValueError(f"cycles are not disjoint at ({a},{b})")
             seen.update((a, b))
             w[a - 1], w[b - 1] = b, a
-        return cls(Permutation(w))
-
-    @property
-    def word(self):
-        return self.perm.word
-
-    @property
-    def n(self) -> int:
-        return self.perm.n
-
-    def __call__(self, i: int) -> int:
-        return self.perm.word[i - 1]
+        return cls(w)
 
     def fixed_points(self):
         return tuple(i for i, v in enumerate(self.word, 1) if v == i)
@@ -174,8 +163,7 @@ class Involution:
     def __eq__(self, other):
         return isinstance(other, Involution) and self.word == other.word
 
-    def __hash__(self):
-        return hash(self.word)
+    __hash__ = Permutation.__hash__
 
     def __repr__(self):
         return f"Involution({list(self.word)})"
@@ -208,15 +196,15 @@ def _conjugate_involution(y: Involution, word, a: int, b: int) -> Involution:
     word(j) = y(j) is outside D too and word(word(j)) = y(y(j)) = j.  So
     word * word = id, which also makes word a permutation of [n], exactly
     when word(word(j)) = j for the at most four j in D.  If that fails,
-    Involution(Permutation(word)) runs the full check and raises its own
+    Involution(word) runs the full check and raises its own
     ValueError.
     """
     n = len(word)
-    for j in (a, b, y.perm.word[a - 1], y.perm.word[b - 1]):
+    for j in (a, b, y.word[a - 1], y.word[b - 1]):
         k = word[j - 1]
         if not 0 < k <= n or word[k - 1] != j:
-            return Involution(Permutation(word))
-    return Involution(Permutation(word, False), False)
+            return Involution(word)
+    return Involution(word, False)
 
 
 def cycles_sorted(y: Involution):
@@ -293,7 +281,7 @@ def enumerate_involutions(n: int):
     if n < 0:
         raise ValueError("n must be nonnegative")
     for w in involution_words(n):
-        yield Involution(Permutation(w))
+        yield Involution(w)
 
 
 def conj_compare(z: Involution, i: int) -> str:
@@ -337,4 +325,4 @@ def parse_involution(text: str, n: int | None = None) -> Involution:
         word = [int(ch) for ch in text]
     if n is not None and len(word) != n:
         raise ValueError(f"one-line word {text!r} has length {len(word)}, expected {n}")
-    return Involution(Permutation(word))
+    return Involution(word)

@@ -40,7 +40,7 @@ def suite_insertion(n: int) -> dict:
                all(beissinger.p_rbs_inverse(a) == y and beissinger.p_cbs_inverse(b) == y
                    for y, a, b in zip(invs, rbs, cbs)))
         _check(checks, f"p_rbs equals RS insertion tableau on I_{m}",
-               all(a == tableau.pq_rs(y.perm)[0] for y, a in zip(invs, rbs)))
+               all(a == tableau.pq_rs(y)[0] for y, a in zip(invs, rbs)))
     return _wrap("insertion", n, checks)
 
 

@@ -415,7 +415,11 @@ def cells(g: WGraph):
     quotient path lifts.  A molecule's arrows are the set of molecules its
     rows reach, so no tuple is made per edge.
     """
-    mols = molecules(g)
+    return _cells(g, molecules(g))
+
+
+def _cells(g: WGraph, mols):
+    """cells(g), given g's molecules."""
     mol_of = [0] * g.size
     for k, part in enumerate(mols):
         for v in part:
@@ -447,7 +451,7 @@ def _strong_components(succ):
     The strongly connected components of the digraph on 0..len(succ)-1 with
     successor lists succ, each as a sorted list, in the order Tarjan's
     algorithm closes them (run iteratively, so deep graphs need no
-    recursion).  cells runs it on the quotient by molecules.
+    recursion).  _cells runs it on the quotient by molecules.
     """
     size = len(succ)
     index = [-1] * size
@@ -655,7 +659,7 @@ def classify_graph(g: WGraph) -> ClassifyReport:
             f"{len(missing)} combinatorial-only; first: {first}"
         )
 
-    parts, _ = cells(g)
+    parts, _ = _cells(g, mols)
     report.cells_match_molecules = parts == mols
     if not report.cells_match_molecules:
         report.counterexamples.append(

@@ -24,6 +24,7 @@ from gelfand_wgraphs.perm import (
     Involution,
     Permutation,
     _conjugate_involution,
+    conj_by_s,
     cycles_sorted,
     enumerate_involutions,
 )
@@ -152,6 +153,35 @@ def test_transposed_variant_outcomes_digest():
     assert h.hexdigest() == "3e8ffaa09d0388e58839305d0d97343519854c29de360467aa217ecdc02f302a"
 
 
+def insertion_outcomes():
+    """
+    One line per y in I_n, n <= 8: repr(y), its cycle string, the rows of
+    p_rbs(y) and p_cbs(y), both inverses of those tableaux, psi(y), then
+    simrbs_partner, simcbs_partner (1 < i < n) and conj_by_s (1 <= i < n)
+    at every i.
+    """
+    for n in range(1, 9):
+        for y in enumerate_involutions(n):
+            P, Q = p_rbs(y), p_cbs(y)
+            parts = [repr(y), y.cycle_string(), repr(P.rows), repr(Q.rows),
+                     repr(p_rbs_inverse(P)), repr(p_cbs_inverse(Q)), repr(psi(y))]
+            parts += [repr(simrbs_partner(y, i)) for i in range(2, n)]
+            parts += [repr(simcbs_partner(y, i)) for i in range(2, n)]
+            parts += [repr(conj_by_s(y, i)) for i in range(1, n)]
+            yield " ".join(parts) + "\n"
+
+
+def test_insertion_outcomes_digest():
+    # recorded while an Involution held its Permutation in a slot of its own
+    h = hashlib.sha256()
+    count = 0
+    for line in insertion_outcomes():
+        h.update(line.encode())
+        count += 1
+    assert count == 1115
+    assert h.hexdigest() == "c16fdebc9b012ca46cbe0edc76f6b3a70f4a990d8fe6ed7c825ac1e02e2a5921"
+
+
 def test_p_rbs_examples():
     assert p_rbs(inv([4, 2, 3, 1])) == T([[1, 3], [2], [4]])
     assert p_rbs(inv([1])) == T([[1]])
@@ -194,7 +224,7 @@ def test_inverses_reject_a_non_increasing_filling():
 def test_p_rbs_equals_rs_tableau():
     for n in range(1, 9):
         for y in enumerate_involutions(n):
-            assert p_rbs(y) == pq_rs(y.perm)[0]
+            assert p_rbs(y) == pq_rs(y)[0]
 
 
 def test_bijections_with_parity_refinement():
@@ -295,7 +325,7 @@ def test_conj_by_transposition_matches_the_validated_product():
                 for b in range(a + 1, n + 1):
                     t = Permutation.transposition(n, a, b)
                     z = beissinger._conj_by_transposition(y, a, b)
-                    assert isinstance(z, Involution) and z == Involution(t * y.perm * t)
+                    assert isinstance(z, Involution) and z == Involution(t * y * t)
 
 
 def word_or_error(make):
@@ -415,7 +445,7 @@ def seeded_involutions(seed, sizes):
 def test_kernels_at_benchmark_sizes(seed):
     for y in seeded_involutions(seed, range(20, 81)):
         P, Q = p_rbs(y), p_cbs(y)
-        assert P == pq_rs(y.perm)[0]
+        assert P == pq_rs(y)[0]
         assert p_rbs_inverse(P) == y == peel_reference(P, True)
         assert p_cbs_inverse(Q) == y == peel_reference(Q, False)
         z = psi(y)

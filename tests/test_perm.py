@@ -71,7 +71,7 @@ def test_conj_by_s_of_involutions_matches_the_validated_product():
             for i in range(1, n):
                 s = Permutation.transposition(n, i, i + 1)
                 z = conj_by_s(y, i)
-                assert isinstance(z, Involution) and z == Involution(s * y.perm * s)
+                assert isinstance(z, Involution) and z == Involution(s * y * s)
 
 
 def positions_only(word, i):
@@ -200,7 +200,7 @@ def test_conj_compare_matches_length_jump():
     for n in (3, 4, 5, 6):
         for z in enumerate_involutions(n):
             for i in range(1, n):
-                diff = length(conj_by_s(z, i).perm) - length(z.perm)
+                diff = length(conj_by_s(z, i)) - length(z)
                 assert diff in (-2, 0, 2)
                 expect = {2: "higher", 0: "equal", -2: "lower"}[diff]
                 assert conj_compare(z, i) == expect
@@ -215,8 +215,19 @@ def test_permutation_validation():
         Involution(Permutation([2, 3, 1]))
     # the trusted path skips the checks and builds the same value
     trusted = Involution((3, 2, 1), validate=False)
-    assert trusted == Involution([3, 2, 1]) and trusted.perm == P([3, 2, 1])
+    assert trusted == Involution([3, 2, 1]) and trusted.word == (3, 2, 1)
     assert hash(trusted) == hash(Involution([3, 2, 1]))
+
+
+def test_an_involution_is_a_permutation_that_equals_only_involutions():
+    w = [3, 2, 1, 4]
+    y = Involution(w)
+    assert isinstance(y, Permutation)
+    assert y != Permutation(w) and Permutation(w) != y
+    assert not (y == Permutation(w)) and not (Permutation(w) == y)
+    assert hash(y) == hash(tuple(w))
+    assert Involution(y) == y and Involution(Permutation(w)) == y
+    assert not hasattr(y, "__dict__")
 
 
 def test_composition_and_inverse():

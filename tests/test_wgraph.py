@@ -484,6 +484,16 @@ def test_classify_graph_needs_the_models_vertex_order(variant):
         classify_graph(moved)
 
 
+def test_classify_graph_finds_the_molecules_once(monkeypatch):
+    # the cells check reuses the molecules of the fiber check
+    g = build_gamma(5, "row")
+    calls = []
+    real = wgraph.molecules
+    monkeypatch.setattr(wgraph, "molecules", lambda graph: calls.append(1) or real(graph))
+    assert classify_graph(g).ok
+    assert len(calls) == 1
+
+
 def test_classify_reports_dropped_combinatorial_pair(monkeypatch, capsys):
     real = wgraph.combinatorial_bidirected_pairs
     monkeypatch.setattr(wgraph, "combinatorial_bidirected_pairs",
