@@ -22,16 +22,16 @@ Indices i always range over [n-1] here even though vertex words live on
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 
 from .action import PackedAction
-from .beissinger import _p_map
+from .beissinger import _insert_pair
 from .laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
 from .perm import Involution, involution_words, word_conj_s, word_length
-from .tableau import Tableau
+from .tableau import Tableau, bump
 
 # classification of an index i in [n-1] at a vertex z
 ASC_LT, DES_LT, ASC_EQ, DES_EQ = 0, 1, 2, 3
@@ -910,33 +910,36 @@ def canonical_basis(n: int, variant: str, check_bar=None):
 def hat_p(z: GelfandVertex) -> Tableau:
     """
     The insertion tableau of the vertex (p_rbs for 'asc', p_cbs for 'des'),
-    restricted to entries <= n.  The p-map reads the vertex word as it is,
-    with no Involution built from it.
-    """
-    return entries_up_to(_p_map(z.word, z.variant == "asc"), z.n)
+    restricted to entries <= n, from the first n letters of its word: each
+    pair (a, b) with a < b <= n goes in by `_insert_pair` in increasing b,
+    then each a <= n with z(a) > n is row-bumped, in increasing a for 'asc'
+    and decreasing a for 'des'.  Tableau(rows) validates the n cells once.
 
-
-def entries_up_to(full: Tableau, n: int) -> Tableau:
+    This is the p-map restricted.  The p-map inserts the pairs by increasing
+    b: first those with b <= n, as above, then those with b > n.  Each such
+    b is appended at the end of a row or column and is > n, outside the
+    restriction.  The entries > n end each row, so a row bump of a <= n,
+    restricted to the entries <= n, is a Schensted insertion (once it
+    displaces an entry > n, only entries > n move), and a bump of a > n
+    moves only entries > n.  The a <= n with z(a) > n are the fixed points
+    c_1 < ... < c_q of the involution, and `embed_word` matches c_k to n+k
+    for 'asc' and to n+q+1-k for 'des', so increasing b is increasing a for
+    'asc' and decreasing a for 'des'.
     """
-    The cells of a p-map tableau that hold 1..n.  The p-map has already
-    validated `full`, and in a standard tableau the cells holding 1..n form
-    a down-set: a prefix of each row and of each column.  So they form a
-    standard tableau themselves and need no second check (`restrict`
-    checks, because it takes an arbitrary set).
-    """
-    rows = ([v for v in row if v <= n] for row in full.rows)
-    return Tableau([row for row in rows if row], validate=False)
+    n, word, row = z.n, z.word, z.variant == "asc"
+    rows = []
+    for b, a in enumerate(word[:n], 1):
+        if a < b:
+            _insert_pair(rows, a, b, row)
+    fixed = [a for a, b in enumerate(word[:n], 1) if b > n]
+    for a in fixed if row else reversed(fixed):
+        bump(rows, a)
+    return Tableau(rows)
 
 
 def lambda_shape(z: GelfandVertex):
-    """
-    The shape of hat_p(z), read off the p-map's rows with no second
-    tableau: the entries <= n form a prefix of each row (entries_up_to), so
-    a row's part is the bisection point of n in it.  The parts 0 come last
-    (a row that starts above n has only such rows below it), and are dropped.
-    """
-    rows = _p_map(z.word, z.variant == "asc").rows
-    return tuple(filter(None, map(bisect_right, rows, repeat(z.n))))
+    """The shape of hat_p(z)."""
+    return hat_p(z).shape
 
 
 def iota_line(T: Tableau, direction: str) -> Tableau:

@@ -114,10 +114,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self._t)
 
-    def to_pairs(self):
-        """Canonical serialized form: [exponent, coefficient] pairs, ascending exponent."""
-        return [[e, self._t[e]] for e in sorted(self._t)]
-
     def __repr__(self):
         if not self._t:
             return "0"

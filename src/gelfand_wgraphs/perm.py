@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from functools import total_ordering
 
 
 def word_length(word) -> int:
@@ -56,7 +55,6 @@ def cycle_type(word) -> list:
     return out
 
 
-@total_ordering
 class Permutation:
     """
     A permutation of [n], stored as a tuple in one-line notation.
@@ -107,9 +105,6 @@ class Permutation:
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.word == other.word
-
-    def __lt__(self, other):
-        return self.word < other.word
 
     def __hash__(self):
         return hash(self.word)

@@ -95,10 +95,10 @@ def suite_gelfand(n: int) -> dict:
         _check(checks, f"ascending image = visible-descent criterion at n={m}",
                all((wd in asc_words) == gelfand.in_asc_image(wd, m)
                    for wd in universe))
-        # each vertex's p-map tableau and its entries <= m, computed once
+        # each vertex's p-map tableau, and hat_p's pass over its first m letters
         full = [(beissinger.p_rbs(za.involution), beissinger.p_cbs(zd.involution))
                 for za, zd in pairs]
-        hats = [(gelfand.entries_up_to(fa, m), gelfand.entries_up_to(fd, m)) for fa, fd in full]
+        hats = [(gelfand.hat_p(za), gelfand.hat_p(zd)) for za, zd in pairs]
         _check(checks, f"reconstruction from restricted tableaux at n={m}",
                all(gelfand.iota_line(ha, "row") == fa and gelfand.iota_line(hd, "col") == fd
                    for (fa, fd), (ha, hd) in zip(full, hats)))

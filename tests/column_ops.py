@@ -1,7 +1,8 @@
 """
 Sums and scalar multiples of module columns (dicts from index to LaurentPoly),
-the index of each vertex word of an engine table, and the reference
-symmetrization of a mu table keyed by vertex pairs, for the tests.
+the serialized form of one coefficient, the index of each vertex word of an
+engine table, and the reference symmetrization of a mu table keyed by vertex
+pairs, for the tests.
 """
 
 
@@ -16,6 +17,11 @@ def add(*cols):
 
 def scale(col, p):
     return {k: c * p for k, c in col.items()}
+
+
+def to_pairs(p):
+    """The [exponent, coefficient] pairs of a LaurentPoly, ascending exponent."""
+    return [[e, c] for e, c in sorted(p.items())]
 
 
 def vertex_index(table):

@@ -37,10 +37,10 @@ from gelfand_wgraphs.gelfand import (
 )
 from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
 from gelfand_wgraphs.perm import Involution, Permutation, enumerate_involutions, word_conj_s
-from gelfand_wgraphs.tableau import Tableau, odd_lines, standard_tableaux
+from gelfand_wgraphs.tableau import Tableau, odd_lines, restrict, standard_tableaux
 from gelfand_wgraphs.wgraph import build_gamma, classify, graph_action, symmetrize_mu
 
-from column_ops import add, scale, symmetrize_then_filter, vertex_index
+from column_ops import add, scale, symmetrize_then_filter, to_pairs, vertex_index
 
 
 def inv(word):
@@ -74,7 +74,7 @@ def tables_reference(n, variant):
         "n": n,
         "vertices": [list(w) for w in m.words],
         "columns": {
-            str(z): [[y, col[y].to_pairs()] for y in sorted(col)]
+            str(z): [[y, to_pairs(col[y])] for y in sorted(col)]
             for z, col in enumerate(m.canonical_columns())
         },
         "mu": sorted([y, z, v] for (y, z), v in m.mu_entries().items()),
@@ -449,7 +449,7 @@ def test_graph_path_reads_the_store(monkeypatch, fresh_tables):
     assert g.omega == symmetrize_then_filter(m.mu_entries(), m.tau, False)
     view = m.canonical_columns()
     assert doc["columns"] == {
-        str(z): [[y, col[y].to_pairs()] for y in sorted(col)]
+        str(z): [[y, to_pairs(col[y])] for y in sorted(col)]
         for z, col in enumerate(view)
     }
 
@@ -545,12 +545,14 @@ def test_lambda_shape_examples():
 
 
 @pytest.mark.parametrize("variant", ["asc", "des"])
-def test_lambda_shape_is_the_shape_of_hat_p(variant):
-    # lambda_shape reads the p-map's rows; hat_p builds the restricted tableau
+def test_hat_p_is_the_restricted_p_map(variant):
+    # hat_p reads only the first n letters; the oracle runs the p-map over
+    # all 2n and restricts it
+    p_map = p_rbs if variant == "asc" else p_cbs
     for n in range(1, 9):
         for y in enumerate_involutions(n):
             z = embed(y, variant)
-            assert lambda_shape(z) == hat_p(z).shape, z
+            assert hat_p(z) == restrict(p_map(z.involution), range(1, n + 1)), z
 
 
 def test_iota_line_examples():
@@ -664,8 +666,8 @@ def test_tables_json_memory_stays_below_text_size(variant):
 
 
 def test_classify_validates_each_shape_tableau_once(monkeypatch, fresh_tables):
-    # the p-map validates its tableau; hat_p restricts it without a second
-    # check (fresh_tables also releases the n=9 models)
+    # hat_p validates its n-cell tableau once, and lambda_shape reads its
+    # shape (fresh_tables also releases the n=9 models)
     calls = []
     validate = tableau._validate
     monkeypatch.setattr(tableau, "_validate", lambda *a, **k: calls.append(1) or validate(*a, **k))

@@ -44,6 +44,8 @@ from gelfand_wgraphs.gelfand import Model, ModuleTable, _model, canonical_basis,
 from gelfand_wgraphs.perm import enumerate_involutions
 from gelfand_wgraphs.wgraph import build_gamma, combinatorial_bidirected_pairs, export
 
+from column_ops import to_pairs
+
 
 GOLDEN = {
     "kl 5": "a64bc44a976c4c464e5611f0156af4c05c4bfac36cee3bea66c916ab1deb1121",
@@ -143,7 +145,7 @@ def test_canonical_basis_digest(what):
     _, n, variant = what.split()
     cols, mu = canonical_basis(int(n), variant)
     doc = (
-        sorted((z.word, sorted((y.word, c.to_pairs()) for y, c in col.items()))
+        sorted((z.word, sorted((y.word, to_pairs(c)) for y, c in col.items()))
                for z, col in cols.items()),
         sorted((y.word, z.word, m) for (y, z), m in mu.entries.items()),
     )

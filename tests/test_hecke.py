@@ -16,7 +16,7 @@ from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV
 from gelfand_wgraphs.perm import Permutation, word_length
 from gelfand_wgraphs.tableau import pq_rs
 
-from column_ops import add, scale, vertex_index
+from column_ops import add, scale, to_pairs, vertex_index
 
 
 def H(word, c=ONE):
@@ -106,11 +106,11 @@ def test_kl_basis_examples():
     # full n=3 table, frozen from the bar-invariance + triangularity oracle
     w0 = kb[(3, 2, 1)]
     assert w0[(3, 2, 1)] == ONE
-    assert w0[(2, 3, 1)].to_pairs() == [[-1, 1]]
-    assert w0[(3, 1, 2)].to_pairs() == [[-1, 1]]
-    assert w0[(1, 3, 2)].to_pairs() == [[-2, 1]]
-    assert w0[(2, 1, 3)].to_pairs() == [[-2, 1]]
-    assert w0[(1, 2, 3)].to_pairs() == [[-3, 1]]
+    assert to_pairs(w0[(2, 3, 1)]) == [[-1, 1]]
+    assert to_pairs(w0[(3, 1, 2)]) == [[-1, 1]]
+    assert to_pairs(w0[(1, 3, 2)]) == [[-2, 1]]
+    assert to_pairs(w0[(2, 1, 3)]) == [[-2, 1]]
+    assert to_pairs(w0[(1, 2, 3)]) == [[-3, 1]]
     assert len(w0) == 6
 
 

@@ -24,6 +24,8 @@ from gelfand_wgraphs.gelfand import (
 )
 from gelfand_wgraphs.laurent import X_INV, LaurentPoly
 
+from column_ops import to_pairs
+
 
 def decode(store, out):
     """A step's packed output as a dict from (vertex, exponent) to nonzero coefficient."""
@@ -109,7 +111,7 @@ def two_vertex_table(weak_asc, weak_des):
 ])
 def test_step_on_hand_built_weak_scalars(weak_asc, weak_des, sizes):
     table = two_vertex_table(weak_asc, weak_des)
-    assert tuple(len((p + X_INV).to_pairs()) for p in (weak_asc, weak_des)) == sizes
+    assert tuple(len(to_pairs(p + X_INV)) for p in (weak_asc, weak_des)) == sizes
     assert table.tau == [frozenset({1, 2}), frozenset({1})]  # none of the scalars is x
     assert table.canonical_columns() == [{0: LaurentPoly({0: 1})},
                                          {1: LaurentPoly({0: 1}), 0: X_INV}]

@@ -9,6 +9,8 @@ from gelfand_wgraphs.laurent import (
     LaurentPoly,
 )
 
+from column_ops import to_pairs
+
 
 def sum_pairs(pairs):
     """The sum of the terms c·x^e over the (e, c) pairs; an exponent may repeat."""
@@ -60,7 +62,7 @@ def test_repr_readable():
 
 
 def test_serialized_form_sorted():
-    assert lp((2, 5), (-1, 3)).to_pairs() == [[-1, 3], [2, 5]]
+    assert to_pairs(lp((2, 5), (-1, 3))) == [[-1, 3], [2, 5]]
 
 
 polys = st.builds(

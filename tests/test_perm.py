@@ -230,6 +230,17 @@ def test_an_involution_is_a_permutation_that_equals_only_involutions():
     assert not hasattr(y, "__dict__")
 
 
+def test_permutations_are_not_ordered():
+    # an order on the word would rank Permutation(w) against Involution(w),
+    # which are unequal; no caller sorts permutations, so there is none
+    w = [3, 2, 1, 4]
+    for a, b in ((Permutation(w), Involution(w)), (Involution(w), Permutation(w)),
+                 (P([1, 2]), P([2, 1]))):
+        for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
+            with pytest.raises(TypeError):
+                compare()
+
+
 def test_composition_and_inverse():
     u, v = P([2, 3, 1]), P([3, 1, 2])
     assert u * v == P([1, 2, 3])

@@ -1,8 +1,10 @@
 import pytest
 
 from gelfand_wgraphs import gelfand
+from gelfand_wgraphs.beissinger import _insert_pair
 from gelfand_wgraphs.laurent import ONE
 from gelfand_wgraphs.suites import SUITES, run_suite
+from gelfand_wgraphs.tableau import Tableau, bump
 
 
 @pytest.mark.parametrize("name,n", [
@@ -67,6 +69,28 @@ def test_gelfand_suite_bar_check_sees_a_broken_bar(monkeypatch, fresh_tables):
     report = run_suite("gelfand", 3)
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failed == {"bar operator involutive and compatible at n=3"}
+
+
+def test_gelfand_suite_sees_des_transfer_points_bumped_in_asc_order(monkeypatch):
+    # hat_p with the 'des' transfer points bumped in increasing a, the order
+    # that is right only for 'asc': from n=2, where the identity has two
+    # fixed points, its tableaux no longer double back to the p-map tableaux
+    def wrong_order(z):
+        n, rows = z.n, []
+        for b, a in enumerate(z.word[:n], 1):
+            if a < b:
+                _insert_pair(rows, a, b, z.variant == "asc")
+        for a, b in enumerate(z.word[:n], 1):
+            if b > n:
+                bump(rows, a)
+        return Tableau(rows)
+
+    monkeypatch.setattr(gelfand, "hat_p", wrong_order)
+    report = run_suite("gelfand", 5)
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert not report["passed"]
+    for m in range(1, 6):
+        assert (f"reconstruction from restricted tableaux at n={m}" in failed) == (m >= 2), m
 
 
 def test_suites_fetch_each_checked_object_once(monkeypatch):
