@@ -967,8 +967,6 @@ def iota_line(T: Tableau, direction: str) -> Tableau:
             else:
                 rows.append([n + offset])
         if n + k < 2 * n:
-            if not rows:
-                rows.append([])
             if len(rows) < 2:
                 rows.append([])
             for j, v in enumerate(range(n + k + 1, 2 * n + 1)):
@@ -980,9 +978,8 @@ def iota_line(T: Tableau, direction: str) -> Tableau:
         k = len(odd)
         for offset, r in enumerate(odd, 1):
             rows[r].append(n + offset)
-        if not rows and n + k < 2 * n:
-            rows.append([])
-        rows[0].extend(range(n + k + 1, 2 * n + 1))
+        if n + k < 2 * n:
+            rows[0].extend(range(n + k + 1, 2 * n + 1))
         return Tableau(rows)
     raise ValueError(f"direction must be 'row' or 'col', got {direction!r}")
 

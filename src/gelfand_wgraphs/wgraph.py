@@ -240,6 +240,8 @@ class WGraph:
         self.vertices = tuple(tuple(v) for v in vertices)
         self.tau = tau = tuple(_shared(frozenset(t) for t in tau))
         reduced, size = self.reduced, len(self.vertices)
+        if len(tau) != size:
+            raise ValueError(f"tau has {len(tau)} entries for {size} vertices")
         if not (
             isinstance(omega, EdgeTable)
             and omega.size == size
@@ -253,6 +255,8 @@ class WGraph:
             omega.reduced_by = tau if reduced else None
         self.omega = omega
         self.shapes = tuple(_shared(tuple(s) for s in shapes)) if shapes is not None else None
+        if shapes is not None and len(self.shapes) != size:
+            raise ValueError(f"shapes has {len(self.shapes)} entries for {size} vertices")
         self._terms = None  # action_terms, built on first use
         self._pairs = None  # bidirected_pairs, found on first use
 
@@ -377,28 +381,25 @@ def verify_axioms(g: WGraph) -> AxiomReport:
 
 
 def molecules(g: WGraph):
-    """Connected components of the bidirected-edge graph, by least vertex."""
-    adj = [[] for _ in range(g.size)]
+    """
+    Connected components of the bidirected-edge graph, by least vertex: a
+    union-find over g.bidirected_pairs() with path halving.  Each tree's
+    root is its least vertex and every parent is below its child, so one
+    pass up from vertex 0 sends each vertex to its root.
+    """
+    root = list(range(g.size))
     for v, w in g.bidirected_pairs():
-        adj[v].append(w)
-        adj[w].append(v)
-    seen = [False] * g.size
-    parts = []
-    for start in range(g.size):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        parts.append(sorted(comp))
-    return sorted(parts)
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        while root[w] != w:
+            root[w] = w = root[root[w]]
+        if v != w:
+            root[max(v, w)] = min(v, w)
+    parts = {}
+    for v in range(g.size):
+        root[v] = r = root[root[v]]
+        parts.setdefault(r, []).append(v)
+    return list(parts.values())
 
 
 def cells(g: WGraph):
@@ -418,8 +419,11 @@ def cells(g: WGraph):
     return _cells(g, molecules(g))
 
 
-def _cells(g: WGraph, mols):
-    """cells(g), given g's molecules."""
+def _quotient(g: WGraph, mols):
+    """
+    The quotient of g by its molecules mols: each vertex's molecule index,
+    and each molecule's sorted list of the other molecules its rows reach.
+    """
     mol_of = [0] * g.size
     for k, part in enumerate(mols):
         for v in part:
@@ -432,6 +436,12 @@ def _cells(g: WGraph, mols):
             reach.update(map(get, targets(v)))
         reach.discard(a)
         succ.append(sorted(reach))
+    return mol_of, succ
+
+
+def _cells(g: WGraph, mols):
+    """cells(g), given g's molecules."""
+    _, succ = _quotient(g, mols)
     comps = sorted(_strong_components(succ))  # by least molecule, so by least vertex
     cell_of = [0] * len(mols)
     for ci, comp in enumerate(comps):
@@ -449,54 +459,48 @@ def _cells(g: WGraph, mols):
 def _strong_components(succ):
     """
     The strongly connected components of the digraph on 0..len(succ)-1 with
-    successor lists succ, each as a sorted list, in the order Tarjan's
-    algorithm closes them (run iteratively, so deep graphs need no
-    recursion).  _cells runs it on the quotient by molecules.
+    successor lists succ, each as a sorted list, by Kosaraju's two
+    depth-first passes (Sharir, Comput. Math. Appl. 7, 1981), run
+    iteratively so deep graphs need no recursion: the first records the
+    order in which vertices finish, the second collects a component along
+    the reversed arrows from each vertex not yet taken, in reverse finish
+    order.  _cells runs it on the quotient by molecules.
     """
-    size = len(succ)
-    index = [-1] * size
-    low = [0] * size
-    on_stack = [False] * size
-    stack = []
-    comps = []
-    counter = 0
-    for root in range(size):
-        if index[root] != -1:
+    seen = [False] * len(succ)
+    order = []  # vertices in the order they finish
+    for root in range(len(succ)):
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            else:
+                stack.pop()
+                order.append(v)
+    pred = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for w in row:
+            pred[w].append(v)
+    comps = []
+    for root in reversed(order):  # seen[v] now means v is not yet taken
+        if not seen[root]:
+            continue
+        seen[root] = False
+        comp, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in pred[v]:
+                if seen[u]:
+                    seen[u] = False
+                    stack.append(u)
+        comps.append(sorted(comp))
     return comps
 
 
@@ -700,14 +704,11 @@ def _cycle_witness(g: WGraph, mols, parts) -> str:
     """
     A cycle of molecules inside the cell of parts (the cells, sorted by
     least vertex) with the least vertex among those of two or more
-    molecules, one omega edge v -> w (by word) per step: the shortest one
-    through the cell's least molecule, found breadth first over the
-    quotient arrows inside the cell.
+    molecules, one omega edge v -> w (by word) per step, the least one
+    between the two molecules: the shortest cycle through the cell's least
+    molecule, found breadth first over the quotient arrows inside the cell.
     """
-    mol_of = [0] * g.size
-    for k, part in enumerate(mols):
-        for v in part:
-            mol_of[v] = k
+    mol_of, succ = _quotient(g, mols)
     for part in parts:
         comp = sorted({mol_of[v] for v in part})
         if len(comp) > 1:
@@ -715,14 +716,10 @@ def _cycle_witness(g: WGraph, mols, parts) -> str:
     else:
         raise ValueError("every cell is one molecule")
     inside = set(comp)
-    step = {}  # quotient arrow -> its least omega edge
-    for v, w in g.omega:
-        a, b = mol_of[v], mol_of[w]
-        if a != b and a in inside and b in inside:
-            step.setdefault((a, b), (v, w))
-    succ = {}
-    for a, b in sorted(step):
-        succ.setdefault(a, []).append(b)
+
+    def step(a, b):  # rows are increasing, so the first hit is the least edge
+        return next((v, w) for v in mols[a] for w in g.omega.targets(v) if mol_of[w] == b)
+
     start = comp[0]
     parent = {start: None}
     queue = [start]
@@ -734,11 +731,11 @@ def _cycle_witness(g: WGraph, mols, parts) -> str:
                     path.append(a)
                     a = parent[a]
                 path.reverse()  # start, ..., a, start
-                edges = (step[x, y] for x, y in zip(path, path[1:]))
+                edges = (step(x, y) for x, y in zip(path, path[1:]))
                 return "cycle of molecules: " + ", ".join(
                     f"{_label(g.vertices[v])} -> {_label(g.vertices[w])}" for v, w in edges
                 )
-            if b not in parent:
+            if b in inside and b not in parent:
                 parent[b] = a
                 queue.append(b)
     raise ValueError("the cell is not strongly connected")

@@ -575,6 +575,11 @@ def test_iota_line_examples():
                 iota_line(Tableau.filling(rows), direction)
 
 
+def test_iota_line_doubles_the_empty_tableau_to_itself():
+    for direction in ("row", "col"):
+        assert iota_line(tableau.EMPTY, direction) == tableau.EMPTY
+
+
 def test_iota_line_parity_postconditions():
     for n in range(1, 8):
         for U in standard_tableaux(n):

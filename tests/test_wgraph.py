@@ -374,6 +374,35 @@ def test_cells_handle_plain_digraphs():
     assert molecules(g) == [[0, 1], [2, 3]]
 
 
+DEEP = 5000  # far past the default recursion limit
+
+
+def _deep_graph(omega):
+    """A hand-made graph on DEEP vertices (k,), every tau empty, omega kept as given."""
+    return WGraph(n=2, variant="toy", reduced=False, vertices=[(k,) for k in range(DEEP)],
+                  tau=[()] * DEEP, omega=omega)
+
+
+def test_cells_and_molecules_of_deep_graphs():
+    path = {(k, k + 1): 1 for k in range(DEEP - 1)}
+    singletons = [[k] for k in range(DEEP)]
+    cycle = _deep_graph({**path, (DEEP - 1, 0): 1})
+    assert cells(cycle) == ([list(range(DEEP))], [])
+    assert molecules(cycle) == singletons
+    assert cells(_deep_graph(path)) == (singletons, sorted(path))
+    both = _deep_graph({**path, **{(w, v): 1 for v, w in path}})
+    assert molecules(both) == [list(range(DEEP))]
+
+
+@pytest.mark.parametrize("field", ["tau", "shapes"])
+def test_parse_wgraph_refuses_a_field_of_the_wrong_length(field):
+    doc = json.loads(export(build_gamma(4, "row"), "json"))
+    size = len(doc["vertices"])
+    doc[field].pop()
+    with pytest.raises(ValueError, match=f"{field} has {size - 1} entries for {size} vertices"):
+        parse_wgraph(json.dumps(doc))
+
+
 def test_combinatorial_bidirected_examples():
     y = embed(Involution([2, 1, 3, 4]), "asc")
     z = embed(Involution([3, 2, 1, 4]), "asc")
