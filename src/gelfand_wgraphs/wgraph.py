@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import islice
 from math import comb, prod
 
 from .action import PackedAction, relation_violations
@@ -59,7 +59,7 @@ class EdgeTable(Mapping):
     order ("i"), and of `wt`, the nonzero weights omega(v, w) in the
     narrowest of gelfand.INT_CODES that holds them all (widened the way the
     column store's coefficients are).  `start` holds |V| + 1 offsets.  Rows
-    are appended in vertex order.
+    are appended one at a time, in vertex order.
 
     The table is also a read-only Mapping from (v, w) to omega(v, w): its
     len is the number of edges, it iterates the pairs in sorted order, a
@@ -81,16 +81,15 @@ class EdgeTable(Mapping):
         """The number of rows, |V|."""
         return len(self.start) - 1
 
-    def extend(self, targets: list, weights: list, lengths: list) -> None:
+    def append(self, targets: list, weights: list) -> None:
         """
-        Append the next rows: their targets, each row's strictly increasing,
-        and nonzero weights, concatenated, and the length of each row.
+        Append the next row: its targets, strictly increasing, and their
+        nonzero weights.  The weight array widens as ColumnStore.append's
+        coefficients do.
         """
         self.wt = widened_fromlist(self.wt, weights)
-        ends = accumulate(lengths, initial=len(self.dst))
-        next(ends)  # the offset the table already ends with
         self.dst.fromlist(targets)
-        self.start.extend(ends)
+        self.start.append(len(self.dst))
 
     def targets(self, v: int) -> array:
         """Row v's targets, increasing."""
@@ -151,12 +150,8 @@ def _packed(size: int, triples) -> EdgeTable:
     table = EdgeTable()
     for row in rows:
         row.sort()
-    table.extend([w for row in rows for w, _ in row], [c for row in rows for _, c in row],
-                 [len(row) for row in rows])
+        table.append([w for w, _ in row], [c for _, c in row])
     return table
-
-
-_BUFFER = 1 << 14  # edges symmetrize_mu holds in lists before it packs them
 
 
 def symmetrize_mu(mu, tau=None) -> EdgeTable:
@@ -173,7 +168,7 @@ def symmetrize_mu(mu, tau=None) -> EdgeTable:
     table with no tuple or dict per edge.  The first appends z and mu(y, z)
     to y's lists of higher targets, in increasing z.  The second makes row
     z from column z's own entries, its edges to lower y, sorted once,
-    followed by those lists, and packs the rows _BUFFER edges at a time.
+    followed by those lists, and appends it to the table.
     """
     size = len(mu)
     up = [[] for _ in range(size)]  # per y, its higher targets z, increasing
@@ -185,7 +180,6 @@ def symmetrize_mu(mu, tau=None) -> EdgeTable:
                 up[y].append(z)
                 up_wt[y].append(m)
     table = EdgeTable()
-    targets, weights, lengths = [], [], []
     for z, col in enumerate(mu):
         if tau is None:
             low = list(col)
@@ -196,16 +190,8 @@ def symmetrize_mu(mu, tau=None) -> EdgeTable:
         higher = up[z]
         if low and low[-1] >= z or higher and higher[0] <= z:
             raise ValueError(f"mu(y, z) given with y >= z at vertex {z}")
-        targets += low
-        targets += higher
-        weights += map(col.__getitem__, low)
-        weights += up_wt[z]
-        lengths.append(len(low) + len(higher))
+        table.append(low + higher, [col[y] for y in low] + up_wt[z])
         up[z] = up_wt[z] = None
-        if len(targets) > _BUFFER:
-            table.extend(targets, weights, lengths)
-            targets, weights, lengths = [], [], []
-    table.extend(targets, weights, lengths)
     table.reduced_by = tau
     return table
 
@@ -229,7 +215,8 @@ class WGraph:
     Equal tau sets are one frozenset, and equal shapes one tuple, whatever
     the caller passed (build_gamma's tau is already shared; parse_wgraph's
     is not): at most 2^(n-1) ascent sets and one shape per fiber, not one
-    of each per vertex.  Both are read-only.  action_terms and
+    of each per vertex.  Both are read-only.  A tau set may hold only ints
+    in 1..n-1, checked once per distinct set.  action_terms and
     bidirected_pairs are kept on the graph once made.
     """
 
@@ -242,6 +229,12 @@ class WGraph:
         reduced, size = self.reduced, len(self.vertices)
         if len(tau) != size:
             raise ValueError(f"tau has {len(tau)} entries for {size} vertices")
+        for t in dict.fromkeys(tau):  # each distinct set once
+            bad = [i for i in t if type(i) is not int or not 0 < i < n]
+            if bad:
+                v = tau.index(t)
+                raise ValueError(f"tau of vertex {v} {_label(self.vertices[v])} holds "
+                                 f"{bad[0]!r}, not an int in 1..{n - 1}")
         if not (
             isinstance(omega, EdgeTable)
             and omega.size == size
@@ -628,25 +621,24 @@ def classify_graph(g: WGraph) -> ClassifyReport:
     are unions of molecules, see `cells`).  A failed check names a witness.
 
     The bidirected edges are compared as vertex-index pairs, so the graph's
-    vertices must be its model's words in the model's order, as build_gamma
-    and parse_wgraph(export(...)) give them; any other graph is refused.
+    vertices and tau must be its model's words and ascent sets in the
+    model's order, as build_gamma and parse_wgraph(export(...)) give them;
+    any other graph is refused.
     """
     if (g.variant not in ("row", "col") or g.shapes is None
-            or g.vertices != tuple(_gamma_model(g.n, g.variant).words)):
+            or g.vertices != tuple((m := _gamma_model(g.n, g.variant)).words)
+            or g.tau != tuple(m.tau)):
         raise ValueError(f"need a row or column Gelfand graph with shapes, got {g!r}")
     report = ClassifyReport(g.n, g.variant, g.reduced)
+    report.fiber_count = len(set(g.shapes))
 
-    fibers = {}
-    for k, sh in enumerate(g.shapes):
-        fibers.setdefault(sh, []).append(k)
-    fiber_parts = sorted(sorted(part) for part in fibers.values())
-    report.fiber_count = len(fiber_parts)
-
-    mols = molecules(g)
-    report.molecules_match_fibers = mols == fiber_parts
+    mols, shapes = molecules(g), g.shapes
+    # two partitions of the vertices: equal iff each molecule has one shape and the counts agree
+    report.molecules_match_fibers = len(mols) == report.fiber_count and all(
+        shapes[v] == shapes[part[0]] for part in mols for v in part)
     if not report.molecules_match_fibers:
         report.counterexamples.append(
-            f"molecules differ from shape fibers: {len(mols)} vs {len(fiber_parts)} parts; "
+            f"molecules differ from shape fibers: {len(mols)} vs {report.fiber_count} parts; "
             + _fiber_witness(g, mols)
         )
 
@@ -883,13 +875,19 @@ def _dot_pieces(g: WGraph):
 
 
 def parse_wgraph(text: str) -> WGraph:
+    """The graph of an exported JSON document; a pair (v, w) listed twice is refused."""
     doc = json.loads(text)
+    omega = {}
+    for v, w, c in doc["edges"]:
+        if (v, w) in omega:
+            raise ValueError(f"edge ({v}, {w}) is listed twice")
+        omega[v, w] = c
     return WGraph(
         n=doc["n"],
         variant=doc["variant"],
         reduced=doc["reduced"],
         vertices=doc["vertices"],
         tau=doc["tau"],
-        omega={(v, w): c for v, w, c in doc["edges"]},
+        omega=omega,
         shapes=doc.get("shapes"),
     )

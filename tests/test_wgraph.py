@@ -175,6 +175,21 @@ def test_edge_table_widens_its_weights_and_misses_absent_pairs():
         symmetrize_mu([{1: 1}, {}])
 
 
+@pytest.mark.parametrize("reduced", [True, False])
+def test_a_late_row_widens_the_weights_of_the_rows_before_it(reduced):
+    # rows 0..3 hold only small weights; row 4 is the first with mu = 300
+    columns = [{}, {0: 1}, {0: -1, 1: 2}, {1: 1, 2: -1}, {2: 1, 3: -1}, {3: 1, 4: 300}]
+    pairs = {(y, z): m for z, col in enumerate(columns) for y, m in col.items()}
+    tau = [frozenset(t) for t in ({1}, {2}, {1, 2}, {3}, {1, 3}, {2})]
+    want = symmetrize_then_filter(pairs, tau, reduced)
+    table = symmetrize_mu(columns, tau if reduced else None)
+    assert table == want and table.wt.typecode == "h"
+    assert (4, 5) in table and (5, 4) in table
+    for v in range(4):
+        assert list(table.weights(v)) == [want[v, w] for w in table.targets(v)], v
+        assert all(abs(c) < 128 for c in table.weights(v))
+
+
 def test_graph_tables_and_certificate_read_the_mu_columns(monkeypatch):
     # none of them builds the pair-keyed mu table only to regroup or sort it
     def refuse(self):
@@ -400,6 +415,39 @@ def test_parse_wgraph_refuses_a_field_of_the_wrong_length(field):
     size = len(doc["vertices"])
     doc[field].pop()
     with pytest.raises(ValueError, match=f"{field} has {size - 1} entries for {size} vertices"):
+        parse_wgraph(json.dumps(doc))
+
+
+def _n4_row_doc():
+    """The n=4 row export, decoded; vertex 0 is (2,1,4,3,6,5,8,7) with tau {2}."""
+    doc = json.loads(export(build_gamma(4, "row"), "json"))
+    assert doc["vertices"][0] == [2, 1, 4, 3, 6, 5, 8, 7] and doc["tau"][0] == [2]
+    return doc
+
+
+@pytest.mark.parametrize("entry", [9, 0])
+def test_parse_wgraph_refuses_a_tau_entry_outside_1_to_n_minus_1(entry):
+    doc = _n4_row_doc()
+    doc["tau"][0] = [entry]
+    with pytest.raises(ValueError, match=rf"^tau of vertex 0 \(2,1,4,3,6,5,8,7\) holds {entry}, "
+                                         r"not an int in 1\.\.3$"):
+        parse_wgraph(json.dumps(doc))
+
+
+def test_classify_graph_refuses_a_tau_other_than_the_models():
+    doc = _n4_row_doc()
+    doc["tau"][0] = [1, 2]
+    g = parse_wgraph(json.dumps(doc))
+    assert not verify_axioms(g).ok
+    with pytest.raises(ValueError, match="^need a row or column Gelfand graph with shapes"):
+        classify_graph(g)
+
+
+def test_parse_wgraph_refuses_an_edge_listed_twice():
+    doc = _n4_row_doc()
+    v, w, _ = doc["edges"][0]
+    doc["edges"].append([v, w, 5])
+    with pytest.raises(ValueError, match=rf"^edge \({v}, {w}\) is listed twice$"):
         parse_wgraph(json.dumps(doc))
 
 
