@@ -99,33 +99,38 @@ def cbs_insert(T: Tableau, a: int, b: int, variant: str = "standard") -> Tableau
     raise ValueError(f"variant must be 'standard' or 'transposed', got {variant!r}")
 
 
-def _p_map(word, row: bool) -> Tableau:
+def _p_map(word, row: bool, n: int) -> Tableau:
     """
     Insert the cycles (a, b), a <= b, of the involution with one-line word
-    `word` by increasing larger element b into one list of rows.  Every step
-    keeps the rows partially standard: each b exceeds every entry already
-    placed, so appending it at the end of a row or column cannot break an
-    increase condition, and row bumping keeps a partially standard tableau
-    partially standard.  So the finished tableau is validated once, by
-    Tableau(rows), not after every pair.  The rows keep a partition shape
-    throughout, so each pair's column target is found by the local scan of
-    _insert_pair, not by a count over all rows.
+    `word` by increasing b into one list of rows, keeping the entries <= n:
+    a pair with b <= n goes in whole, one with a <= n < b places only a, by
+    a row bump, and one with a > n is skipped (gelfand.hat_p; the p-maps
+    keep all).  Every step keeps the rows partially standard: each b
+    exceeds every entry already placed, so appending it at the end of a row
+    or column cannot break an increase condition, and row bumping keeps a
+    partially standard tableau partially standard.  So the finished tableau
+    is validated once, by Tableau(rows).  The rows keep a partition shape,
+    so _insert_pair finds each column target by a local scan.
     """
     rows = []
     for b, a in enumerate(word, 1):
-        if a <= b:
+        if a > b:
+            continue
+        if b <= n:
             _insert_pair(rows, a, b, row)
+        elif a <= n:
+            bump(rows, a)
     return Tableau(rows)
 
 
 def p_rbs(y: Involution) -> Tableau:
     """Insert the cycles of y by increasing larger element, row variant."""
-    return _p_map(y.word, True)
+    return _p_map(y.word, True, y.n)
 
 
 def p_cbs(y: Involution) -> Tableau:
     """Insert the cycles of y by increasing larger element, column variant."""
-    return _p_map(y.word, False)
+    return _p_map(y.word, False, y.n)
 
 
 def _peel(rows, row: bool) -> Involution:

@@ -28,10 +28,10 @@ from functools import lru_cache
 from itertools import compress
 
 from .action import PackedAction
-from .beissinger import _insert_pair
+from .beissinger import _p_map
 from .laurent import ONE, X, X_INV, X_MINUS_XINV, LaurentPoly
 from .perm import Involution, involution_words, word_conj_s, word_length
-from .tableau import Tableau, bump
+from .tableau import Tableau
 
 # classification of an index i in [n-1] at a vertex z
 ASC_LT, DES_LT, ASC_EQ, DES_EQ = 0, 1, 2, 3
@@ -909,32 +909,17 @@ def canonical_basis(n: int, variant: str, check_bar=None):
 
 def hat_p(z: GelfandVertex) -> Tableau:
     """
-    The insertion tableau of the vertex (p_rbs for 'asc', p_cbs for 'des'),
-    restricted to entries <= n, from the first n letters of its word: each
-    pair (a, b) with a < b <= n goes in by `_insert_pair` in increasing b,
-    then each a <= n with z(a) > n is row-bumped, in increasing a for 'asc'
-    and decreasing a for 'des'.  Tableau(rows) validates the n cells once.
+    The insertion tableau of the vertex (p_rbs for 'asc', p_cbs for 'des')
+    restricted to entries <= n: the p-map's own loop, keeping only 1..n.
 
-    This is the p-map restricted.  The p-map inserts the pairs by increasing
-    b: first those with b <= n, as above, then those with b > n.  Each such
-    b is appended at the end of a row or column and is > n, outside the
-    restriction.  The entries > n end each row, so a row bump of a <= n,
-    restricted to the entries <= n, is a Schensted insertion (once it
-    displaces an entry > n, only entries > n move), and a bump of a > n
-    moves only entries > n.  The a <= n with z(a) > n are the fixed points
-    c_1 < ... < c_q of the involution, and `embed_word` matches c_k to n+k
-    for 'asc' and to n+q+1-k for 'des', so increasing b is increasing a for
-    'asc' and decreasing a for 'des'.
+    The p-map inserts the pairs (a, b) by increasing b; those with b <= n go
+    in whole here too.  Each b > n is appended at the end of a row or
+    column, outside the restriction.  The entries > n end each row, so a
+    row bump of a <= n, restricted to the entries <= n, is a Schensted
+    insertion (once it displaces an entry > n, only entries > n move), and
+    a bump of a > n moves only entries > n: the loop bumps only a <= n.
     """
-    n, word, row = z.n, z.word, z.variant == "asc"
-    rows = []
-    for b, a in enumerate(word[:n], 1):
-        if a < b:
-            _insert_pair(rows, a, b, row)
-    fixed = [a for a, b in enumerate(word[:n], 1) if b > n]
-    for a in fixed if row else reversed(fixed):
-        bump(rows, a)
-    return Tableau(rows)
+    return _p_map(z.word, z.variant == "asc", z.n)
 
 
 def lambda_shape(z: GelfandVertex):

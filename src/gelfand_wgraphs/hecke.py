@@ -24,17 +24,8 @@ from functools import lru_cache
 from itertools import permutations as _permutations
 
 from .gelfand import ASC_LT, DES_LT, ModuleTable
-from .perm import Permutation
-
-
-def _one_line(w) -> tuple:
-    """The one-line word of a Permutation or of a sequence of values."""
-    return w.word if isinstance(w, Permutation) else tuple(w)
-
-
-def _s_mul_word(i: int, word):
-    """One-line word of s_i * w (swap the values i and i+1)."""
-    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in word)
+from .perm import _s_mul_word
+from .wgraph import WGraph, cells, symmetrize_mu
 
 
 def _left_ascent(word, i: int) -> bool:
@@ -51,20 +42,6 @@ def _regular(n: int) -> ModuleTable:
         lambda w, i: ASC_LT if _left_ascent(w, i) else DES_LT,
         lambda w, i: _s_mul_word(i, w),
     )
-
-
-def reduced_word(w) -> tuple:
-    """The lexicographically least reduced word of w."""
-    word = _one_line(w)
-    letters = []
-    while True:
-        for i in range(1, len(word)):
-            if word.index(i) > word.index(i + 1):  # left descent
-                letters.append(i)
-                word = _s_mul_word(i, word)
-                break
-        else:
-            return tuple(letters)
 
 
 def h_bar(n: int, col: dict) -> dict:
@@ -102,8 +79,6 @@ def asc_right(word) -> frozenset:
 
 def kl_wgraph(n: int, side: str, reduced: bool = True):
     """The left or right Kazhdan-Lusztig W-graph of S_n."""
-    from .wgraph import WGraph, symmetrize_mu
-
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     table = _regular(n)
@@ -120,8 +95,6 @@ def kl_wgraph(n: int, side: str, reduced: bool = True):
 
 def kl_cells(n: int, side: str):
     """Cells of the left/right KL graph, as lists of one-line words."""
-    from .wgraph import cells
-
     g = kl_wgraph(n, side, reduced=True)
     parts, _ = cells(g)
     return [[g.vertices[v] for v in part] for part in parts]

@@ -40,6 +40,25 @@ def word_conj_s(word, i: int):
     return tuple(w)
 
 
+def _s_mul_word(i: int, word):
+    """One-line word of s_i * w (swap the values i and i+1)."""
+    return tuple(i + 1 if v == i else i if v == i + 1 else v for v in word)
+
+
+def reduced_word(w) -> tuple:
+    """The lexicographically least reduced word of w, a Permutation or a sequence of values."""
+    word = w.word if isinstance(w, Permutation) else tuple(w)
+    letters = []
+    while True:
+        for i in range(1, len(word)):
+            if word.index(i) > word.index(i + 1):  # left descent
+                letters.append(i)
+                word = _s_mul_word(i, word)
+                break
+        else:
+            return tuple(letters)
+
+
 def cycle_type(word) -> list:
     """The cycle lengths of a one-line word, in order of their least elements."""
     seen = [False] * len(word)
@@ -237,30 +256,22 @@ def knuth_move(v: Permutation, i: int, dual: bool = False) -> Permutation:
 def involution_words(n: int):
     """Yield one-line words of I_n in lexicographic order."""
     word = [0] * n
-    free = list(range(1, n + 1))
 
-    def rec():
+    def rec(free):
         if not free:
             yield tuple(word)
             return
-        # the smallest unassigned point stays fixed, or pairs with each larger
-        # unassigned point in increasing order; positions below it are already
-        # set, so this branch order is lexicographic on the one-line word
-        i = free[0]
+        # the smallest free point stays fixed, or pairs with each larger free
+        # point in increasing order; positions below it are already set, so
+        # this branch order is lexicographic on the one-line word
+        i, rest = free[0], free[1:]
         word[i - 1] = i
-        free.pop(0)
-        yield from rec()
-        free.insert(0, i)
-        for k in range(1, len(free)):
-            j = free[k]
+        yield from rec(rest)
+        for k, j in enumerate(rest):
             word[i - 1], word[j - 1] = j, i
-            free.pop(k)
-            free.pop(0)
-            yield from rec()
-            free.insert(0, i)
-            free.insert(k, j)
+            yield from rec(rest[:k] + rest[k + 1:])
 
-    yield from rec()
+    yield from rec(tuple(range(1, n + 1)))
 
 
 def involution_count(n: int) -> int:

@@ -95,7 +95,7 @@ def suite_gelfand(n: int) -> dict:
         _check(checks, f"ascending image = visible-descent criterion at n={m}",
                all((wd in asc_words) == gelfand.in_asc_image(wd, m)
                    for wd in universe))
-        # each vertex's p-map tableau, and hat_p's pass over its first m letters
+        # each vertex's p-map tableau, and hat_p's, the p-map's loop keeping 1..m
         full = [(beissinger.p_rbs(za.involution), beissinger.p_cbs(zd.involution))
                 for za, zd in pairs]
         hats = [(gelfand.hat_p(za), gelfand.hat_p(zd)) for za, zd in pairs]

@@ -48,7 +48,9 @@ from .gelfand import (
     lambda_shape,
     widened_fromlist,
 )
-from .perm import Permutation, cycle_type, word_conj_compare, word_conj_s
+from .perm import (
+    Permutation, cycle_type, involution_count, reduced_word, word_conj_compare, word_conj_s,
+)
 
 
 class EdgeTable(Mapping):
@@ -623,12 +625,11 @@ def classify_graph(g: WGraph) -> ClassifyReport:
     The bidirected edges are compared as vertex-index pairs, so the graph's
     vertices and tau must be its model's words and ascent sets in the
     model's order, as build_gamma and parse_wgraph(export(...)) give them;
-    any other graph is refused.
+    any other graph is refused, with the first reason `_refusal` finds.
     """
-    if (g.variant not in ("row", "col") or g.shapes is None
-            or g.vertices != tuple((m := _gamma_model(g.n, g.variant)).words)
-            or g.tau != tuple(m.tau)):
-        raise ValueError(f"need a row or column Gelfand graph with shapes, got {g!r}")
+    reason = _refusal(g)
+    if reason:
+        raise ValueError(f"need a row or column Gelfand graph with shapes, got {g!r}: {reason}")
     report = ClassifyReport(g.n, g.variant, g.reduced)
     report.fiber_count = len(set(g.shapes))
 
@@ -663,6 +664,30 @@ def classify_graph(g: WGraph) -> ClassifyReport:
             + _cycle_witness(g, mols, parts)
         )
     return report
+
+
+def _refusal(g: WGraph):
+    """
+    Why classify_graph refuses g, or None: the first of its variant, missing
+    shapes, a vertex count other than |I_n|, checked before any model is
+    built, and the first vertex whose word or tau set is not the model's.
+    """
+    if g.variant not in ("row", "col"):
+        return f"variant {g.variant!r} is not 'row' or 'col'"
+    if g.shapes is None:
+        return "it has no shapes"
+    if g.n > g.size:  # |I_n| >= n, so a large n is refused without counting I_n
+        return f"{g.size} vertices, but |I_{g.n}| >= {g.n}"
+    if (count := involution_count(g.n)) != g.size:
+        return f"{g.size} vertices, but |I_{g.n}| is {count}"
+    m = _gamma_model(g.n, g.variant)
+    if g.vertices == tuple(m.words) and g.tau == tuple(m.tau):
+        return None
+    for v, (word, t) in enumerate(zip(m.words, m.tau)):
+        if g.vertices[v] != word:
+            return f"vertex {v} is {_label(g.vertices[v])}, not {_label(word)}"
+        if g.tau[v] != t:
+            return f"tau of vertex {v} {_label(word)} is {sorted(g.tau[v])}, not {sorted(t)}"
 
 
 def _label(t) -> str:
@@ -745,8 +770,6 @@ def character_trace(g: WGraph, w: Permutation) -> int:
     each term's exponent is dropped; a generator's terms at one vertex have
     distinct targets, so none merge.
     """
-    from .hecke import reduced_word
-
     if w.n != g.n:
         raise ValueError(f"permutation of degree {w.n} on a W-graph for S_{g.n}")
     terms = action_terms(g)

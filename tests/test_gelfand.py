@@ -7,6 +7,7 @@ from array import array
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
 from gelfand_wgraphs import gelfand, hecke, tableau
 from gelfand_wgraphs.action import PackedAction, relation_violations
@@ -41,6 +42,7 @@ from gelfand_wgraphs.tableau import Tableau, odd_lines, restrict, standard_table
 from gelfand_wgraphs.wgraph import build_gamma, classify, graph_action, symmetrize_mu
 
 from column_ops import add, scale, symmetrize_then_filter, to_pairs, vertex_index
+from test_beissinger import involutions
 
 
 def inv(word):
@@ -546,13 +548,21 @@ def test_lambda_shape_examples():
 
 @pytest.mark.parametrize("variant", ["asc", "des"])
 def test_hat_p_is_the_restricted_p_map(variant):
-    # hat_p reads only the first n letters; the oracle runs the p-map over
-    # all 2n and restricts it
+    # hat_p keeps only 1..n as it inserts; the oracle runs the p-map over
+    # all 2n letters and restricts its tableau
     p_map = p_rbs if variant == "asc" else p_cbs
     for n in range(1, 9):
         for y in enumerate_involutions(n):
             z = embed(y, variant)
             assert hat_p(z) == restrict(p_map(z.involution), range(1, n + 1)), z
+
+
+@settings(max_examples=200, derandomize=True)
+@given(involutions(max_n=14))
+def test_hat_p_is_the_restricted_p_map_past_the_exhaustive_sizes(y):
+    for variant, p_map in (("asc", p_rbs), ("des", p_cbs)):
+        z = embed(y, variant)
+        assert hat_p(z) == restrict(p_map(z.involution), range(1, y.n + 1)), z
 
 
 def test_iota_line_examples():

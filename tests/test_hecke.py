@@ -5,15 +5,13 @@ import pytest
 from gelfand_wgraphs.hecke import (
     _left_ascent,
     _regular,
-    _s_mul_word,
     h_bar,
     kl_cells,
     kl_table,
     kl_wgraph,
-    reduced_word,
 )
 from gelfand_wgraphs.laurent import ONE, X, X_INV, X_MINUS_XINV
-from gelfand_wgraphs.perm import Permutation, word_length
+from gelfand_wgraphs.perm import Permutation, _s_mul_word, reduced_word, word_length
 from gelfand_wgraphs.tableau import pq_rs
 
 from column_ops import add, scale, to_pairs, vertex_index

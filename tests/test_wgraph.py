@@ -12,12 +12,13 @@ import pytest
 from gelfand_wgraphs import wgraph
 from gelfand_wgraphs.cli import main
 from gelfand_wgraphs.gelfand import ASC_LT, Model, ModuleTable, _model, embed, tables_json
-from gelfand_wgraphs.hecke import asc_right, kl_table, kl_wgraph, reduced_word
+from gelfand_wgraphs.hecke import asc_right, kl_table, kl_wgraph
 from gelfand_wgraphs.laurent import ONE, X, X_INV, LaurentPoly
 from gelfand_wgraphs.perm import (
     Involution,
     Permutation,
     enumerate_involutions,
+    reduced_word,
     word_conj_compare,
     word_conj_s,
 )
@@ -441,6 +442,31 @@ def test_classify_graph_refuses_a_tau_other_than_the_models():
     assert not verify_axioms(g).ok
     with pytest.raises(ValueError, match="^need a row or column Gelfand graph with shapes"):
         classify_graph(g)
+
+
+@pytest.mark.parametrize("field, index, value, reason", [
+    ("variant", None, "left", "variant 'left' is not 'row' or 'col'"),
+    ("shapes", None, None, "it has no shapes"),
+    ("n", None, 5, "10 vertices, but |I_5| is 26"),
+    ("n", None, 12, "10 vertices, but |I_12| >= 12"),
+    ("vertices", 0, [2, 1, 5, 6, 3, 4, 8, 7], "vertex 0 is (2,1,5,6,3,4,8,7), not (2,1,4,3,6,5,8,7)"),
+    ("tau", 0, [1, 2], "tau of vertex 0 (2,1,4,3,6,5,8,7) is [1, 2], not [2]"),
+], ids=["variant", "shapes", "count", "n-above-count", "word", "tau"])
+def test_classify_graph_names_why_it_refuses_an_edited_export(monkeypatch, field, index, value,
+                                                             reason):
+    doc = _n4_row_doc()
+    if index is not None:
+        doc[field][index] = value
+    elif value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    g = parse_wgraph(json.dumps(doc))
+    if field not in ("vertices", "tau"):  # refused before any model is built
+        monkeypatch.setattr(wgraph, "_gamma_model", lambda n, variant: pytest.fail("model built"))
+    with pytest.raises(ValueError) as err:
+        classify_graph(g)
+    assert str(err.value) == f"need a row or column Gelfand graph with shapes, got {g!r}: {reason}"
 
 
 def test_parse_wgraph_refuses_an_edge_listed_twice():
